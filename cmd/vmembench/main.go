@@ -13,9 +13,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -87,7 +87,7 @@ func main() {
 		label = flag.String("label", "current", "label for this measurement set")
 		out   = flag.String("out", "BENCH_vmem.json", "output file (merged in place)")
 		force = flag.Bool("force", false, "allow a 1-CPU rerun to overwrite an entry recorded on a multicore host")
-		smoke = flag.Bool("smoke", false, "run only the malloc-pair pair (locked baseline vs lock-free w1), assert the lock-free engine is within 15% of the locked one, and exit without writing the baseline file")
+		smoke = flag.Bool("smoke", false, "run the CI perf gates (each on medians of interleaved runs) and exit without writing the baseline file")
 	)
 	flag.Parse()
 
@@ -784,22 +784,46 @@ func benchDetectPair(gen bool) (float64, error) {
 	}), nil
 }
 
+// smokeRuns is how many interleaved runs each -smoke gate takes the
+// median of: one run of every series in a gate per round, so host
+// drift during the smoke lands on both sides of each ratio.
+const smokeRuns = 5
+
+// medians runs every bench once per round for smokeRuns rounds and
+// returns each bench's median ns/op.
+func medians(benches ...func() (float64, error)) []float64 {
+	runs := make([][]float64, len(benches))
+	for r := 0; r < smokeRuns; r++ {
+		for i, f := range benches {
+			ns, err := f()
+			if err != nil {
+				fatal(err)
+			}
+			runs[i] = append(runs[i], ns)
+		}
+	}
+	out := make([]float64, len(benches))
+	for i, ns := range runs {
+		sort.Float64s(ns)
+		out[i] = ns[len(ns)/2]
+	}
+	return out
+}
+
 // runSmoke is the CI perf gate: the lock-free engine's single-worker
 // malloc pair must stay within 15% of the locked reference engine, and
 // the magazine front end within 10% of the raw lock-free path, on the
-// identical workload. It writes nothing, so the provenance guard on
+// identical workload. Every gate compares medians of smokeRuns
+// interleaved runs. It writes nothing, so the provenance guard on
 // BENCH_vmem.json (multicore entries vs 1-CPU reruns) is never at risk
 // from CI hosts.
 func runSmoke() {
-	locked := benchMallocPairLocked()
-	lockfree, err := benchMallocPairLockFree(1)
-	if err != nil {
-		fatal(err)
-	}
-	magazine, err := benchMallocPairMagazine(1)
-	if err != nil {
-		fatal(err)
-	}
+	pair := medians(
+		func() (float64, error) { return benchMallocPairLocked(), nil },
+		func() (float64, error) { return benchMallocPairLockFree(1) },
+		func() (float64, error) { return benchMallocPairMagazine(1) },
+	)
+	locked, lockfree, magazine := pair[0], pair[1], pair[2]
 	ratio := lockfree / locked
 	magRatio := magazine / lockfree
 	fmt.Printf("malloc_free_pair_64B (locked)   %8.2f ns/op\n", locked)
@@ -814,26 +838,14 @@ func runSmoke() {
 		fatal(fmt.Errorf("magazine malloc fast path is %.1f%% slower than the raw lock-free path (bound: 10%%)", (magRatio-1)*100))
 	}
 	// Remote-free rings must not lose to synchronous cross-worker frees
-	// on the contended 4-worker churn, measured back-to-back in this
-	// same process so the comparison is host-honest. Best-of-3 damps
-	// scheduler noise on loaded CI runners; the bound allows 5% to keep
-	// a 1-CPU host (where contention wins shrink to batching wins) from
+	// on the contended 4-worker churn. The bound allows 5% to keep a
+	// 1-CPU host (where contention wins shrink to batching wins) from
 	// flaking the gate.
-	best := func(remote bool) float64 {
-		bestNs := math.Inf(1)
-		for i := 0; i < 3; i++ {
-			ns, err := benchCrossFreePair(4, remote)
-			if err != nil {
-				fatal(err)
-			}
-			if ns < bestNs {
-				bestNs = ns
-			}
-		}
-		return bestNs
-	}
-	syncNs := best(false)
-	remoteNs := best(true)
+	cross := medians(
+		func() (float64, error) { return benchCrossFreePair(4, false) },
+		func() (float64, error) { return benchCrossFreePair(4, true) },
+	)
+	syncNs, remoteNs := cross[0], cross[1]
 	crossRatio := remoteNs / syncNs
 	fmt.Printf("syncfree_pair_w4                %8.2f ns/op\n", syncNs)
 	fmt.Printf("remotefree_pair_w4              %8.2f ns/op\n", remoteNs)
@@ -844,26 +856,16 @@ func runSmoke() {
 	// The telemetry plane must be free when disabled: the magazine hot
 	// path with a nil trace ring — every instrumented site reduced to
 	// one predictable branch — must stay within 2% of the plain
-	// magazine number. Best-of-5 back to back in this process; on a
-	// ~20 ns op the bound is sub-nanosecond, so only a real hot-path
-	// regression (an allocation, a call, an atomic) can trip it.
-	bestOf := func(n int, f func() (float64, error)) float64 {
-		bestNs := math.Inf(1)
-		for i := 0; i < n; i++ {
-			ns, err := f()
-			if err != nil {
-				fatal(err)
-			}
-			if ns < bestNs {
-				bestNs = ns
-			}
-		}
-		return bestNs
-	}
-	magBest := bestOf(5, func() (float64, error) { return benchMallocPairMagazine(1) })
-	obsOff := bestOf(5, func() (float64, error) { return benchMallocPairObs(false) })
-	obsOn := bestOf(3, func() (float64, error) { return benchMallocPairObs(true) })
-	obsRatio := obsOff / magBest
+	// magazine number. On a ~20 ns op the bound is sub-nanosecond, so
+	// only a real hot-path regression (an allocation, a call, an
+	// atomic) can trip it.
+	obsRuns := medians(
+		func() (float64, error) { return benchMallocPairMagazine(1) },
+		func() (float64, error) { return benchMallocPairObs(false) },
+		func() (float64, error) { return benchMallocPairObs(true) },
+	)
+	magMed, obsOff, obsOn := obsRuns[0], obsRuns[1], obsRuns[2]
+	obsRatio := obsOff / magMed
 	fmt.Printf("obs_malloc_pair_off             %8.2f ns/op\n", obsOff)
 	fmt.Printf("obs_malloc_pair_on              %8.2f ns/op\n", obsOn)
 	fmt.Printf("ratio obs-off/magazine          %8.3f (bound 1.02)\n", obsRatio)
@@ -875,8 +877,11 @@ func runSmoke() {
 	// the identical 48 B threshold churn. Printed so CI logs track the
 	// trend; deliberately ungated — the deterministic temporal tier is
 	// priced, not bounded, and nothing is written.
-	canaryNs := bestOf(3, func() (float64, error) { return benchDetectPair(false) })
-	genNs := bestOf(3, func() (float64, error) { return benchDetectPair(true) })
+	detectRuns := medians(
+		func() (float64, error) { return benchDetectPair(false) },
+		func() (float64, error) { return benchDetectPair(true) },
+	)
+	canaryNs, genNs := detectRuns[0], detectRuns[1]
 	fmt.Printf("detect_overhead_malloc_pair_48B %8.2f ns/op\n", canaryNs)
 	fmt.Printf("gentag_overhead_malloc_pair_48B %8.2f ns/op\n", genNs)
 	fmt.Printf("ratio gen-checked/canary-checked %7.3f (informational, no bound)\n", genNs/canaryNs)

@@ -300,7 +300,8 @@ func (h *Heap) PublishMetrics(reg *ObsRegistry, labels ...ObsLabel) {
 // flushes batch the lock-free protocol (DESIGN.md §11). One magazine
 // serves one goroutine at a time. Obtain via Heap.NewMagazine (or
 // core.ShardedHeap.NewMagazine for the sharded front end); Drain at
-// barriers needing exact counters, Close when done.
+// barriers needing exact counters, Close when done. On GenTags heaps
+// MallocFat/FreeFat batch the same way, tags included (§15).
 type Magazine = core.Magazine
 
 // NewMagazine returns a per-worker magazine over this heap. The heap

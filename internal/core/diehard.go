@@ -267,6 +267,7 @@ type subregion struct {
 	// bitmap: heap writes cannot reach it, and placement is unchanged.
 	gens  []uint32
 	cl    *sizeClass
+	h     *Heap // owning heap: the shard a magazine-buffered free settles on
 	shift uint
 }
 
@@ -591,6 +592,7 @@ func (h *Heap) addSubregion(c, slots int) error {
 		slots: slots,
 		bits:  make([]uint64, (slots+63)/64),
 		cl:    cl,
+		h:     h,
 		shift: cl.shift,
 	}
 	if h.opts.GenTags {

@@ -70,16 +70,17 @@ const (
 )
 
 // genClaim bumps the slot's generation even→odd after a won bitmap
-// claim. No-op on untagged heaps (one nil check on the malloc path).
-func (h *Heap) genClaim(sub *subregion, local int) {
+// claim and returns the tag it issued. No-op returning 0 on untagged
+// heaps (one nil check on the malloc path).
+func (h *Heap) genClaim(sub *subregion, local int) uint32 {
 	if sub.gens == nil {
-		return
+		return 0
 	}
 	if h.atomicStats {
-		atomic.AddUint32(&sub.gens[local], 1)
-	} else {
-		sub.gens[local]++
+		return atomic.AddUint32(&sub.gens[local], 1)
 	}
+	sub.gens[local]++
+	return sub.gens[local]
 }
 
 // genFreePlain arbitrates an untagged free of slot local on a tagged

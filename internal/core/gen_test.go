@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"diehard/internal/heap"
+	"diehard/internal/obs"
 	"diehard/internal/rng"
 )
 
@@ -116,57 +117,95 @@ func TestGenTagBasics(t *testing.T) {
 // TestGenTagStaleAcrossRealloc pins the tentpole fix: a double free that
 // straddles a reallocation — undetectable by the pure bitmap protocol
 // (§12's tolerated skew) — is rejected deterministically, and the new
-// incarnation survives it untouched.
+// incarnation survives it untouched. The straddling free takes each
+// route in turn: the synchronous FreeFat, and a magazine's FreeFat,
+// whose verdict lands at the flush with the same evidence — exactly one
+// StaleFrees, one OnStaleFree(addr, gen), and one EvStaleFree.
 func TestGenTagStaleAcrossRealloc(t *testing.T) {
-	h, err := New(Options{HeapSize: 12 << 20, Seed: 13, GenTags: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := h.MallocFat(4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := h.FreeFat(old); !ok || err != nil {
-		t.Fatalf("FreeFat = %v, %v", ok, err)
-	}
-	// Churn until random placement reissues the same slot.
-	var cur heap.FatPtr
-	for i := 0; ; i++ {
-		if i == 100000 {
-			t.Fatal("slot never reissued in 100k probes")
-		}
-		fp, err := h.MallocFat(4096)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fp.Addr == old.Addr {
-			cur = fp
-			break
-		}
-		if ok, err := h.FreeFat(fp); !ok || err != nil {
-			t.Fatalf("churn free = %v, %v", ok, err)
-		}
-	}
-	if cur.Gen != old.Gen+2 {
-		t.Fatalf("reissued generation %d; want %d (one free + one claim past %d)",
-			cur.Gen, old.Gen+2, old.Gen)
-	}
-	staleBefore := h.Stats().StaleFrees
-	// The straddling double free: same address, dead generation.
-	if ok, _ := h.FreeFat(old); ok {
-		t.Fatal("stale free across reallocation accepted — the §12 gap is open")
-	}
-	if got := h.Stats().StaleFrees; got != staleBefore+1 {
-		t.Fatalf("StaleFrees = %d; want %d", got, staleBefore+1)
-	}
-	if !h.CheckGen(cur) {
-		t.Fatal("new incarnation invalidated by the rejected stale free")
-	}
-	if ok, err := h.FreeFat(cur); !ok || err != nil {
-		t.Fatalf("legitimate free of the new incarnation = %v, %v", ok, err)
-	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	for _, route := range []string{"sync", "magazine"} {
+		t.Run(route, func(t *testing.T) {
+			var evidence []heap.FatPtr
+			h, err := New(Options{
+				HeapSize: 12 << 20, Seed: 13, GenTags: true,
+				OnStaleFree: func(p heap.Ptr, gen uint64) {
+					evidence = append(evidence, heap.FatPtr{Addr: p, Gen: gen})
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			old, err := h.MallocFat(4096)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := h.FreeFat(old); !ok || err != nil {
+				t.Fatalf("FreeFat = %v, %v", ok, err)
+			}
+			// Churn until random placement reissues the same slot.
+			var cur heap.FatPtr
+			for i := 0; ; i++ {
+				if i == 100000 {
+					t.Fatal("slot never reissued in 100k probes")
+				}
+				fp, err := h.MallocFat(4096)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fp.Addr == old.Addr {
+					cur = fp
+					break
+				}
+				if ok, err := h.FreeFat(fp); !ok || err != nil {
+					t.Fatalf("churn free = %v, %v", ok, err)
+				}
+			}
+			if cur.Gen != old.Gen+2 {
+				t.Fatalf("reissued generation %d; want %d (one free + one claim past %d)",
+					cur.Gen, old.Gen+2, old.Gen)
+			}
+			rec := obs.NewRecorder(64)
+			h.SetTrace(rec.Ring(0))
+			// The straddling double free: same address, dead generation.
+			if route == "magazine" {
+				mag, err := h.NewMagazine()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok, err := mag.FreeFat(old); !ok || err != nil {
+					t.Fatalf("magazine FreeFat = %v, %v; want queued", ok, err)
+				}
+				if st := h.Stats(); st.StaleFrees != 0 || len(evidence) != 0 {
+					t.Fatalf("verdict before the flush: StaleFrees=%d, evidence %v", st.StaleFrees, evidence)
+				}
+				mag.Close() // the flush arbitrates the buffered tag
+			} else if ok, _ := h.FreeFat(old); ok {
+				t.Fatal("stale free across reallocation accepted — the §12 gap is open")
+			}
+			if got := h.Stats().StaleFrees; got != 1 {
+				t.Fatalf("StaleFrees = %d; want 1", got)
+			}
+			if len(evidence) != 1 || evidence[0] != old {
+				t.Fatalf("OnStaleFree saw %v; want exactly [%v]", evidence, old)
+			}
+			var events []obs.Event
+			for _, e := range rec.Snapshot() {
+				if e.Kind == obs.EvStaleFree.String() {
+					events = append(events, e)
+				}
+			}
+			if len(events) != 1 || events[0].Arg != old.Addr {
+				t.Fatalf("stale_free events %v; want one at %#x", events, old.Addr)
+			}
+			if !h.CheckGen(cur) {
+				t.Fatal("new incarnation invalidated by the rejected stale free")
+			}
+			if ok, err := h.FreeFat(cur); !ok || err != nil {
+				t.Fatalf("legitimate free of the new incarnation = %v, %v", ok, err)
+			}
+			if err := h.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -279,39 +318,147 @@ func TestGenTagMagazineFlush(t *testing.T) {
 	popcountVsInUse(t, h)
 }
 
-// TestGenTagRemoteDrainStale pins the deferred route: a duplicate fat
+// TestGenTagMagazineStolenClaim pins what a tagged magazine does with a
+// pre-claim that a wild free stole and another caller then re-claimed:
+// the slot's word has moved past the tag the refill issued, so a pop
+// skips the claim and Drain leaves the slot alone. Either way the
+// re-claimer's object stays live under its own generation.
+func TestGenTagMagazineStolenClaim(t *testing.T) {
+	for _, end := range []string{"drain", "pop"} {
+		t.Run(end, func(t *testing.T) {
+			h, err := New(Options{HeapSize: 12 << 20, Seed: 37, GenTags: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mag, err := h.NewMagazine()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := mag.MallocFat(64); err != nil { // the refill pre-claims a batch
+				t.Fatal(err)
+			}
+			cm := &mag.classes[ClassFor(64)]
+			stolen := cm.slots[cm.next]
+			// A wild plain free of the pre-claimed address wins the
+			// slot's transition (its word is odd) and releases it.
+			if err := h.Free(stolen.Addr); err != nil {
+				t.Fatal(err)
+			}
+			var owner heap.FatPtr
+			for i := 0; ; i++ {
+				if i == 1<<20 {
+					t.Fatal("stolen slot never reissued")
+				}
+				fp, err := h.MallocFat(64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fp.Addr == stolen.Addr {
+					owner = fp
+					break
+				}
+				if ok, err := h.FreeFat(fp); !ok || err != nil {
+					t.Fatalf("churn free = %v, %v", ok, err)
+				}
+			}
+			if owner.Gen != stolen.Gen+2 {
+				t.Fatalf("re-claim issued generation %d; want %d", owner.Gen, stolen.Gen+2)
+			}
+			if end == "drain" {
+				mag.Drain()
+			} else {
+				for remaining := len(cm.slots) - cm.next; remaining > 0; remaining-- {
+					fp, err := mag.MallocFat(64)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fp.Addr == stolen.Addr {
+						t.Fatalf("pop served the stolen pre-claim %#x (tag %d) while its re-claimer holds generation %d",
+							fp.Addr, fp.Gen, owner.Gen)
+					}
+				}
+			}
+			if g, _ := h.GenOf(owner.Addr); g != owner.Gen {
+				t.Fatalf("re-claimed slot's generation went %d -> %d: the magazine released a slot it no longer owns",
+					owner.Gen, g)
+			}
+			if ok, err := h.FreeFat(owner); !ok || err != nil {
+				t.Fatalf("re-claimer's free = %v, %v; want accepted", ok, err)
+			}
+			mag.Close()
+			// The plain wild free was accepted on a slot no malloc had
+			// served, so it counts one Free the ledger cannot match —
+			// an unchecked free's §12 skew; structure stays exact.
+			if err := h.CheckInvariantsSlack(1); err != nil {
+				t.Fatal(err)
+			}
+			popcountVsInUse(t, h)
+		})
+	}
+}
+
+// TestGenTagRemoteDrainStale pins the deferred routes: a duplicate fat
 // free queued in the remote ring is rejected at drain time by the same
 // generation arbitration, even though both entries were queued while the
-// slot was still live.
+// slot was still live. The duplicate reaches the ring either directly
+// (RemoteFreeFat) or through a magazine whose incremental flush reroutes
+// a foreign shard's frees there — the cell must carry the tag, or the
+// drain would count the replay as a plain ignored free.
 func TestGenTagRemoteDrainStale(t *testing.T) {
-	h, err := New(Options{
-		HeapSize: 24 << 20, Seed: 23, Concurrent: true, RemoteRing: true, GenTags: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := h.MallocFat(256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if ok, err := h.RemoteFreeFat(fp); !ok || err != nil {
-			t.Fatalf("RemoteFreeFat #%d = %v, %v; want queued", i, ok, err)
-		}
-	}
-	if st := h.Stats(); st.Frees != 0 || st.StaleFrees != 0 {
-		t.Fatalf("verdict before drain: Frees=%d StaleFrees=%d; want deferral", st.Frees, st.StaleFrees)
-	}
-	if err := h.CheckInvariants(); err != nil { // barrier drains the ring
-		t.Fatal(err)
-	}
-	st := h.Stats()
-	if st.Frees != 1 || st.StaleFrees != 1 || st.LiveObjects != 0 {
-		t.Fatalf("after drain: Frees=%d StaleFrees=%d Live=%d; want 1, 1, 0",
-			st.Frees, st.StaleFrees, st.LiveObjects)
-	}
-	if st.RemoteFrees != 2 {
-		t.Fatalf("RemoteFrees = %d; want 2", st.RemoteFrees)
+	for _, route := range []string{"ring", "magazine"} {
+		t.Run(route, func(t *testing.T) {
+			sh, err := NewSharded(2, Options{HeapSize: 48 << 20, Seed: 23, RemoteRing: true, GenTags: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			owner := sh.Shard(1)
+			fp, err := owner.MallocFat(256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if route == "ring" {
+				for i := 0; i < 2; i++ {
+					if ok, err := owner.RemoteFreeFat(fp); !ok || err != nil {
+						t.Fatalf("RemoteFreeFat #%d = %v, %v; want queued", i, ok, err)
+					}
+				}
+			} else {
+				mag, err := sh.NewMagazine()
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The class refills from the emptier shard 0, so fp's
+				// shard is foreign to this magazine.
+				if _, err := mag.MallocFat(256); err != nil {
+					t.Fatal(err)
+				}
+				c := ClassFor(256)
+				cm := &mag.classes[c]
+				if cm.owner != sh.Shard(0) {
+					t.Fatal("magazine refilled from fp's own shard")
+				}
+				for i := 0; i < 2; i++ {
+					if ok, err := mag.FreeFat(fp); !ok || err != nil {
+						t.Fatalf("magazine FreeFat #%d = %v, %v; want queued", i, ok, err)
+					}
+				}
+				mag.flushFrees(c, cm, false) // incremental: reroutes both to shard 1's ring
+			}
+			if st := owner.Stats(); st.Frees != 0 || st.StaleFrees != 0 {
+				t.Fatalf("verdict before drain: Frees=%d StaleFrees=%d; want deferral", st.Frees, st.StaleFrees)
+			}
+			if err := sh.CheckInvariants(); err != nil { // barrier drains the ring
+				t.Fatal(err)
+			}
+			st := owner.Stats()
+			if st.Frees != 1 || st.StaleFrees != 1 || st.LiveObjects != 0 {
+				t.Fatalf("after drain: Frees=%d StaleFrees=%d Live=%d; want 1, 1, 0",
+					st.Frees, st.StaleFrees, st.LiveObjects)
+			}
+			if st.RemoteFrees != 2 {
+				t.Fatalf("RemoteFrees = %d; want 2", st.RemoteFrees)
+			}
+		})
 	}
 }
 
@@ -447,10 +594,10 @@ func TestGenTagValidation(t *testing.T) {
 // TestFatPtrLifecycleRace is the §15 race battery: eight goroutines
 // racing malloc, legitimate frees, and stale frees of the same fat
 // pointers across every route at once — synchronous FreeFat, the remote
-// ring's deferred drain, magazine refill/flush churn, and quarantine
-// hold/release — ending at the full barrier stack with exactly-one-
-// winner asserted per fat pointer and exact global conservation. Runs
-// under the race detector in CI (×3).
+// ring's deferred drain, magazine MallocFat/FreeFat with their
+// refill/flush churn, and quarantine hold/release — ending at the full
+// barrier stack with exactly-one-winner asserted per fat pointer and
+// exact global conservation. Runs under the race detector in CI (×3).
 func TestFatPtrLifecycleRace(t *testing.T) {
 	const (
 		goroutines = 8
@@ -469,32 +616,46 @@ func TestFatPtrLifecycleRace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Phase A — the winner race: every goroutine tries to FreeFat every
-	// shared fat pointer; the generation CAS must elect exactly one.
+	// Phase A — the winner race: every goroutine tries to free every
+	// shared fat pointer, the even ones with FreeFat and the odd ones
+	// through their own magazine, whose flushes arbitrate the buffered
+	// tags; the generation CAS must elect exactly one winner per pointer.
 	shared := make([]heap.FatPtr, raced)
 	for i := range shared {
 		if shared[i], err = h.MallocFat(64); err != nil {
 			t.Fatal(err)
 		}
 	}
-	winners := make([]atomic.Int32, raced)
+	syncWins := make([]atomic.Int32, raced)
 	var wg sync.WaitGroup
 	errs := make([]error, goroutines)
 	for w := 0; w < goroutines; w++ {
+		mag, err := h.NewMagazine()
+		if err != nil {
+			t.Fatal(err)
+		}
 		wg.Add(1)
-		go func(w int) {
+		go func(w int, mag *Magazine) {
 			defer wg.Done()
+			defer mag.Close()
 			for i, fp := range shared {
+				if w%2 == 1 {
+					if _, err := mag.FreeFat(fp); err != nil { // verdict at the flush
+						errs[w] = err
+						return
+					}
+					continue
+				}
 				ok, err := h.FreeFat(fp)
 				if err != nil {
 					errs[w] = err
 					return
 				}
 				if ok {
-					winners[i].Add(1)
+					syncWins[i].Add(1)
 				}
 			}
-		}(w)
+		}(w, mag)
 	}
 	wg.Wait()
 	for w, err := range errs {
@@ -502,10 +663,18 @@ func TestFatPtrLifecycleRace(t *testing.T) {
 			t.Fatalf("phase A worker %d: %v", w, err)
 		}
 	}
-	for i := range winners {
-		if n := winners[i].Load(); n != 1 {
-			t.Fatalf("fat pointer %d: %d accepted frees; want exactly one winner", i, n)
+	for i, fp := range shared {
+		if n := syncWins[i].Load(); n > 1 {
+			t.Fatalf("fat pointer %d: %d accepted synchronous frees; want at most one", i, n)
 		}
+		if g, _ := h.GenOf(fp.Addr); g != fp.Gen+1 {
+			t.Fatalf("fat pointer %d: generation %d after the race; want %d (exactly one winning transition)",
+				i, g, fp.Gen+1)
+		}
+	}
+	if st := h.StatsSnapshot(); st.Frees != raced || st.StaleFrees != raced*(goroutines-1) {
+		t.Fatalf("phase A: Frees=%d StaleFrees=%d; want %d, %d (one winner per pointer, every other free stale)",
+			st.Frees, st.StaleFrees, raced, raced*(goroutines-1))
 	}
 
 	// Phase B — lifecycle churn: each goroutine allocates through the
@@ -528,51 +697,49 @@ func TestFatPtrLifecycleRace(t *testing.T) {
 			for round := 0; round < rounds; round++ {
 				fat := make([]heap.FatPtr, 0, perRound)
 				for i := 0; i < perRound; i++ {
+					size := sizes[r.Intn(len(sizes))]
+					var fp heap.FatPtr
+					var err error
 					if i%4 == 3 {
-						// Magazine route: plain pointers churn the
-						// refill/flush claims alongside the fat traffic.
-						p, err := mag.Malloc(sizes[r.Intn(len(sizes))])
-						if err != nil {
-							errs[w] = err
-							return
-						}
-						if err := mag.Free(p); err != nil {
-							errs[w] = err
-							return
-						}
-						continue
+						fp, err = mag.MallocFat(size) // refill claims carry their tags
+					} else {
+						fp, err = h.MallocFat(size)
 					}
-					fp, err := h.MallocFat(sizes[r.Intn(len(sizes))])
 					if err != nil {
 						errs[w] = err
 						return
 					}
 					fat = append(fat, fp)
 				}
+				// free routes object i by i%3: the remote ring, the
+				// magazine's buffer, or the synchronous FreeFat.
+				free := func(i int, fp heap.FatPtr) (bool, error) {
+					switch i % 3 {
+					case 0:
+						return h.RemoteFreeFat(fp)
+					case 1:
+						return mag.FreeFat(fp)
+					}
+					return h.FreeFat(fp)
+				}
 				for i, fp := range fat {
-					if i%3 == 0 {
-						if _, err := h.RemoteFreeFat(fp); err != nil {
-							errs[w] = err
-							return
-						}
-					} else {
-						if _, err := h.FreeFat(fp); err != nil {
-							errs[w] = err
-							return
-						}
+					if _, err := free(i, fp); err != nil {
+						errs[w] = err
+						return
 					}
 				}
 				// Stale replay. A tag freed synchronously is dead right
 				// now — even if the slot was since reallocated, the
 				// replay is mismatched — so its rejection is asserted
-				// immediately. A tag handed to the ring has its verdict
-				// at the owner's drain (the replay is queued behind the
-				// legitimate entry and loses there); the barrier's exact
-				// conservation asserts cover those.
+				// immediately. A tag handed to the ring or the magazine
+				// has its verdict at the owner's drain or the flush (the
+				// replay is queued behind the legitimate free and loses
+				// there); the barrier's exact conservation asserts cover
+				// those.
 				for i, fp := range fat {
 					staleAttempts.Add(1)
-					if i%3 == 0 {
-						if _, err := h.RemoteFreeFat(fp); err != nil {
+					if i%3 != 2 {
+						if _, err := free(i, fp); err != nil {
 							errs[w] = err
 							return
 						}

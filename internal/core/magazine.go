@@ -52,29 +52,34 @@ const (
 
 // magFree is one locally buffered free: the slot stays bitmap-live (so
 // probes and double frees keep treating it exactly like a live object)
-// until the flush publishes the clear. shard indexes the owning shard
-// for sharded magazines (always 0 in single-heap mode); the struct
+// until the flush publishes the clear. gen is the tag a checked free
+// carries to the flush's arbiter, 0 for an unchecked one. The struct
 // carries one pointer so buffering a free costs one write barrier.
 type magFree struct {
 	sub   *subregion
 	local int32
-	shard int32
+	gen   uint32
 }
 
 // classMagazine is one size class's local state: pre-claimed slots in
-// draw order, pending (unpublished) malloc counters, and the free
-// buffer. scratch is the refill's claim-undo buffer (class-wide slot
-// indexes), reused across refills so the hot loop allocates nothing.
+// draw order, each with the tag its claim issued (0 on untagged heaps),
+// pending (unpublished) malloc counters, and the free buffer. scratch
+// is the refill's claim-undo buffer (class-wide slot indexes), reused
+// across refills so the hot loop allocates nothing.
 type classMagazine struct {
-	owner          *Heap      // shard the claimed slots and pending stats belong to
-	slots          []heap.Ptr // pre-claimed slots, FIFO in stream draw order
-	next           int        // pop cursor into slots
-	cap            int        // current refill batch size (adaptive)
-	pendingMallocs int        // popped slots not yet published to owner stats
-	pendingReq     uint64     // requested bytes of those pops
-	free           []magFree  // buffered frees awaiting batch publication
-	scratch        []int32    // refill claim indexes, for undo on CAS loss
+	owner          *Heap         // shard the claimed slots and pending stats belong to
+	slots          []heap.FatPtr // pre-claimed slots, FIFO in stream draw order
+	next           int           // pop cursor into slots
+	cap            int           // current refill batch size (adaptive)
+	pendingMallocs int           // popped slots not yet published to owner stats
+	pendingReq     uint64        // requested bytes of those pops
+	free           []magFree     // buffered frees awaiting batch publication
+	scratch        []int32       // refill claim indexes, for undo on CAS loss
 }
+
+// flushTally is one heap's share of a batched release: frees won, §4.3
+// ignores, and slots retired at the generation ceiling.
+type flushTally struct{ wins, ignored, retired int }
 
 // Magazine is a per-worker allocation front end over a lock-free
 // DieHard heap (or a ShardedHeap, where each refill re-routes to the
@@ -86,15 +91,26 @@ type classMagazine struct {
 // ShardedHeap.NewMagazine; call Drain at barriers where exact counters
 // or an exact free-slot view are needed, and Close when done.
 //
+// On a generation-tagged heap (DESIGN.md §15) the magazine carries tags
+// end to end: MallocFat returns the tag each refill claim issued, and
+// FreeFat buffers the tag for the flush, which arbitrates it exactly as
+// the synchronous FreeFat does — on this heap or, rerouted, at a
+// foreign shard's ring drain.
+//
 // Invalid frees keep DieHard's §4.3 semantics with one batching-shaped
-// shift: a pre-claimed (not yet served) slot is bitmap-live, so a wild
-// free forging its address is accepted the way a wild free of any live
-// object always was, where the unbatched engine would have ignored it
-// (the slot would still have been free). The exposure is bounded by
-// MagazineMaxCap slots per class per magazine.
+// shift on untagged heaps: a pre-claimed (not yet served) slot is
+// bitmap-live, so a wild free forging its address is accepted the way a
+// wild free of any live object always was, where the unbatched engine
+// would have ignored it (the slot would still have been free). The
+// exposure is bounded by MagazineMaxCap slots per class per magazine.
+// Tagged magazines close it: a pop serves a slot only while its
+// generation word still equals the claim's tag, so a stolen pre-claim
+// is never handed out, and Drain returns claims by tag, so it never
+// releases a slot someone else has since claimed.
 type Magazine struct {
 	h       *Heap        // single-heap mode: the pinned heap
 	sh      *ShardedHeap // sharded mode: refills re-route by occupancy
+	tagged  bool         // the heap issues generation tags
 	classes [NumClasses]classMagazine
 
 	// trace is the worker's flight-recorder ring (SetTrace): magazine
@@ -122,7 +138,7 @@ func (h *Heap) NewMagazine() (*Magazine, error) {
 	if h.opts.OnAlloc != nil || h.opts.OnFree != nil {
 		return nil, fmt.Errorf("diehard: magazines cannot batch past per-operation observation hooks")
 	}
-	m := &Magazine{h: h}
+	m := &Magazine{h: h, tagged: h.opts.GenTags}
 	m.init()
 	h.registerMagazine(m)
 	return m, nil
@@ -138,7 +154,7 @@ func (sh *ShardedHeap) NewMagazine() (*Magazine, error) {
 	if s := sh.shards[0]; s.opts.OnAlloc != nil || s.opts.OnFree != nil {
 		return nil, fmt.Errorf("diehard: magazines cannot batch past per-operation observation hooks")
 	}
-	m := &Magazine{sh: sh}
+	m := &Magazine{sh: sh, tagged: sh.shards[0].opts.GenTags}
 	m.init()
 	sh.registerMagazine(m)
 	return m, nil
@@ -150,9 +166,18 @@ func (m *Magazine) init() {
 	}
 }
 
+// fatAllocator is what a magazine's unbatched fallbacks call on its
+// backing heap; Heap and ShardedHeap both provide it.
+type fatAllocator interface {
+	Malloc(size int) (heap.Ptr, error)
+	Free(p heap.Ptr) error
+	MallocFat(size int) (heap.FatPtr, error)
+	FreeFat(fp heap.FatPtr) (bool, error)
+}
+
 // backing is the allocator behind this magazine, for the paths that
 // bypass batching (large objects, foreign and misaligned pointers).
-func (m *Magazine) backing() heap.Allocator {
+func (m *Magazine) backing() fatAllocator {
 	if m.sh != nil {
 		return m.sh
 	}
@@ -164,27 +189,56 @@ func (m *Magazine) backing() heap.Allocator {
 // class refills through the batched lock-free protocol; large objects
 // fall through to the backing allocator unbatched.
 func (m *Magazine) Malloc(size int) (heap.Ptr, error) {
+	fp, err := m.malloc(size)
+	return fp.Addr, err
+}
+
+// MallocFat is Malloc on a generation-tagged heap, returning the fat
+// pointer whose tag the serving claim issued: at one goroutine the same
+// address and tag the unbatched MallocFat returns.
+func (m *Magazine) MallocFat(size int) (heap.FatPtr, error) {
+	if !m.tagged {
+		return heap.FatPtr{}, ErrNotGenTagged
+	}
+	return m.malloc(size)
+}
+
+// malloc is the one pop path. On a tagged heap a pre-claim is served
+// only while its generation word still equals the tag its claim
+// issued: a wild free that stole the claim (and whoever re-claimed the
+// slot since) moved the word on, and the thief already settled the
+// occupancy unit, so the pop just skips it.
+func (m *Magazine) malloc(size int) (heap.FatPtr, error) {
 	if size > MaxObjectSize || size < 0 {
-		return m.backing().Malloc(size)
+		if m.tagged {
+			return m.backing().MallocFat(size)
+		}
+		p, err := m.backing().Malloc(size)
+		return heap.FatPtr{Addr: p}, err
 	}
 	if size == 0 {
 		size = 1 // malloc(0) returns a distinct pointer, as in C
 	}
 	c := ClassFor(size)
 	cm := &m.classes[c]
-	if cm.next == len(cm.slots) {
+	for cm.next == len(cm.slots) {
 		if err := m.refill(c, cm); err != nil {
-			return heap.Null, err
+			return heap.FatPtr{}, err
 		}
 	}
-	p := cm.slots[cm.next]
+	fp := cm.slots[cm.next]
 	cm.next++
+	if fp.Gen != 0 {
+		if g, _ := cm.owner.GenOf(fp.Addr); g != fp.Gen {
+			return m.malloc(size) // stolen: skip it
+		}
+	}
 	cm.pendingMallocs++
 	cm.pendingReq += uint64(size)
 	if m.trace != nil {
-		m.trace.Emit(obs.EvMalloc, p)
+		m.trace.Emit(obs.EvMalloc, fp.Addr)
 	}
-	return p, nil
+	return fp, nil
 }
 
 // Free releases p: a small object of the backing heap is buffered
@@ -192,42 +246,74 @@ func (m *Magazine) Malloc(size int) (heap.Ptr, error) {
 // then, so the slot keeps reading as live everywhere); everything else
 // — large objects, foreign pointers, misaligned interior pointers —
 // takes the backing allocator's unbatched path, which already counts
-// the §4.3 ignores.
+// the §4.3 ignores. On a tagged heap the free is unchecked, like
+// Heap.Free there.
 func (m *Magazine) Free(p heap.Ptr) error {
+	_, err := m.free(heap.FatPtr{Addr: p}, false)
+	return err
+}
+
+// FreeFat releases a generation-tagged allocation through the
+// magazine. The tag travels with the buffered free and the flush
+// arbitrates it: a stale tag counts in Stats.StaleFrees and fires
+// EvStaleFree and OnStaleFree exactly as the synchronous FreeFat does.
+// accepted == true for a buffered free means "queued": its verdict
+// lands at the flush. A tag that could never have been issued is
+// rejected at once; everything the magazine does not batch takes the
+// backing FreeFat.
+func (m *Magazine) FreeFat(fp heap.FatPtr) (accepted bool, err error) {
+	if !m.tagged {
+		return false, ErrNotGenTagged
+	}
+	return m.free(fp, true)
+}
+
+// free is the one push path; checked frees buffer fp.Gen for the
+// flush's arbiter, unchecked ones buffer 0.
+func (m *Magazine) free(fp heap.FatPtr, checked bool) (bool, error) {
+	p := fp.Addr
 	if p == heap.Null {
-		return nil
+		return true, nil
 	}
 	var (
 		sub   *subregion
 		local int
-		shard int32
 	)
 	if m.sh == nil {
 		_, sub, local = m.h.find(p)
 	} else {
-		for i, s := range m.sh.shards {
+		for _, s := range m.sh.shards {
 			if _, sub, local = s.find(p); sub != nil {
-				shard = int32(i)
 				break
 			}
 		}
 	}
-	if sub == nil {
-		return m.backing().Free(p)
+	if sub == nil || (p-sub.base)&sub.cl.mask != 0 {
+		// Large, foreign, or misaligned interior: the unbatched path
+		// decides (and counts the §4.3 ignores).
+		if checked {
+			return m.backing().FreeFat(fp)
+		}
+		return true, m.backing().Free(p)
 	}
-	if (p-sub.base)&sub.cl.mask != 0 {
-		return m.backing().Free(p) // misaligned interior pointer: ignored there
+	var gen uint32
+	if checked {
+		if !genValidTag(fp.Gen) {
+			sub.h.noteStaleFree(p, fp.Gen)
+			return false, nil
+		}
+		gen = uint32(fp.Gen)
 	}
 	c := int(sub.shift) - minObjectShift
 	cm := &m.classes[c]
-	cm.free = append(cm.free, magFree{sub: sub, local: int32(local), shard: shard})
+	cm.free = append(cm.free, magFree{sub: sub, local: int32(local), gen: gen})
 	if m.trace != nil {
 		m.trace.Emit(obs.EvFree, p)
 	}
 	if len(cm.free) >= cm.cap {
 		m.flushFrees(c, cm, false)
 	}
-	return nil
+	return true, nil
 }
 
 // refill restocks class c: pending malloc stats are published to the
@@ -294,20 +380,21 @@ func (m *Magazine) publishMallocs(c int, cm *classMagazine) {
 	cm.pendingReq = 0
 }
 
-// flushFrees publishes the class's buffered frees: one bitmap clear per
-// slot (CAS on concurrent heaps — of racing frees of one pointer,
-// exactly one wins, preserving §4.3 double-free detection across
-// magazines) and then, per owning shard, one occupancy decrement and
-// one batched stats update for all the winners together.
+// flushFrees publishes the class's buffered frees: one arbitration per
+// slot (of racing frees of one pointer, exactly one wins, preserving
+// §4.3 double-free detection across magazines, and a buffered tag that
+// went stale is rejected as StaleFrees) and then, per run of same-heap
+// frees, one occupancy decrement and one batched stats update for all
+// the winners together.
 //
 // On a sharded heap with remote rings, an incremental flush (sync ==
 // false) hands frees of *foreign* shards — any shard other than the one
-// this magazine currently refills from — to that shard's ring instead
-// of CAS-ing its bitmap from here; the owner applies them at its own
-// drain points. Barrier flushes (sync == true, from Drain) apply
-// everything in place, so the drain contract stays as strong as rings
-// allow: after Drain plus the owners' ring drains (which
-// CheckInvariants performs), every counter is exact.
+// this magazine currently refills from — to that shard's ring, tag
+// included, instead of arbitrating them from here; the owner applies
+// them at its own drain points with the same verdicts. Barrier flushes
+// (sync == true, from Drain) apply everything in place, so the drain
+// contract stays as strong as rings allow: after Drain plus the owners'
+// ring drains (which CheckInvariants performs), every counter is exact.
 func (m *Magazine) flushFrees(c int, cm *classMagazine, sync bool) {
 	if len(cm.free) == 0 {
 		return
@@ -316,91 +403,60 @@ func (m *Magazine) flushFrees(c int, cm *classMagazine, sync bool) {
 		m.trace.Emit(obs.EvFlush, uint64(len(cm.free)))
 	}
 	if m.sh == nil {
-		// Single-heap magazines have exactly one owner: count wins and
-		// §4.3 ignores straight through, no per-shard accounting. On
-		// tagged heaps (DESIGN.md §15) the generation word arbitrates
-		// each buffered free before its bit-clear, exactly as the
-		// synchronous path does.
-		wins, ignored, retired := 0, 0, 0
-		for _, e := range cm.free {
-			local := int(e.local)
-			if e.sub.gens != nil {
-				switch m.h.genFreePlain(e.sub, local) {
-				case genWin:
-					if m.h.atomicStats {
-						e.sub.casClear(local)
-					} else {
-						e.sub.clear(local)
-					}
-					wins++
-				case genRetireOut:
-					retired++
-				default:
-					ignored++
-				}
-				continue
+		m.h.releaseBuffered(c, cm.free, false)
+	} else {
+		// Settle each run of same-shard frees as one batch.
+		for run := cm.free; len(run) > 0; {
+			s := run[0].sub.h
+			n := 1
+			for n < len(run) && run[n].sub.h == s {
+				n++
 			}
-			if m.h.atomicStats {
-				if e.sub.casClear(local) {
-					wins++
-				} else {
-					ignored++
-				}
-			} else if e.sub.get(local) {
-				e.sub.clear(local)
-				wins++
-			} else {
-				ignored++
-			}
-		}
-		m.h.finishBatchedFrees(c, wins, ignored)
-		if retired > 0 {
-			m.h.addStat(&m.h.stats.Retired, uint64(retired))
-		}
-		cm.free = cm.free[:0]
-		return
-	}
-	wins := make([]int, len(m.sh.shards))
-	ignored := make([]int, len(m.sh.shards))
-	var retired []int
-	for _, e := range cm.free {
-		if !sync {
-			if s := m.sh.shards[e.shard]; s != cm.owner && s.remote != nil &&
-				s.remote.enqueue(e.sub.base+uint64(e.local)<<e.sub.shift, 0) {
-				continue // the foreign owner will clear it at its next drain
-			}
-		}
-		local := int(e.local)
-		if e.sub.gens != nil {
-			switch m.sh.shards[e.shard].genFreePlain(e.sub, local) {
-			case genWin:
-				e.sub.casClear(local)
-				wins[e.shard]++
-			case genRetireOut:
-				if retired == nil {
-					retired = make([]int, len(m.sh.shards))
-				}
-				retired[e.shard]++
-			default:
-				ignored[e.shard]++
-			}
-			continue
-		}
-		if e.sub.casClear(local) { // shards are always concurrent
-			wins[e.shard]++
-		} else {
-			ignored[e.shard]++
-		}
-	}
-	for i, s := range m.sh.shards {
-		if wins[i] != 0 || ignored[i] != 0 {
-			s.finishBatchedFrees(c, wins[i], ignored[i])
-		}
-		if retired != nil && retired[i] != 0 {
-			s.addStat(&s.stats.Retired, uint64(retired[i]))
+			s.releaseBuffered(c, run[:n], !sync && s != cm.owner && s.remote != nil)
+			run = run[n:]
 		}
 	}
 	cm.free = cm.free[:0]
+}
+
+// releaseBuffered settles buffered frees of class c owned by this heap
+// in one batch, or with reroute hands each, tag included, to this
+// heap's remote ring, settling in place only when the ring is full.
+// Untagged releases run freeSlot's bit-clear inline: this loop (and
+// its twin in drainRemoteLocked) is the batched free fast path.
+func (h *Heap) releaseBuffered(c int, buf []magFree, reroute bool) {
+	var t flushTally
+	for _, e := range buf {
+		local := int(e.local)
+		if reroute && h.remote.enqueue(e.sub.base+uint64(local)<<e.sub.shift, uint64(e.gen)) {
+			continue // the owner will arbitrate it at its next drain
+		}
+		out := genLose
+		switch {
+		case e.sub.gens != nil:
+			out = h.freeSlot(e.sub, local, uint64(e.gen))
+		case h.atomicStats:
+			if e.sub.casClear(local) {
+				out = genWin
+			}
+		case e.sub.get(local):
+			e.sub.clear(local)
+			out = genWin
+		}
+		switch {
+		case out == genWin:
+			t.wins++
+		case out == genRetireOut:
+			t.retired++
+		case e.gen == 0:
+			t.ignored++ // §4.3: a double or wild unchecked free
+		default:
+			// A stale tag, noted at once (counter, trace event, and the
+			// OnStaleFree hook), as on the synchronous path.
+			h.noteStaleFree(e.sub.base+uint64(local)<<e.sub.shift, uint64(e.gen))
+		}
+	}
+	h.finishBatchedFrees(c, t)
 }
 
 // Drain publishes everything the magazine holds back: pending malloc
@@ -422,59 +478,37 @@ func (m *Magazine) Drain() {
 	}
 }
 
-// returnClaims hands unconsumed pre-claimed slots back to their owner.
+// returnClaims hands unconsumed pre-claimed slots back to their owner,
+// each arbitrated with the tag its claim issued. A claim a wild free
+// stole loses that arbitration and is skipped: its thief already gave
+// the occupancy unit back (or retired the slot), and on a tagged heap
+// the tag also keeps the return off a slot someone has since
+// re-claimed.
 func (m *Magazine) returnClaims(c int, cm *classMagazine) {
-	if cm.next == len(cm.slots) {
-		cm.slots = cm.slots[:0]
-		cm.next = 0
-		return
-	}
-	owner := cm.owner
-	cl := &owner.classes[c]
-	wins := 0
-	retired := 0
-	for _, p := range cm.slots[cm.next:] {
-		_, sub, local := owner.find(p)
-		if sub.gens != nil {
-			// Tagged heap: the refill's claim bumped the slot odd, so the
-			// return is a normal generation free-transition. A wild free
-			// that stole the slot already transitioned it (and gave the
-			// unit back); the lose branch skips it exactly as the
-			// bit-test does below.
-			switch owner.genFreePlain(sub, local) {
+	if cm.next < len(cm.slots) {
+		owner := cm.owner
+		var t flushTally
+		for _, fp := range cm.slots[cm.next:] {
+			_, sub, local := owner.find(fp.Addr)
+			switch owner.freeSlot(sub, local, fp.Gen) {
 			case genWin:
-				if owner.atomicStats {
-					sub.casClear(local)
-				} else {
-					sub.clear(local)
-				}
-				wins++
+				t.wins++
 			case genRetireOut:
-				retired++
+				t.retired++
 			}
-			continue
 		}
-		if owner.atomicStats {
-			if sub.casClear(local) {
-				wins++
-			}
-		} else if sub.get(local) {
-			sub.clear(local)
-			wins++
-		}
-	}
-	if retired > 0 {
 		// Retired slots keep their bit and their occupancy unit forever;
 		// they were never served, so nothing else is counted.
-		owner.addStat(&owner.stats.Retired, uint64(retired))
-	}
-	// Only winners release occupancy: a pre-claimed slot stolen by a
-	// wild free already gave its unit back at that free's flush.
-	if wins > 0 {
-		if owner.atomicStats {
-			atomic.AddInt64(&cl.inUse, -int64(wins))
-		} else {
-			cl.inUse -= int64(wins)
+		if t.retired > 0 {
+			owner.addStat(&owner.stats.Retired, uint64(t.retired))
+		}
+		if t.wins > 0 {
+			cl := &owner.classes[c]
+			if owner.atomicStats {
+				atomic.AddInt64(&cl.inUse, -int64(t.wins))
+			} else {
+				cl.inUse -= int64(t.wins)
+			}
 		}
 	}
 	cm.slots = cm.slots[:0]
@@ -524,27 +558,63 @@ func (h *Heap) DrainMagazines() {
 	}
 }
 
-// finishBatchedFrees publishes a flush batch's outcome for this heap:
-// wins release occupancy and count as frees in one shot; losers are the
-// §4.3 double frees, detected (their CAS found the bit already clear)
-// and ignored.
-func (h *Heap) finishBatchedFrees(c, wins, ignored int) {
-	if wins > 0 {
+// freeSlot is the §4.3 arbiter of a batched release — a returned
+// pre-claim, or a tagged entry of a magazine flush or ring drain (their
+// loops run the untagged arms inline) — and on a win clears the slot's
+// bit. gen is the tag the release carries: 0 frees
+// unchecked (the plain protocol), anything else must equal the slot's
+// generation word, and a value no claim could have issued loses
+// outright. genLose is a double, stale, or stolen release; occupancy
+// and statistics are the caller's, in batch.
+func (h *Heap) freeSlot(sub *subregion, local int, gen uint64) genOutcome {
+	if sub.gens != nil {
+		out := genLose
+		if gen == 0 {
+			out = h.genFreePlain(sub, local)
+		} else if genValidTag(gen) {
+			out = h.genFreeFat(sub, local, uint32(gen))
+		}
+		if out != genWin {
+			return out
+		}
+		// After a won transition the clear cannot fail.
+	} else if !h.atomicStats && !sub.get(local) {
+		return genLose
+	}
+	if h.atomicStats {
+		if !sub.casClear(local) {
+			return genLose // untagged double free
+		}
+	} else {
+		sub.clear(local)
+	}
+	return genWin
+}
+
+// finishBatchedFrees publishes a batch's outcome for class c of this
+// heap: wins release occupancy and count as frees in one shot, losers
+// are the §4.3 double frees, detected and ignored, and retired slots
+// keep their units and count in Stats.Retired.
+func (h *Heap) finishBatchedFrees(c int, t flushTally) {
+	if t.wins > 0 {
 		cl := &h.classes[c]
 		if h.atomicStats {
-			atomic.AddInt64(&cl.inUse, -int64(wins))
+			atomic.AddInt64(&cl.inUse, -int64(t.wins))
 		} else {
-			cl.inUse -= int64(wins)
+			cl.inUse -= int64(t.wins)
 		}
-		h.addStat(&h.stats.WorkUnits, uint64(wins)*heap.WorkBitmap)
+		h.addStat(&h.stats.WorkUnits, uint64(t.wins)*heap.WorkBitmap)
 		if h.atomicStats {
-			heap.CountFreeBatchAtomic(&h.stats, wins, uint64(wins)*uint64(cl.size))
+			heap.CountFreeBatchAtomic(&h.stats, t.wins, uint64(t.wins)*uint64(cl.size))
 		} else {
-			heap.CountFreeBatch(&h.stats, wins, uint64(wins)*uint64(cl.size))
+			heap.CountFreeBatch(&h.stats, t.wins, uint64(t.wins)*uint64(cl.size))
 		}
 	}
-	if ignored > 0 {
-		h.addStat(&h.stats.IgnoredFrees, uint64(ignored))
+	if t.ignored > 0 {
+		h.addStat(&h.stats.IgnoredFrees, uint64(t.ignored))
+	}
+	if t.retired > 0 {
+		h.addStat(&h.stats.Retired, uint64(t.retired))
 	}
 }
 
@@ -603,7 +673,9 @@ func (h *Heap) reserveBatch(c, want int) (int, error) {
 // committed refill is always a contiguous prefix of the class stream.
 // At one goroutine the CAS never loses, which makes the sequence of
 // claimed slots bit-identical to want back-to-back unbatched mallocs.
-func (h *Heap) magazineRefill(c, want int, out *[]heap.Ptr, scratch *[]int32) (int, error) {
+// On a tagged heap the committed claims are then bumped odd, and each
+// slot carries the tag its bump issued (0 on untagged heaps).
+func (h *Heap) magazineRefill(c, want int, out *[]heap.FatPtr, scratch *[]int32) (int, error) {
 	// Refill is the owner's natural housekeeping point: apply whatever
 	// the remote-free ring has accumulated (opportunistically — if
 	// another goroutine is mid-drain, skip) before reserving occupancy,
@@ -623,8 +695,9 @@ func (h *Heap) magazineRefill(c, want int, out *[]heap.Ptr, scratch *[]int32) (i
 	slots := (*out)[:0]
 	probes := 0
 	replays := 0
+	var regs *classRegions
 	for {
-		regs := cl.regions.Load()
+		regs = cl.regions.Load()
 		n := uint32(regs.totalSlots)
 		single := len(regs.subs) == 1
 		rejectBelow := -n % n
@@ -640,7 +713,6 @@ func (h *Heap) magazineRefill(c, want int, out *[]heap.Ptr, scratch *[]int32) (i
 			// mallocLocked's specialized inner loop.
 			sub := regs.subs[0]
 			bitsW := sub.bits
-			gensW := sub.gens
 			base, shift := sub.base, cl.shift
 			for len(idxs) < got {
 				if probes >= probeCap {
@@ -663,11 +735,8 @@ func (h *Heap) magazineRefill(c, want int, out *[]heap.Ptr, scratch *[]int32) (i
 				// Claim as drawn, so each draw probes the bitmap state
 				// its unbatched twin would see.
 				bitsW[w] |= bit
-				if gensW != nil {
-					gensW[local]++ // tagged claim bump, sequential engine
-				}
 				idxs = append(idxs, int32(local))
-				slots = append(slots, base+uint64(local)<<shift)
+				slots = append(slots, heap.FatPtr{Addr: base + uint64(local)<<shift})
 			}
 		} else {
 			for len(idxs) < got {
@@ -695,21 +764,19 @@ func (h *Heap) magazineRefill(c, want int, out *[]heap.Ptr, scratch *[]int32) (i
 					}
 					sub.set(local)
 				}
-				h.genClaim(sub, local)
 				idxs = append(idxs, int32(idx))
-				slots = append(slots, sub.base+uint64(local)<<cl.shift)
+				slots = append(slots, heap.FatPtr{Addr: sub.base + uint64(local)<<cl.shift})
 			}
 		}
 		if overflowed {
 			// Metadata-accounting failure (the same astronomically
 			// unlikely guard the unbatched loop carries): undo and
-			// release everything this refill holds. Claims that retired
-			// at undo keep their occupancy unit.
-			retired := h.undoClaims(regs, idxs)
+			// release everything this refill still holds.
+			held := got - h.undoClaims(regs, idxs)
 			if h.atomicStats {
-				atomic.AddInt64(&cl.inUse, -int64(got-retired))
+				atomic.AddInt64(&cl.inUse, -int64(held))
 			} else {
-				cl.inUse -= int64(got - retired)
+				cl.inUse -= int64(held)
 			}
 			return 0, &heap.CorruptionError{Detail: "diehard: no free slot found below fill threshold"}
 		}
@@ -723,12 +790,27 @@ func (h *Heap) magazineRefill(c, want int, out *[]heap.Ptr, scratch *[]int32) (i
 			break
 		}
 		// A racing consumer advanced the stream: this batch's draws are
-		// no longer the stream prefix, so un-claim and replay. A claim
-		// that retired at undo keeps its unit; shrink the batch so the
-		// replay's claims still balance the original reservation.
+		// no longer the stream prefix, so un-claim and replay, shrunk by
+		// the units the undo reports gone so the replay's claims still
+		// balance the reservation. (A replay shrunk to nothing commits an
+		// empty refill; the magazine's pop loop simply refills again.)
 		got -= h.undoClaims(regs, idxs)
 		replays++
 		backoffSpin(replays, uint32(b.State()))
+	}
+	if h.opts.GenTags {
+		// Tag the committed claims. Deferring the even→odd bump past the
+		// publication is safe: until it, a claimed slot's bit is set, so
+		// no claim competes for it, and its word is even, so every free's
+		// generation transition rejects it — nothing can steal a claim
+		// before it is tagged, which is what keeps undoClaims tag-free.
+		for i, idx := range idxs {
+			sub, local := regs.subs[0], int(idx)
+			if len(regs.subs) > 1 {
+				sub, local = regs.locate(int(idx))
+			}
+			slots[i].Gen = uint64(h.genClaim(sub, local))
+		}
 	}
 	if replays > 0 {
 		h.addStat(&h.stats.CASRetries, uint64(replays))
@@ -743,40 +825,24 @@ func (h *Heap) magazineRefill(c, want int, out *[]heap.Ptr, scratch *[]int32) (i
 
 // undoClaims releases the bitmap bits of an abandoned refill attempt,
 // resolving each claim's class-wide index against the region list the
-// claims were made under. On tagged heaps each undo is a generation
-// free-transition (the claim bumped the slot odd): a wild free that
-// stole the claim in the meantime already transitioned it, and a slot
-// at the generation ceiling retires — the returned count tells the
-// caller how many occupancy units stay permanently consumed.
+// claims were made under, and returns how many of their occupancy units
+// the refill no longer holds. The claims are untagged yet (the refill
+// tags only committed claims), so on a tagged heap no free can have
+// touched them; on an untagged heap a wild free may have cleared one,
+// and that free already gave its unit back.
 func (h *Heap) undoClaims(regs *classRegions, idxs []int32) int {
 	single := len(regs.subs) == 1
-	retired := 0
+	lost := 0
 	for _, idx := range idxs {
 		sub, local := regs.subs[0], int(idx)
 		if !single {
 			sub, local = regs.locate(int(idx))
 		}
-		if sub.gens != nil {
-			switch h.genFreePlain(sub, local) {
-			case genWin:
-				if h.atomicStats {
-					sub.casClear(local)
-				} else {
-					sub.clear(local)
-				}
-			case genRetireOut:
-				retired++
-			}
-			continue
-		}
-		if h.atomicStats {
-			sub.casClear(local)
-		} else {
+		if !h.atomicStats {
 			sub.clear(local)
+		} else if !sub.casClear(local) {
+			lost++
 		}
 	}
-	if retired > 0 {
-		h.addStat(&h.stats.Retired, uint64(retired))
-	}
-	return retired
+	return lost
 }

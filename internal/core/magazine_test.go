@@ -23,49 +23,63 @@ import (
 // refill's batched draw is a contiguous prefix of the per-class MWC
 // sequence, and claims made as drawn see the identical bitmap states.
 // This is the property that keeps the golden campaign recordings
-// meaningful with magazines in the stack.
+// meaningful with magazines in the stack. On a generation-tagged heap
+// MallocFat through the magazine also returns the unbatched tags.
 func TestMagazinePrefixPlacement(t *testing.T) {
 	const seed = 99
 	const perClass = 200 // spans several refills: 8+16+32+64+64+...
 	sizes := []int{8, 17, 100, 1000, MaxObjectSize}
 
-	// 96 MB: the 16 KB class needs 200 live slots below its 1/M
-	// threshold (200 * 16 KB * 2 * NumClasses = 75 MB minimum).
-	plain, err := New(Options{HeapSize: 96 << 20, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	magged, err := New(Options{HeapSize: 96 << 20, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := magged.NewMagazine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, size := range sizes {
-		for i := 0; i < perClass; i++ {
-			want, err := plain.Malloc(size)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := m.Malloc(size)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("size %d malloc %d: magazine placed %#x, unbatched engine %#x",
-					size, i, got, want)
-			}
+	for _, tagged := range []bool{false, true} {
+		name := "plain"
+		if tagged {
+			name = "gentag"
 		}
-	}
-	// Frees through the magazine release the same slots the unbatched
-	// engine releases, so continued allocation stays in lockstep
-	// (magazine frees batch their bitmap clears, but the stream is
-	// untouched by frees in both engines).
-	m.Drain()
-	if err := magged.CheckInvariants(); err != nil {
-		t.Fatal(err)
+		t.Run(name, func(t *testing.T) {
+			// 96 MB: the 16 KB class needs 200 live slots below its 1/M
+			// threshold (200 * 16 KB * 2 * NumClasses = 75 MB minimum).
+			opts := Options{HeapSize: 96 << 20, Seed: seed, GenTags: tagged}
+			plain, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			magged, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := magged.NewMagazine()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, size := range sizes {
+				for i := 0; i < perClass; i++ {
+					var want, got heap.FatPtr
+					var err1, err2 error
+					if tagged {
+						want, err1 = plain.MallocFat(size)
+						got, err2 = m.MallocFat(size)
+					} else {
+						want.Addr, err1 = plain.Malloc(size)
+						got.Addr, err2 = m.Malloc(size)
+					}
+					if err1 != nil || err2 != nil {
+						t.Fatal(err1, err2)
+					}
+					if got != want {
+						t.Fatalf("size %d malloc %d: magazine issued %+v, unbatched engine %+v",
+							size, i, got, want)
+					}
+				}
+			}
+			// Frees through the magazine release the same slots the
+			// unbatched engine releases, so continued allocation stays in
+			// lockstep (magazine frees batch their bitmap clears, but the
+			// stream is untouched by frees in both engines).
+			m.Drain()
+			if err := magged.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -505,6 +519,61 @@ func TestMagazineProbeDistribution(t *testing.T) {
 			}
 			if math.IsNaN(meanGot) {
 				t.Fatal("no refills observed")
+			}
+		})
+	}
+}
+
+// BenchmarkMagazinePair is ROADMAP item 2's magazine_gentag_pair
+// series: one worker's steady-state free+malloc pair of 64 B objects
+// through a magazine, with the class held just below its 1/M threshold
+// (the probe-heavy regime), on a concurrent heap as the serve soak runs
+// it. plain uses Free/Malloc on an untagged heap; gentag uses
+// FreeFat/MallocFat on a tagged one, so each pair pays the claim's tag
+// bump, the pop's tag check, and the flush's generation CAS.
+func BenchmarkMagazinePair(b *testing.B) {
+	for _, tagged := range []bool{false, true} {
+		name := "plain"
+		if tagged {
+			name = "gentag"
+		}
+		b.Run(name, func(b *testing.B) {
+			h, err := New(Options{HeapSize: 48 << 20, Seed: 1, Concurrent: true, GenTags: tagged})
+			if err != nil {
+				b.Fatal(err)
+			}
+			m, err := h.NewMagazine()
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer m.Close()
+			pair := func(old heap.FatPtr) (heap.FatPtr, error) {
+				if tagged {
+					if _, err := m.FreeFat(old); err != nil {
+						return heap.FatPtr{}, err
+					}
+					return m.MallocFat(64)
+				}
+				if err := m.Free(old.Addr); err != nil {
+					return heap.FatPtr{}, err
+				}
+				p, err := m.Malloc(64)
+				return heap.FatPtr{Addr: p}, err
+			}
+			_, maxInUse := h.ClassSlots(ClassFor(64))
+			live := make([]heap.FatPtr, maxInUse-2*MagazineMaxCap)
+			for i := range live {
+				if live[i], err = pair(heap.FatPtr{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			r := rng.NewSeeded(2)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := r.Intn(len(live))
+				if live[j], err = pair(live[j]); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

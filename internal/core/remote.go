@@ -200,8 +200,7 @@ func (h *Heap) tryDrainRemote() {
 
 func (h *Heap) drainRemoteLocked(want int) int {
 	r := h.remote
-	var wins, ignored [NumClasses]int32
-	stale, retired := 0, 0
+	var tally [NumClasses]flushTally
 	total := 0
 	for total <= int(r.mask) {
 		addr, gen, ok := r.dequeue()
@@ -216,57 +215,32 @@ func (h *Heap) drainRemoteLocked(want int) int {
 			h.addStat(&h.stats.IgnoredFrees, 1)
 			continue
 		}
-		c := int(sub.shift) - minObjectShift
-		if sub.gens != nil {
-			// Tagged heap (DESIGN.md §15): the generation word arbitrates
-			// here exactly as it does on the synchronous paths — a fat
-			// entry whose tag went stale during the deferral (including
-			// across a reallocation) is rejected, not mistaken for the
-			// new incarnation's free.
-			var out genOutcome
-			if gen != 0 {
-				if !genValidTag(gen) {
-					out = genLose
-				} else {
-					out = h.genFreeFat(sub, local, uint32(gen))
-				}
-			} else {
-				out = h.genFreePlain(sub, local)
-			}
-			switch out {
-			case genWin:
-				sub.casClear(local)
-				wins[c]++
-			case genRetireOut:
-				retired++
-			default:
-				if gen != 0 {
-					stale++
-					if h.trace != nil {
-						h.trace.Emit(obs.EvStaleFree, addr)
-					}
-				} else {
-					ignored[c]++
-				}
-			}
-			continue
+		// The same arbitration as releaseBuffered, inline for the same
+		// reason: on a tagged heap (DESIGN.md §15) an entry whose tag
+		// went stale during the deferral (including across a
+		// reallocation) is rejected, not mistaken for the new
+		// incarnation's free.
+		t := &tally[int(sub.shift)-minObjectShift]
+		out := genLose
+		switch {
+		case sub.gens != nil:
+			out = h.freeSlot(sub, local, gen)
+		case sub.casClear(local): // ring heaps are always concurrent
+			out = genWin
 		}
-		if sub.casClear(local) {
-			wins[c]++
-		} else {
-			ignored[c]++
+		switch {
+		case out == genWin:
+			t.wins++
+		case out == genRetireOut:
+			t.retired++
+		case gen == 0:
+			t.ignored++
+		default:
+			h.noteStaleFree(addr, gen)
 		}
 	}
-	for c := range wins {
-		if wins[c] != 0 || ignored[c] != 0 {
-			h.finishBatchedFrees(c, int(wins[c]), int(ignored[c]))
-		}
-	}
-	if stale > 0 {
-		h.addStat(&h.stats.StaleFrees, uint64(stale))
-	}
-	if retired > 0 {
-		h.addStat(&h.stats.Retired, uint64(retired))
+	for c := range tally {
+		h.finishBatchedFrees(c, tally[c])
 	}
 	if total > 0 {
 		h.addStat(&h.stats.RemoteFrees, uint64(total))
@@ -276,7 +250,7 @@ func (h *Heap) drainRemoteLocked(want int) int {
 		}
 	}
 	if want >= 0 {
-		return int(wins[want])
+		return tally[want].wins
 	}
 	return total
 }

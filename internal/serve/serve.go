@@ -87,14 +87,13 @@ type Config struct {
 	// ground truth the tests balance against.
 	ErrorRate float64
 	// GenTags runs the soak on a generation-tagged heap (DESIGN.md §15):
-	// sessions allocate through the fat-pointer API — unbatched, since
-	// magazines batch the thin protocol — local frees go through
-	// ShardedHeap.FreeFat and cross-worker frees through FreeFat or
-	// RemoteFreeFat per FreeMode, each carrying its tag to the owner's
-	// gen-checked arbiter. Free accounting becomes exact: a double free
-	// that straddles a reallocation is still caught. Mutually exclusive
-	// with Faults (the token-verified fault soak is a thin-pointer
-	// magazine workload).
+	// sessions allocate and free locally through the worker's magazine
+	// with fat pointers (Magazine.MallocFat/FreeFat), and cross-worker
+	// frees go through FreeFat or RemoteFreeFat per FreeMode, each free
+	// carrying its tag to the owner's gen-checked arbiter. Free
+	// accounting becomes exact: a double free that straddles a
+	// reallocation is still caught. Mutually exclusive with Faults (the
+	// token-verified fault soak frees thin pointers).
 	GenTags bool
 	// Faults, when set, embeds a planned fault schedule in every
 	// worker's session loop (the supervisor-facing soak of DESIGN.md
@@ -215,24 +214,21 @@ const crossBatch = 64
 // heal supervisor uses ring 200; see cmd/heal.)
 const shardRingBase = 100
 
+// worker objects travel as fat pointers; untagged runs carry Gen 0.
 type worker struct {
-	id    int
-	sh    *core.ShardedHeap
-	mag   *core.Magazine
-	mem   heap.Memory
-	r     *rng.MWC
-	hist  Histogram
-	mode  FreeMode
-	inbox chan []heap.Ptr
-	out   chan []heap.Ptr // the next worker's inbox
-	cross []heap.Ptr      // outgoing batch under accumulation
-
-	// Fat-pointer analogs of the cross-free plumbing (GenTags runs).
-	inboxFat chan []heap.FatPtr
-	outFat   chan []heap.FatPtr
-	crossFat []heap.FatPtr
-	doubles  int64 // ErrorRate double frees injected
-	wilds    int64 // ErrorRate wild frees injected
+	id      int
+	sh      *core.ShardedHeap
+	mag     *core.Magazine
+	mem     heap.Memory
+	r       *rng.MWC
+	hist    Histogram
+	mode    FreeMode
+	inbox   chan []heap.FatPtr
+	out     chan []heap.FatPtr // the next worker's inbox
+	cross   []heap.FatPtr      // outgoing batch under accumulation
+	spare   []heap.FatPtr      // a drained inbox batch, reused as the next outgoing one
+	doubles int64              // ErrorRate double frees injected
+	wilds   int64              // ErrorRate wild frees injected
 
 	// Fault-schedule state (cfg.Faults runs only).
 	sessionN    int64      // sessions served, the fault schedule's clock
@@ -274,15 +270,23 @@ func expGap(r *rng.MWC, rate float64) time.Duration {
 	return time.Duration(-math.Log(u) / rate * float64(time.Second))
 }
 
-// freeBatch returns a batch of foreign pointers through the configured
-// cross-free route.
-func (w *worker) freeBatch(b []heap.Ptr) error {
-	for _, p := range b {
+// freeBatch returns a batch of foreign objects through the configured
+// cross-free route, each fat free carrying its generation to the
+// owner's arbiter. A rejected free (a stale tag) is an expected outcome
+// on error-injected runs, not a harness error — the stats balance
+// asserts the exact count afterwards.
+func (w *worker) freeBatch(b []heap.FatPtr) error {
+	for _, o := range b {
 		var err error
-		if w.mode == FreeRemote {
-			err = w.sh.RemoteFree(p)
-		} else {
-			err = w.sh.Free(p)
+		switch {
+		case w.mode == FreeRemote && o.Gen != 0:
+			_, err = w.sh.RemoteFreeFat(o)
+		case w.mode == FreeRemote:
+			err = w.sh.RemoteFree(o.Addr)
+		case o.Gen != 0:
+			_, err = w.sh.FreeFat(o)
+		default:
+			err = w.sh.Free(o.Addr)
 		}
 		if err != nil {
 			return err
@@ -293,57 +297,37 @@ func (w *worker) freeBatch(b []heap.Ptr) error {
 
 // sendCross hands the accumulated batch to the neighbor, or frees it
 // locally if the neighbor's inbox is saturated — the handoff must never
-// block, or two full inboxes would deadlock the ring of workers.
+// block, or two full inboxes would deadlock the ring of workers. The
+// next batch reuses a drained one, so steady cross traffic allocates
+// nothing.
 func (w *worker) sendCross() error {
 	b := w.cross
-	w.cross = make([]heap.Ptr, 0, crossBatch)
 	select {
 	case w.out <- b:
+		w.cross, w.spare = w.spare, nil
+		if w.cross == nil {
+			w.cross = make([]heap.FatPtr, 0, crossBatch)
+		}
 		return nil
 	default:
+		w.cross = b[:0]
 		return w.freeBatch(b)
 	}
 }
 
-// freeBatchFat is freeBatch for fat pointers: every free carries its
-// generation to the owner's arbiter. A rejected free (a stale tag) is
-// an expected outcome on error-injected runs, not a harness error — the
-// stats balance asserts the exact count afterwards.
-func (w *worker) freeBatchFat(b []heap.FatPtr) error {
-	for _, fp := range b {
-		var err error
-		if w.mode == FreeRemote {
-			_, err = w.sh.RemoteFreeFat(fp)
-		} else {
-			_, err = w.sh.FreeFat(fp)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// sendCrossFat is sendCross for fat pointers.
-func (w *worker) sendCrossFat() error {
-	b := w.crossFat
-	w.crossFat = make([]heap.FatPtr, 0, crossBatch)
-	select {
-	case w.outFat <- b:
-		return nil
-	default:
-		return w.freeBatchFat(b)
-	}
-}
-
 // session serves one arrival: allocate, touch, and free a skewed mix of
-// objects, draining any cross-freed batches that showed up meanwhile.
-// With cfg.Faults, sizes are fixed (plus any Mitigator pad), the planned
-// faults are injected, and every object's token is verified at free.
-func (w *worker) session(cfg *Config, ptrs []heap.Ptr) error {
+// objects through the worker's magazine, draining any cross-freed
+// batches that showed up meanwhile. On GenTags runs every free carries
+// its tag, so an ErrorRate double free is rejected exactly (the
+// session's own later free of the victim becomes the stale replay) and
+// a wild interior free is ignored exactly, whichever route frees them
+// and whoever the slot belongs to by then. With cfg.Faults, sizes are
+// fixed (plus any Mitigator pad), the planned faults are injected, and
+// every object's token is verified at free.
+func (w *worker) session(cfg *Config, objs []heap.FatPtr) error {
 	n := cfg.SessionObjects
 	fp := cfg.Faults
-	ptrs = ptrs[:0]
+	objs = objs[:0]
 	for i := 0; i < n; i++ {
 		size := 0
 		if fp != nil {
@@ -354,10 +338,17 @@ func (w *worker) session(cfg *Config, ptrs []heap.Ptr) error {
 		} else {
 			size = skewedSize(w.r)
 		}
-		p, err := w.mag.Malloc(size)
+		var o heap.FatPtr
+		var err error
+		if cfg.GenTags {
+			o, err = w.mag.MallocFat(size)
+		} else {
+			o.Addr, err = w.mag.Malloc(size)
+		}
 		if err != nil {
 			return fmt.Errorf("worker %d malloc: %w", w.id, err)
 		}
+		p := o.Addr
 		// The access leg: every object is written and read back, so a
 		// placement bug surfaces as a data mismatch, not just a stat.
 		if err := w.mem.Store64(uint64(p), uint64(p)^0xd1e); err != nil {
@@ -370,7 +361,7 @@ func (w *worker) session(cfg *Config, ptrs []heap.Ptr) error {
 		if v != uint64(p)^0xd1e {
 			return fmt.Errorf("worker %d: object %#x read back %#x", w.id, p, v)
 		}
-		ptrs = append(ptrs, p)
+		objs = append(objs, o)
 	}
 	if fp != nil {
 		w.sessionN++
@@ -388,7 +379,7 @@ func (w *worker) session(cfg *Config, ptrs []heap.Ptr) error {
 		if fp.OverflowObject >= 0 && fp.OverflowEvery > 0 && w.sessionN%fp.OverflowEvery == 0 {
 			// Past the *requested* end: a pad enlarges the slot under the
 			// object without changing where the buggy write lands.
-			base := uint64(ptrs[fp.OverflowObject]) + uint64(fp.ObjectSize)
+			base := uint64(objs[fp.OverflowObject].Addr) + uint64(fp.ObjectSize)
 			junk := make([]byte, fp.OverflowReach)
 			for i := range junk {
 				junk[i] = 0xEE
@@ -399,9 +390,9 @@ func (w *worker) session(cfg *Config, ptrs []heap.Ptr) error {
 			}
 		}
 		if fp.DanglingObject >= 0 && fp.DanglingEvery > 0 && w.sessionN%fp.DanglingEvery == 0 {
-			p := ptrs[fp.DanglingObject]
+			p := objs[fp.DanglingObject].Addr
 			w.stale = p
-			ptrs[fp.DanglingObject] = heap.Null
+			objs[fp.DanglingObject] = heap.FatPtr{}
 			if err := w.freeFaulted(cfg, fp.DanglingObject, p); err != nil {
 				return err
 			}
@@ -412,31 +403,35 @@ func (w *worker) session(cfg *Config, ptrs []heap.Ptr) error {
 		if err := w.freeBatch(b); err != nil {
 			return err
 		}
+		w.spare = b[:0]
 	default:
 	}
 	if cfg.ErrorRate > 0 && float64(w.r.Intn(1<<20))/(1<<20) < cfg.ErrorRate {
 		// One double free (the victim is freed again below — exactly
-		// one of the two may win) and one wild interior free.
-		victim := ptrs[w.r.Intn(len(ptrs))]
-		if err := w.freeBatch([]heap.Ptr{victim, victim + 3}); err != nil {
+		// one of the two may win; on GenTags runs the later one replays
+		// a dead tag and must lose, even if the slot has been
+		// reallocated by then) and one wild interior free, which reuses
+		// the victim's tag on a misaligned address.
+		victim := objs[w.r.Intn(len(objs))]
+		if err := w.freeBatch([]heap.FatPtr{victim, {Addr: victim.Addr + 3, Gen: victim.Gen}}); err != nil {
 			return err
 		}
 		w.doubles++
 		w.wilds++
 	}
 	crossN := int(cfg.CrossFraction * float64(n))
-	for i, p := range ptrs {
-		if p == heap.Null {
+	for i, o := range objs {
+		if o.Addr == heap.Null {
 			continue // prematurely freed by the fault schedule
 		}
 		if fp != nil {
-			if err := w.freeFaulted(cfg, i, p); err != nil {
+			if err := w.freeFaulted(cfg, i, o.Addr); err != nil {
 				return err
 			}
 			continue
 		}
 		if i < crossN {
-			w.cross = append(w.cross, p)
+			w.cross = append(w.cross, o)
 			if len(w.cross) >= crossBatch {
 				if err := w.sendCross(); err != nil {
 					return err
@@ -444,73 +439,13 @@ func (w *worker) session(cfg *Config, ptrs []heap.Ptr) error {
 			}
 			continue
 		}
-		if err := w.mag.Free(p); err != nil {
-			return fmt.Errorf("worker %d free: %w", w.id, err)
+		var err error
+		if o.Gen != 0 {
+			_, err = w.mag.FreeFat(o)
+		} else {
+			err = w.mag.Free(o.Addr)
 		}
-	}
-	return nil
-}
-
-// sessionGen serves one arrival on a generation-tagged heap: the same
-// allocate/touch/free shape as session, but every object travels as a
-// fat pointer and every free carries its tag — so an ErrorRate double
-// free is rejected exactly (the session's own later free of the victim
-// becomes the stale replay) and a wild interior free is ignored
-// exactly, whichever FreeMode routes them and whoever the slot belongs
-// to by then.
-func (w *worker) sessionGen(cfg *Config, fat []heap.FatPtr) error {
-	n := cfg.SessionObjects
-	fat = fat[:0]
-	for i := 0; i < n; i++ {
-		fp, err := w.sh.MallocFat(skewedSize(w.r))
 		if err != nil {
-			return fmt.Errorf("worker %d malloc: %w", w.id, err)
-		}
-		if err := w.mem.Store64(uint64(fp.Addr), uint64(fp.Addr)^0xd1e); err != nil {
-			return fmt.Errorf("worker %d store: %w", w.id, err)
-		}
-		v, err := w.mem.Load64(uint64(fp.Addr))
-		if err != nil {
-			return fmt.Errorf("worker %d load: %w", w.id, err)
-		}
-		if v != uint64(fp.Addr)^0xd1e {
-			return fmt.Errorf("worker %d: object %#x read back %#x", w.id, fp.Addr, v)
-		}
-		fat = append(fat, fp)
-	}
-	select {
-	case b := <-w.inboxFat:
-		if err := w.freeBatchFat(b); err != nil {
-			return err
-		}
-	default:
-	}
-	if cfg.ErrorRate > 0 && float64(w.r.Intn(1<<20))/(1<<20) < cfg.ErrorRate {
-		victim := fat[w.r.Intn(len(fat))]
-		// The double's first free wins; the session's later free of the
-		// victim replays a dead tag and must lose, even if the slot has
-		// been reallocated by then. The wild free reuses the victim's
-		// live tag on a misaligned interior address.
-		if err := w.freeBatchFat([]heap.FatPtr{victim, {Addr: victim.Addr + 3, Gen: victim.Gen}}); err != nil {
-			return err
-		}
-		w.doubles++
-		w.wilds++
-	}
-	crossN := int(cfg.CrossFraction * float64(n))
-	for i, fp := range fat {
-		if i < crossN {
-			w.crossFat = append(w.crossFat, fp)
-			if len(w.crossFat) >= crossBatch {
-				if err := w.sendCrossFat(); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		// Local frees are synchronous FreeFat — the gen-mode stand-in
-		// for the magazine's local route.
-		if _, err := w.sh.FreeFat(fp); err != nil {
 			return fmt.Errorf("worker %d free: %w", w.id, err)
 		}
 	}
@@ -573,11 +508,7 @@ func (w *worker) run(cfg *Config, quota int64, sessions *sync.WaitGroup, errOut 
 		burstFactor = 1 + cfg.BurstProb*float64(cfg.BurstLen-1)
 	}
 	drawRate := cfg.Rate / float64(cfg.Workers) / burstFactor
-	ptrs := make([]heap.Ptr, 0, cfg.SessionObjects)
-	var fat []heap.FatPtr
-	if cfg.GenTags {
-		fat = make([]heap.FatPtr, 0, cfg.SessionObjects)
-	}
+	objs := make([]heap.FatPtr, 0, cfg.SessionObjects)
 	next := time.Now()
 	burst := 0
 	for s := int64(0); s < quota; s++ {
@@ -596,13 +527,7 @@ func (w *worker) run(cfg *Config, quota int64, sessions *sync.WaitGroup, errOut 
 			}
 			arrival = next
 		}
-		var err error
-		if cfg.GenTags {
-			err = w.sessionGen(cfg, fat)
-		} else {
-			err = w.session(cfg, ptrs)
-		}
-		if err != nil {
+		if err := w.session(cfg, objs); err != nil {
 			fail(err)
 			break
 		}
@@ -618,23 +543,11 @@ func (w *worker) run(cfg *Config, quota int64, sessions *sync.WaitGroup, errOut 
 			fail(err)
 		}
 	}
-	if len(w.crossFat) > 0 {
-		if err := w.sendCrossFat(); err != nil {
-			fail(err)
-		}
-	}
 	sessions.Done()
-	// Producers may still be handing batches over; the inboxes are
-	// closed by the driver once every worker has passed the barrier
-	// above. (Only one of the two carries traffic; the other closes
-	// empty.)
+	// Producers may still be handing batches over; the inbox is closed
+	// by the driver once every worker has passed the barrier above.
 	for b := range w.inbox {
 		if err := w.freeBatch(b); err != nil {
-			fail(err)
-		}
-	}
-	for b := range w.inboxFat {
-		if err := w.freeBatchFat(b); err != nil {
 			fail(err)
 		}
 	}
@@ -759,10 +672,8 @@ func Run(cfg Config) (*Result, error) {
 			mem:        sh.Mem(),
 			r:          rng.NewSeeded(cfg.Seed + uint64(i)*0x9e3779b97f4a7c15 + 1),
 			mode:       cfg.FreeMode,
-			inbox:      make(chan []heap.Ptr, 8),
-			cross:      make([]heap.Ptr, 0, crossBatch),
-			inboxFat:   make(chan []heap.FatPtr, 8),
-			crossFat:   make([]heap.FatPtr, 0, crossBatch),
+			inbox:      make(chan []heap.FatPtr, 8),
+			cross:      make([]heap.FatPtr, 0, crossBatch),
 			ring:       ring,
 			ctrSess:    ctrSess,
 			ctrCorrupt: ctrCorrupt,
@@ -773,7 +684,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	for i, w := range workers {
 		w.out = workers[(i+1)%len(workers)].inbox
-		w.outFat = workers[(i+1)%len(workers)].inboxFat
 	}
 
 	var (
@@ -799,7 +709,6 @@ func Run(cfg Config) (*Result, error) {
 	sessions.Wait()
 	for _, w := range workers {
 		close(w.inbox)
-		close(w.inboxFat)
 	}
 	all.Wait()
 	elapsed := time.Since(start)
