@@ -303,8 +303,11 @@ func (s *subregion) casSet(i int) bool {
 // was already clear (a double free, detected exactly as §4.3 requires —
 // of two racing frees of the same pointer, exactly one clears the bit).
 func (s *subregion) casClear(i int) bool {
-	w := &s.bits[i>>6]
-	bit := uint64(1) << (i & 63)
+	return casClearBit(&s.bits[i>>6], 1<<(i&63))
+}
+
+// casClearBit is casClear on a resolved bitmap word and bit.
+func casClearBit(w *uint64, bit uint64) bool {
 	for {
 		old := atomic.LoadUint64(w)
 		if old&bit == 0 {
@@ -314,6 +317,20 @@ func (s *subregion) casClear(i int) bool {
 			return true
 		}
 	}
+}
+
+// release clears slot i's bit — by casClear on concurrent heaps — and
+// reports whether this call cleared it; false means the bit was already
+// clear. It is the untagged arbiter of a batched release, small enough
+// to inline into the magazine flush and ring drain loops.
+func (s *subregion) release(i int, concurrent bool) bool {
+	w, bit := &s.bits[i>>6], uint64(1)<<(i&63)
+	if concurrent {
+		return casClearBit(w, bit)
+	}
+	old := *w
+	*w = old &^ bit
+	return old&bit != 0
 }
 
 // classRegions is a size class's immutable subregion list plus its slot

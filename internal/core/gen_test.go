@@ -338,7 +338,7 @@ func TestGenTagMagazineStolenClaim(t *testing.T) {
 				t.Fatal(err)
 			}
 			cm := &mag.classes[ClassFor(64)]
-			stolen := cm.slots[cm.next]
+			stolen := heap.FatPtr{Addr: cm.slots[cm.next], Gen: uint64(cm.tags[cm.next])}
 			// A wild plain free of the pre-claimed address wins the
 			// slot's transition (its word is odd) and releases it.
 			if err := h.Free(stolen.Addr); err != nil {
@@ -594,10 +594,11 @@ func TestGenTagValidation(t *testing.T) {
 // TestFatPtrLifecycleRace is the §15 race battery: eight goroutines
 // racing malloc, legitimate frees, and stale frees of the same fat
 // pointers across every route at once — synchronous FreeFat, the remote
-// ring's deferred drain, magazine MallocFat/FreeFat with their
-// refill/flush churn, and quarantine hold/release — ending at the full
-// barrier stack with exactly-one-winner asserted per fat pointer and
-// exact global conservation. Runs under the race detector in CI (×3).
+// ring's deferred drain, magazine Malloc/Free and MallocFat/FreeFat
+// with their refill/flush churn, and quarantine hold/release — ending
+// at the full barrier stack with exactly-one-winner asserted per fat
+// pointer and exact global conservation. Runs under the race detector
+// in CI (×3).
 func TestFatPtrLifecycleRace(t *testing.T) {
 	const (
 		goroutines = 8
@@ -681,6 +682,9 @@ func TestFatPtrLifecycleRace(t *testing.T) {
 	// fat API and a magazine at once, frees its objects through rotating
 	// routes, replays every fat pointer once more (a guaranteed-stale
 	// free that must be rejected), and checks stale uses never validate.
+	// Beside the fat traffic, plain magazine pairs churn unchecked frees
+	// through the same magazine, so its flushes settle checked and
+	// unchecked entries together on one tagged heap.
 	var staleAttempts, staleAccepted atomic.Uint64
 	for w := 0; w < goroutines; w++ {
 		wg.Add(1)
@@ -698,9 +702,23 @@ func TestFatPtrLifecycleRace(t *testing.T) {
 				fat := make([]heap.FatPtr, 0, perRound)
 				for i := 0; i < perRound; i++ {
 					size := sizes[r.Intn(len(sizes))]
+					if i%8 == 7 {
+						// Plain magazine route: an unchecked pair whose
+						// pop still runs the tag check.
+						p, err := mag.Malloc(size)
+						if err != nil {
+							errs[w] = err
+							return
+						}
+						if err := mag.Free(p); err != nil {
+							errs[w] = err
+							return
+						}
+						continue
+					}
 					var fp heap.FatPtr
 					var err error
-					if i%4 == 3 {
+					if i%8 == 3 {
 						fp, err = mag.MallocFat(size) // refill claims carry their tags
 					} else {
 						fp, err = h.MallocFat(size)

@@ -62,19 +62,20 @@ type magFree struct {
 }
 
 // classMagazine is one size class's local state: pre-claimed slots in
-// draw order, each with the tag its claim issued (0 on untagged heaps),
+// draw order (on tagged heaps, each with the tag its claim issued),
 // pending (unpublished) malloc counters, and the free buffer. scratch
 // is the refill's claim-undo buffer (class-wide slot indexes), reused
 // across refills so the hot loop allocates nothing.
 type classMagazine struct {
-	owner          *Heap         // shard the claimed slots and pending stats belong to
-	slots          []heap.FatPtr // pre-claimed slots, FIFO in stream draw order
-	next           int           // pop cursor into slots
-	cap            int           // current refill batch size (adaptive)
-	pendingMallocs int           // popped slots not yet published to owner stats
-	pendingReq     uint64        // requested bytes of those pops
-	free           []magFree     // buffered frees awaiting batch publication
-	scratch        []int32       // refill claim indexes, for undo on CAS loss
+	owner          *Heap      // shard the claimed slots and pending stats belong to
+	slots          []heap.Ptr // pre-claimed slots, FIFO in stream draw order
+	tags           []uint32   // tagged heaps only: tags[i] is slots[i]'s claim tag
+	next           int        // pop cursor into slots (and tags)
+	cap            int        // current refill batch size (adaptive)
+	pendingMallocs int        // popped slots not yet published to owner stats
+	pendingReq     uint64     // requested bytes of those pops
+	free           []magFree  // buffered frees awaiting batch publication
+	scratch        []int32    // refill claim indexes, for undo on CAS loss
 }
 
 // flushTally is one heap's share of a batched release: frees won, §4.3
@@ -226,13 +227,15 @@ func (m *Magazine) malloc(size int) (heap.FatPtr, error) {
 			return heap.FatPtr{}, err
 		}
 	}
-	fp := cm.slots[cm.next]
-	cm.next++
-	if fp.Gen != 0 {
+	fp := heap.FatPtr{Addr: cm.slots[cm.next]}
+	if m.tagged {
+		fp.Gen = uint64(cm.tags[cm.next])
 		if g, _ := cm.owner.GenOf(fp.Addr); g != fp.Gen {
+			cm.next++
 			return m.malloc(size) // stolen: skip it
 		}
 	}
+	cm.next++
 	cm.pendingMallocs++
 	cm.pendingReq += uint64(size)
 	if m.trace != nil {
@@ -336,12 +339,12 @@ func (m *Magazine) refill(c int, cm *classMagazine) error {
 	if m.sh != nil {
 		owner = m.sh.refillShard(c)
 	}
-	got, err := owner.magazineRefill(c, want, &cm.slots, &cm.scratch)
+	got, err := owner.magazineRefill(c, want, cm)
 	if err != nil && m.sh != nil && errors.Is(err, heap.ErrOutOfMemory) {
 		tried := map[*Heap]bool{owner: true}
 		for len(tried) < len(m.sh.shards) {
 			next, _ := m.sh.emptiest(m.sh.classLoad(c), tried)
-			if got, err = next.magazineRefill(c, want, &cm.slots, &cm.scratch); err == nil {
+			if got, err = next.magazineRefill(c, want, cm); err == nil {
 				owner = next
 				break
 			}
@@ -355,7 +358,6 @@ func (m *Magazine) refill(c int, cm *classMagazine) error {
 		return err
 	}
 	cm.owner = owner
-	cm.slots = cm.slots[:got]
 	cm.next = 0
 	if m.trace != nil {
 		m.trace.Emit(obs.EvRefill, uint64(got))
@@ -422,8 +424,11 @@ func (m *Magazine) flushFrees(c int, cm *classMagazine, sync bool) {
 // releaseBuffered settles buffered frees of class c owned by this heap
 // in one batch, or with reroute hands each, tag included, to this
 // heap's remote ring, settling in place only when the ring is full.
-// Untagged releases run freeSlot's bit-clear inline: this loop (and
-// its twin in drainRemoteLocked) is the batched free fast path.
+//
+// The untagged arm stays inline here and in drainRemoteLocked's twin
+// loop: these are the batched free fast paths, and a helper covering
+// both arms exceeds the inliner's budget (it must call the tagged
+// arbiter), which costs the untagged magazine pair a call per free.
 func (h *Heap) releaseBuffered(c int, buf []magFree, reroute bool) {
 	var t flushTally
 	for _, e := range buf {
@@ -431,32 +436,37 @@ func (h *Heap) releaseBuffered(c int, buf []magFree, reroute bool) {
 		if reroute && h.remote.enqueue(e.sub.base+uint64(local)<<e.sub.shift, uint64(e.gen)) {
 			continue // the owner will arbitrate it at its next drain
 		}
-		out := genLose
 		switch {
 		case e.sub.gens != nil:
-			out = h.freeSlot(e.sub, local, uint64(e.gen))
-		case h.atomicStats:
-			if e.sub.casClear(local) {
-				out = genWin
-			}
-		case e.sub.get(local):
-			e.sub.clear(local)
-			out = genWin
-		}
-		switch {
-		case out == genWin:
+			t.settleTagged(h, e.sub, local, uint64(e.gen))
+		case e.sub.release(local, h.atomicStats):
 			t.wins++
-		case out == genRetireOut:
-			t.retired++
-		case e.gen == 0:
-			t.ignored++ // §4.3: a double or wild unchecked free
 		default:
-			// A stale tag, noted at once (counter, trace event, and the
-			// OnStaleFree hook), as on the synchronous path.
-			h.noteStaleFree(e.sub.base+uint64(local)<<e.sub.shift, uint64(e.gen))
+			t.ignored++ // §4.3: a double or wild free
 		}
 	}
 	h.finishBatchedFrees(c, t)
+}
+
+// settleTagged arbitrates one batched release on a tagged heap — a
+// magazine's buffered free or a remote ring entry; gen is its tag, 0
+// for an unchecked free — and tallies the outcome. A lost unchecked
+// release is a §4.3 ignore; a lost tagged one is a stale free, noted at
+// once (counter, trace event, and the OnStaleFree hook) as on the
+// synchronous path.
+func (t *flushTally) settleTagged(h *Heap, sub *subregion, local int, gen uint64) {
+	switch h.genFreeSlot(sub, local, gen) {
+	case genWin:
+		t.wins++
+	case genRetireOut:
+		t.retired++
+	default:
+		if gen == 0 {
+			t.ignored++
+		} else {
+			h.noteStaleFree(sub.base+uint64(local)<<sub.shift, gen)
+		}
+	}
 }
 
 // Drain publishes everything the magazine holds back: pending malloc
@@ -487,27 +497,34 @@ func (m *Magazine) Drain() {
 func (m *Magazine) returnClaims(c int, cm *classMagazine) {
 	if cm.next < len(cm.slots) {
 		owner := cm.owner
-		var t flushTally
-		for _, fp := range cm.slots[cm.next:] {
-			_, sub, local := owner.find(fp.Addr)
-			switch owner.freeSlot(sub, local, fp.Gen) {
+		wins, retired := 0, 0
+		for i := cm.next; i < len(cm.slots); i++ {
+			_, sub, local := owner.find(cm.slots[i])
+			out := genLose
+			switch {
+			case m.tagged:
+				out = owner.genFreeSlot(sub, local, uint64(cm.tags[i]))
+			case sub.release(local, owner.atomicStats):
+				out = genWin
+			}
+			switch out {
 			case genWin:
-				t.wins++
+				wins++
 			case genRetireOut:
-				t.retired++
+				retired++
 			}
 		}
 		// Retired slots keep their bit and their occupancy unit forever;
 		// they were never served, so nothing else is counted.
-		if t.retired > 0 {
-			owner.addStat(&owner.stats.Retired, uint64(t.retired))
+		if retired > 0 {
+			owner.addStat(&owner.stats.Retired, uint64(retired))
 		}
-		if t.wins > 0 {
+		if wins > 0 {
 			cl := &owner.classes[c]
 			if owner.atomicStats {
-				atomic.AddInt64(&cl.inUse, -int64(t.wins))
+				atomic.AddInt64(&cl.inUse, -int64(wins))
 			} else {
-				cl.inUse -= int64(t.wins)
+				cl.inUse -= int64(wins)
 			}
 		}
 	}
@@ -558,37 +575,24 @@ func (h *Heap) DrainMagazines() {
 	}
 }
 
-// freeSlot is the §4.3 arbiter of a batched release — a returned
-// pre-claim, or a tagged entry of a magazine flush or ring drain (their
-// loops run the untagged arms inline) — and on a win clears the slot's
-// bit. gen is the tag the release carries: 0 frees
-// unchecked (the plain protocol), anything else must equal the slot's
-// generation word, and a value no claim could have issued loses
-// outright. genLose is a double, stale, or stolen release; occupancy
-// and statistics are the caller's, in batch.
-func (h *Heap) freeSlot(sub *subregion, local int, gen uint64) genOutcome {
-	if sub.gens != nil {
-		out := genLose
-		if gen == 0 {
-			out = h.genFreePlain(sub, local)
-		} else if genValidTag(gen) {
-			out = h.genFreeFat(sub, local, uint32(gen))
-		}
-		if out != genWin {
-			return out
-		}
-		// After a won transition the clear cannot fail.
-	} else if !h.atomicStats && !sub.get(local) {
-		return genLose
+// genFreeSlot is the §4.3 arbiter of a batched release on a tagged
+// heap — a magazine's buffered free, a remote ring entry, or a returned
+// pre-claim — and on a win clears the slot's bit. gen is the tag the
+// release carries: 0 frees unchecked (the plain protocol), anything
+// else must equal the slot's generation word, and a value no claim
+// could have issued loses outright. genLose is a double, stale, or
+// stolen release; occupancy and statistics are the caller's, in batch.
+func (h *Heap) genFreeSlot(sub *subregion, local int, gen uint64) genOutcome {
+	out := genLose
+	if gen == 0 {
+		out = h.genFreePlain(sub, local)
+	} else if genValidTag(gen) {
+		out = h.genFreeFat(sub, local, uint32(gen))
 	}
-	if h.atomicStats {
-		if !sub.casClear(local) {
-			return genLose // untagged double free
-		}
-	} else {
-		sub.clear(local)
+	if out == genWin {
+		sub.release(local, h.atomicStats) // cannot fail after a won transition
 	}
-	return genWin
+	return out
 }
 
 // finishBatchedFrees publishes a batch's outcome for class c of this
@@ -673,9 +677,9 @@ func (h *Heap) reserveBatch(c, want int) (int, error) {
 // committed refill is always a contiguous prefix of the class stream.
 // At one goroutine the CAS never loses, which makes the sequence of
 // claimed slots bit-identical to want back-to-back unbatched mallocs.
-// On a tagged heap the committed claims are then bumped odd, and each
-// slot carries the tag its bump issued (0 on untagged heaps).
-func (h *Heap) magazineRefill(c, want int, out *[]heap.FatPtr, scratch *[]int32) (int, error) {
+// The claims land in cm.slots; on a tagged heap the committed claims are
+// then bumped odd, and cm.tags records the tag each bump issued.
+func (h *Heap) magazineRefill(c, want int, cm *classMagazine) (int, error) {
 	// Refill is the owner's natural housekeeping point: apply whatever
 	// the remote-free ring has accumulated (opportunistically — if
 	// another goroutine is mid-drain, skip) before reserving occupancy,
@@ -689,10 +693,10 @@ func (h *Heap) magazineRefill(c, want int, out *[]heap.FatPtr, scratch *[]int32)
 	}
 	// idxs remembers each claim's class-wide slot index for undo on a
 	// lost publication CAS; slots accumulates the handed-out addresses
-	// in draw order. Both live in caller-owned scratch (idxs holds no
+	// in draw order. Both reuse the magazine's buffers (idxs holds no
 	// pointers), so a steady-state refill allocates nothing.
-	idxs := (*scratch)[:0]
-	slots := (*out)[:0]
+	idxs := cm.scratch[:0]
+	slots := cm.slots[:0]
 	probes := 0
 	replays := 0
 	var regs *classRegions
@@ -736,7 +740,7 @@ func (h *Heap) magazineRefill(c, want int, out *[]heap.FatPtr, scratch *[]int32)
 				// its unbatched twin would see.
 				bitsW[w] |= bit
 				idxs = append(idxs, int32(local))
-				slots = append(slots, heap.FatPtr{Addr: base + uint64(local)<<shift})
+				slots = append(slots, base+uint64(local)<<shift)
 			}
 		} else {
 			for len(idxs) < got {
@@ -765,7 +769,7 @@ func (h *Heap) magazineRefill(c, want int, out *[]heap.FatPtr, scratch *[]int32)
 					sub.set(local)
 				}
 				idxs = append(idxs, int32(idx))
-				slots = append(slots, heap.FatPtr{Addr: sub.base + uint64(local)<<cl.shift})
+				slots = append(slots, sub.base+uint64(local)<<cl.shift)
 			}
 		}
 		if overflowed {
@@ -804,19 +808,21 @@ func (h *Heap) magazineRefill(c, want int, out *[]heap.FatPtr, scratch *[]int32)
 		// no claim competes for it, and its word is even, so every free's
 		// generation transition rejects it — nothing can steal a claim
 		// before it is tagged, which is what keeps undoClaims tag-free.
-		for i, idx := range idxs {
+		tags := cm.tags[:0]
+		for _, idx := range idxs {
 			sub, local := regs.subs[0], int(idx)
 			if len(regs.subs) > 1 {
 				sub, local = regs.locate(int(idx))
 			}
-			slots[i].Gen = uint64(h.genClaim(sub, local))
+			tags = append(tags, h.genClaim(sub, local))
 		}
+		cm.tags = tags
 	}
 	if replays > 0 {
 		h.addStat(&h.stats.CASRetries, uint64(replays))
 	}
-	*out = slots
-	*scratch = idxs
+	cm.slots = slots
+	cm.scratch = idxs
 	h.addStat(&h.stats.Probes, uint64(probes))
 	h.addStat(&h.stats.WorkUnits,
 		uint64(got)*(heap.WorkSizeClass+heap.WorkBitmap)+uint64(probes)*heap.WorkProbe)

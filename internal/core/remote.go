@@ -215,28 +215,19 @@ func (h *Heap) drainRemoteLocked(want int) int {
 			h.addStat(&h.stats.IgnoredFrees, 1)
 			continue
 		}
-		// The same arbitration as releaseBuffered, inline for the same
-		// reason: on a tagged heap (DESIGN.md §15) an entry whose tag
-		// went stale during the deferral (including across a
+		// releaseBuffered's arbitration, its untagged arm inline for the
+		// same reason. On a tagged heap (DESIGN.md §15) an entry whose
+		// tag went stale during the deferral (including across a
 		// reallocation) is rejected, not mistaken for the new
 		// incarnation's free.
 		t := &tally[int(sub.shift)-minObjectShift]
-		out := genLose
 		switch {
 		case sub.gens != nil:
-			out = h.freeSlot(sub, local, gen)
+			t.settleTagged(h, sub, local, gen)
 		case sub.casClear(local): // ring heaps are always concurrent
-			out = genWin
-		}
-		switch {
-		case out == genWin:
 			t.wins++
-		case out == genRetireOut:
-			t.retired++
-		case gen == 0:
-			t.ignored++
 		default:
-			h.noteStaleFree(addr, gen)
+			t.ignored++
 		}
 	}
 	for c := range tally {
