@@ -31,8 +31,11 @@ LABEL ?= current
 bench-baseline:
 	$(GO) run ./cmd/vmembench -label $(LABEL) -out BENCH_vmem.json
 
-# Perf gate: lock-free malloc w1 within 15% of the locked reference
-# engine (writes nothing; safe on any host).
+# Perf gates (cmd/vmembench -smoke): lock-free malloc pair w1 within 15%
+# of the locked reference engine, magazine within 10% of lock-free,
+# remote-free ring churn within 5% of sync cross-frees, and the disabled
+# flight recorder within 2% of magazine, each gate on the medians of 5
+# interleaved runs (writes nothing; safe on any host).
 bench-smoke:
 	$(GO) run ./cmd/vmembench -smoke
 

@@ -306,15 +306,15 @@ func TestIndexPublicationOutOfOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx := h.pageIdx.Load()
-	end := (idx.basePn + uint64(len(idx.subs))) * vmem.PageSize
+	end := (idx.basePn + uint64(len(idx.ord))) * vmem.PageSize
 
 	// Two synthetic subregions beyond current coverage, lower-address
 	// one indexed after the higher-address one.
 	cl := &h.classes[0]
 	low := &subregion{base: end + 4*vmem.PageSize, slots: 512, cl: cl, shift: cl.shift}
 	high := &subregion{base: end + 16*vmem.PageSize, slots: 512, cl: cl, shift: cl.shift}
-	h.indexSubregion(high, high.base, uint64(high.slots)<<high.shift)
-	h.indexSubregion(low, low.base, uint64(low.slots)<<low.shift)
+	h.indexSubregion(high)
+	h.indexSubregion(low)
 
 	if _, sub, _ := h.find(high.base); sub != high {
 		t.Fatal("late lower-address publication truncated higher-address index entries")

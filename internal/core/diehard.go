@@ -397,14 +397,61 @@ type largeObject struct {
 }
 
 // pageIndex resolves a page number to its subregion in O(1): the
-// allocator-level analog of the vmem radix table. Entry (pn - basePn)
-// points at the subregion owning that page, or is nil for pages that
-// belong to no small-object subregion (holes, guards, large objects).
-// The table is immutable once published; growth publishes a copy, so
-// Free, SizeOf, ObjectBounds, and InHeap read it lock-free.
+// allocator-level analog of the vmem radix table. Entry (pn - basePn) of
+// ord is the ordinal in subs of the subregion owning that page; ordinal
+// 0 is the nil entry, for pages that belong to no small-object subregion
+// (holes, guards, large objects). The per-page table holds no pointers,
+// so it costs 2 bytes a page and nothing to the garbage collector's mark
+// phase. A heap builds it once, after mapping all its classes; the table
+// is immutable once published and adaptive growth publishes a copy, so
+// Free, SizeOf, ObjectBounds, and InHeap read it lock-free. A heap has at
+// most a few dozen subregions per class (growth doubles a class up to
+// its cap), far below the 2^16 ordinals.
 type pageIndex struct {
 	basePn uint64
-	subs   []*subregion
+	ord    []uint16
+	subs   []*subregion // subs[0] is nil
+}
+
+// extendIndex returns a copy of idx (nil for a heap's first index) that
+// also maps every page of the given subregions. Subregion bases are
+// handed out in increasing address order, so the table only ever grows at
+// the high end; pages mapped in between for other purposes (guards, large
+// objects, a sibling shard's regions) keep ordinal 0.
+func extendIndex(idx *pageIndex, add ...*subregion) *pageIndex {
+	if idx == nil {
+		idx = &pageIndex{basePn: add[0].base / vmem.PageSize, subs: []*subregion{nil}}
+	}
+	// The new table must cover both the new subregions and everything
+	// already published: under concurrent adaptive growth, the class
+	// that mapped the lower addresses may publish after the one that
+	// mapped the higher ones, so the new subregions alone can be short
+	// of the current coverage.
+	need := uint64(len(idx.ord))
+	for _, sub := range add {
+		need = max(need, sub.endPn()-idx.basePn)
+	}
+	next := &pageIndex{
+		basePn: idx.basePn,
+		ord:    make([]uint16, need),
+		// Full slice expression: append must copy, never write into the
+		// published array.
+		subs: idx.subs[:len(idx.subs):len(idx.subs)],
+	}
+	copy(next.ord, idx.ord)
+	for _, sub := range add {
+		o := uint16(len(next.subs))
+		next.subs = append(next.subs, sub)
+		for pn := sub.base/vmem.PageSize - next.basePn; pn < sub.endPn()-next.basePn; pn++ {
+			next.ord[pn] = o
+		}
+	}
+	return next
+}
+
+// endPn is one past the last page holding any of the subregion's slots.
+func (s *subregion) endPn() uint64 {
+	return (s.base + uint64(s.slots)<<s.shift + vmem.PageSize - 1) / vmem.PageSize
 }
 
 // Heap is a DieHard heap. Metadata operations are safe for concurrent
@@ -426,7 +473,7 @@ type Heap struct {
 	largeBuf  []byte  // under largeMu
 	largeGen  uint64  // GenTags issue counter for large objects; under largeMu
 
-	idxMu   sync.Mutex // serializes pageIdx publication
+	idxMu   sync.Mutex // serializes pageIdx publication on adaptive growth
 	pageIdx atomic.Pointer[pageIndex]
 
 	magMu     sync.Mutex // guards the magazine registry, not the magazines
@@ -552,6 +599,7 @@ func newHeap(opts Options, space *vmem.Space) (*Heap, error) {
 		})
 	}
 
+	var subs [NumClasses]*subregion
 	for c := 0; c < NumClasses; c++ {
 		size := MinObjectSize << c
 		capSlots := perClass / size
@@ -576,23 +624,25 @@ func newHeap(opts Options, space *vmem.Space) (*Heap, error) {
 				initial = capSlots
 			}
 		}
-		if err := h.addSubregion(c, initial); err != nil {
+		sub, err := h.mapSubregion(c, initial)
+		if err != nil {
 			return nil, err
 		}
+		subs[c] = sub
+	}
+	// One index for all twelve classes, then the region lists: nothing
+	// can reach the heap before it is returned, so no order is needed.
+	h.pageIdx.Store(extendIndex(nil, subs[:]...))
+	for _, sub := range subs {
+		h.publishSubregion(sub)
 	}
 	h.largeRand = *master.Split()
 	return h, nil
 }
 
-// addSubregion maps a new stretch of slots for class c, recomputes the
-// 1/M threshold, and registers the new pages in the page index. The
-// caller holds the class mutex (or is the constructor). Publication
-// order matters for the lock-free engine's unlocked readers: the page
-// index is extended first (so any pointer handed out of the new
-// subregion resolves), then the region list (so probes can land there),
-// and the threshold is raised last (so no occupancy is reserved for
-// slots that are not yet probe-visible).
-func (h *Heap) addSubregion(c, slots int) error {
+// mapSubregion maps a new stretch of slots for class c, behind guard
+// pages, and returns it unpublished.
+func (h *Heap) mapSubregion(c, slots int) (*subregion, error) {
 	cl := &h.classes[c]
 	bytes := slots * cl.size
 	if bytes < vmem.PageSize {
@@ -601,7 +651,7 @@ func (h *Heap) addSubregion(c, slots int) error {
 	}
 	base, err := h.space.MapGuarded(bytes)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	h.addStat(&h.stats.WorkUnits, heap.WorkMmap)
 	sub := &subregion{
@@ -615,8 +665,31 @@ func (h *Heap) addSubregion(c, slots int) error {
 	if h.opts.GenTags {
 		sub.gens = make([]uint32, slots)
 	}
-	h.indexSubregion(sub, base, uint64(slots)<<cl.shift)
-	next := &classRegions{totalSlots: slots}
+	return sub, nil
+}
+
+// growSubregion maps a new stretch of slots for class c on adaptive
+// growth and publishes it. The caller holds the class mutex. Publication
+// order matters for the lock-free engine's unlocked readers: the page
+// index is extended first (so any pointer handed out of the new
+// subregion resolves), then the region list (so probes can land there),
+// and the threshold is raised last (so no occupancy is reserved for
+// slots that are not yet probe-visible).
+func (h *Heap) growSubregion(c, slots int) error {
+	sub, err := h.mapSubregion(c, slots)
+	if err != nil {
+		return err
+	}
+	h.indexSubregion(sub)
+	h.publishSubregion(sub)
+	return nil
+}
+
+// publishSubregion appends sub to its class's region list and raises the
+// class's 1/M threshold to match.
+func (h *Heap) publishSubregion(sub *subregion) {
+	cl := sub.cl
+	next := &classRegions{totalSlots: sub.slots}
 	if cur := cl.regions.Load(); cur != nil {
 		next.subs = append(next.subs, cur.subs...)
 		next.totalSlots += cur.totalSlots
@@ -624,43 +697,15 @@ func (h *Heap) addSubregion(c, slots int) error {
 	next.subs = append(next.subs, sub)
 	cl.regions.Store(next)
 	cl.maxInUse.Store(int64(float64(next.totalSlots) / h.opts.M))
-	return nil
 }
 
-// indexSubregion records every page of [base, base+bytes) in the page
-// index. The published table is immutable; this builds and publishes a
-// copy, serialized by idxMu so concurrent growth in different classes
-// cannot lose updates. Subregion bases are handed out in increasing
-// address order, so the table only ever grows at the high end; pages
-// mapped in between for other purposes (guards, large objects) stay nil.
-func (h *Heap) indexSubregion(sub *subregion, base, bytes uint64) {
+// indexSubregion publishes a copy of the page index that also maps sub's
+// pages, serialized by idxMu so concurrent growth in different classes
+// cannot lose updates.
+func (h *Heap) indexSubregion(sub *subregion) {
 	h.idxMu.Lock()
-	defer h.idxMu.Unlock()
-	startPn := base / vmem.PageSize
-	endPn := (base + bytes + vmem.PageSize - 1) / vmem.PageSize
-	cur := h.pageIdx.Load()
-	next := &pageIndex{basePn: startPn}
-	if cur != nil {
-		next.basePn = cur.basePn
-	}
-	// The new table must cover both the new subregion and everything
-	// already published: under concurrent adaptive growth, the class
-	// that mapped the lower addresses may publish after the one that
-	// mapped the higher ones, so endPn alone can be short of the
-	// current coverage.
-	need := endPn - next.basePn
-	if cur != nil && uint64(len(cur.subs)) > need {
-		need = uint64(len(cur.subs))
-	}
-	grown := make([]*subregion, need)
-	if cur != nil {
-		copy(grown, cur.subs)
-	}
-	next.subs = grown
-	for pn := startPn; pn < endPn; pn++ {
-		next.subs[pn-next.basePn] = sub
-	}
-	h.pageIdx.Store(next)
+	h.pageIdx.Store(extendIndex(h.pageIdx.Load(), sub))
+	h.idxMu.Unlock()
 }
 
 // ClassFor returns the size-class index for a request: ceil(log2(size))-3
@@ -926,7 +971,7 @@ func (h *Heap) growClass(c int) error {
 	if regs.totalSlots+grow > cl.capSlots {
 		grow = cl.capSlots - regs.totalSlots
 	}
-	return h.addSubregion(c, grow)
+	return h.growSubregion(c, grow)
 }
 
 // mallocLocked is the retained per-class-mutex reference engine
@@ -943,7 +988,7 @@ func (h *Heap) mallocLocked(c, size int) (heap.Ptr, error) {
 			if regs.totalSlots+grow > cl.capSlots {
 				grow = cl.capSlots - regs.totalSlots
 			}
-			if err := h.addSubregion(c, grow); err != nil {
+			if err := h.growSubregion(c, grow); err != nil {
 				cl.mu.Unlock()
 				h.addStat(&h.stats.FailedMallocs, 1)
 				return heap.Null, err
@@ -1348,14 +1393,11 @@ func (h *Heap) QuarantineLen() int {
 // is the floor of the offset; the caller checks alignment.
 func (h *Heap) find(p heap.Ptr) (*sizeClass, *subregion, int) {
 	idx := h.pageIdx.Load()
-	if idx == nil {
-		return nil, nil, 0
-	}
 	pn := p/vmem.PageSize - idx.basePn
-	if pn >= uint64(len(idx.subs)) { // also catches p below the heap (wraps)
+	if pn >= uint64(len(idx.ord)) { // also catches p below the heap (wraps)
 		return nil, nil, 0
 	}
-	sub := idx.subs[pn]
+	sub := idx.subs[idx.ord[pn]]
 	if sub == nil {
 		return nil, nil, 0
 	}

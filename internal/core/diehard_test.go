@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -888,4 +889,49 @@ func TestPageIndexResolvesAcrossAdaptiveGrowth(t *testing.T) {
 	if h.Stats().IgnoredFrees != ignored+1 {
 		t.Fatal("double free after growth not detected via page index")
 	}
+}
+
+// TestNewHeapConstructionCost pins what a heap with the paper's defaults
+// (384 MB, M = 2) allocates before its first malloc: the class bitmaps
+// (1 MB), the space's fixed leaf directory (256 KB), and the page index
+// at 2 bytes a page (192 KB). Untouched pages cost no page-table leaves,
+// and the page index is built once, so beyond those 2 bytes nothing
+// grows with the reserved pages.
+func TestNewHeapConstructionCost(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h, err := New(Options{HeapSize: 384 << 20, M: 2, Seed: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2<<20 {
+		t.Fatalf("New(384 MB) allocated %d bytes, want <= 2 MB", grew)
+	}
+	if got := h.Mem().StatsSnapshot().PagesDirty; got != 0 {
+		t.Fatalf("New touched %d pages", got)
+	}
+}
+
+// BenchmarkNewHeap is the construction layer's series: what a heap costs
+// before its first malloc. paper384MB is the Figure 5 heap (the paper's
+// defaults, built once per kernel); serve2x32MB is the serve soak's
+// 2-shard heap with remote-free rings.
+func BenchmarkNewHeap(b *testing.B) {
+	b.Run("paper384MB", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := New(Options{HeapSize: 384 << 20, M: 2, Seed: uint64(i) + 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("serve2x32MB", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := NewSharded(2, Options{HeapSize: 64 << 20, Seed: uint64(i) + 1, Concurrent: true, RemoteRing: true}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -206,13 +206,16 @@ func TestObsTraceRaceBattery(t *testing.T) {
 }
 
 // TestObsStatsSnapshotRace scrapes StatsSnapshot (and the registry
-// gauges built on it) continuously while workers allocate — the racy
-// *h.Stats() copy this satellite replaced would trip the race detector
-// here.
+// gauges built on it, core's and vmem's) continuously while workers
+// allocate — a racy *h.Stats() copy would trip the race detector here.
+// Every 8th malloc of worker 0 is a large object, so the scrape of the
+// vmem.pages_* gauges also races the Map and Unmap that update the
+// space's mapping counters.
 func TestObsStatsSnapshotRace(t *testing.T) {
 	h := testHeap(t, Options{HeapSize: 1 << 20, Seed: 47, Concurrent: true})
 	reg := obs.NewRegistry()
 	h.PublishMetrics(reg)
+	h.Mem().PublishMetrics(reg)
 
 	stop := make(chan struct{})
 	var reader sync.WaitGroup
@@ -240,7 +243,11 @@ func TestObsStatsSnapshotRace(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 400; i++ {
-				p, err := h.Malloc(32)
+				size := 32
+				if w == 0 && i%8 == 7 {
+					size = MaxObjectSize + 1
+				}
+				p, err := h.Malloc(size)
 				if err != nil {
 					t.Error(err)
 					return

@@ -14,9 +14,11 @@
 // (DESIGN.md §2): a directory of fixed-size leaves of page-table entries,
 // indexed by bit fields of the page number. The access hot path performs
 // two array indexations and a protection mask test; no map lookups and no
-// binary searches. Mapped ranges are additionally recorded as extents,
-// which remain the bookkeeping source of truth for Map/Unmap/Protect
-// argument validation, but extents are never consulted on the access path.
+// binary searches. Mapped ranges are recorded as extents, the source of
+// truth for what is mapped and with which protection. PTEs are filled from
+// the extents on a page's first touch, under the space mutex, the way a
+// kernel fills its page table from VMAs at fault time; the lock-free access
+// path reads only the page table.
 //
 // Concurrency (DESIGN.md §7): the access path is lock-free. The
 // directory, its leaves, and each page's backing frame are published
@@ -33,9 +35,9 @@
 // The Space also models two performance-relevant mechanisms the paper
 // discusses: lazy page instantiation (reserved but untouched DieHard
 // partitions consume no memory, §4.5) and a small TLB (the source of the
-// 300.twolf outlier in Figure 5(a), §7.2.1). Page-table entries are
-// populated at Map time, but per-page backing store is carved out of
-// slab-allocated arenas only on first access, so a 384 MB DieHard heap
+// 300.twolf outlier in Figure 5(a), §7.2.1). Map records only an extent;
+// a page's leaf, PTE, and backing frame (carved out of slab-allocated
+// arenas) come into being on its first access, so a 384 MB DieHard heap
 // costs what its touched pages cost. The TLB model hangs off an optional
 // per-access accounting hook; runs that do not enable it pay nothing.
 package vmem
@@ -208,17 +210,14 @@ type counterCell struct {
 	_      [48]byte
 }
 
-// pteMapped marks a reserved page in a PTE's meta word, distinguishing a
-// mapped-but-inaccessible page (ProtNone guard) from a hole.
-const pteMapped = 1 << 2
-
-// pte is a page-table entry. meta packs the protection bits and the
-// mapped flag into one atomic word, the analog of a hardware PTE's
-// permission bits; frame stays nil until the page is first accessed
-// (lazy instantiation, §4.5), at which point it is atomically published.
-// Lock-free readers load meta and frame independently; every observable
-// interleaving corresponds to a legal serialization of the concurrent
-// mapping operations.
+// pte is a page-table entry, filled on the page's first permitted access
+// (lazy instantiation, §4.5): the frame is published first, then meta,
+// which holds the page's protection bits — the analog of a hardware
+// PTE's permission bits. An unfilled entry is all zero, so the fast path
+// sends it to translateSlow, which consults the extents. Lock-free readers
+// load meta and frame independently; every observable interleaving
+// corresponds to a legal serialization of the concurrent mapping
+// operations.
 type pte struct {
 	frame atomic.Pointer[frame]
 	meta  atomic.Uint32
@@ -230,8 +229,10 @@ type leaf struct {
 }
 
 // extent is a mapped address range [start, end), page-aligned, with
-// uniform protection. Extents are the Map/Unmap/Protect bookkeeping
-// source of truth; the access path reads only the page table.
+// uniform protection. Extents are the source of truth for what is mapped:
+// Map writes only an extent, and the locked first-touch path reads the
+// protection of a page from its extent when it fills the page's PTE. The
+// lock-free access path reads only the page table.
 type extent struct {
 	start, end uint64
 	prot       Prot
@@ -282,7 +283,7 @@ func (t *tlbState) slot(pn uint64) *uint8 {
 // SetStatsMode) must precede concurrent use.
 type Space struct {
 	// mu serializes address-space mutation: Map/Unmap/Protect, extent
-	// bookkeeping, slab carving, and first-touch instantiation.
+	// bookkeeping, slab carving, and first-touch PTE fills.
 	mu      sync.Mutex
 	extents []extent // sorted by start, non-overlapping; under mu
 	next    uint64   // next free virtual address for Map; under mu
@@ -477,17 +478,6 @@ func (s *Space) countStores(addr, n uint64) {
 // raised concurrently, so they are always counted atomically.
 func (s *Space) countFault() { atomic.AddUint64(&s.stats.Faults, 1) }
 
-// lookup returns the page-table entry for a page number, or nil when no
-// leaf covers it. The returned entry may still be unmapped. Lock-free.
-func (s *Space) lookup(pn uint64) *pte {
-	if di := pn >> leafBits; di < dirSlots {
-		if l := s.dir[di].Load(); l != nil {
-			return &l.ptes[pn&leafMask]
-		}
-	}
-	return nil
-}
-
 // ensureLeaf returns the leaf covering a page number, allocating and
 // publishing it on demand. Caller holds mu; readers observe the new
 // leaf through atomic loads.
@@ -499,6 +489,24 @@ func (s *Space) ensureLeaf(pn uint64) *leaf {
 	l := new(leaf)
 	s.dir[di].Store(l)
 	return l
+}
+
+// eachFilled calls fn on every filled PTE of the pages [lo, hi): those
+// with a frame. Ranges no leaf covers are skipped a leaf at a time, so
+// revoking an untouched range costs nothing per page. Caller holds mu.
+func (s *Space) eachFilled(lo, hi uint64, fn func(*pte)) {
+	for pn := lo; pn < hi; pn = (pn | leafMask) + 1 {
+		l := s.dir[pn>>leafBits].Load()
+		if l == nil {
+			continue
+		}
+		end := min(hi, (pn|leafMask)+1)
+		for q := pn; q < end; q++ {
+			if p := &l.ptes[q&leafMask]; p.frame.Load() != nil {
+				fn(p)
+			}
+		}
+	}
 }
 
 // allocFrame returns a zeroed page frame, recycling frames released by
@@ -520,11 +528,12 @@ func (s *Space) allocFrame() *frame {
 }
 
 // Map reserves n bytes (rounded up to whole pages) with the given
-// protection and returns the base address. The pages are lazily
-// instantiated: untouched pages consume no backing memory, mirroring the
-// paper's note that DieHard's reserved-but-unused partitions cost nothing.
-// A one-page unmapped hole is left after every mapping so distinct
-// mappings are never adjacent.
+// protection and returns the base address. Map records only the extent:
+// each page's PTE and backing frame are filled on its first access, so
+// untouched pages consume no memory at all, mirroring the paper's note
+// that DieHard's reserved-but-unused partitions cost nothing. A one-page
+// unmapped hole is left after every mapping so distinct mappings are never
+// adjacent.
 func (s *Space) Map(n int, prot Prot) (uint64, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("vmem: Map size %d must be positive", n)
@@ -538,13 +547,10 @@ func (s *Space) Map(n int, prot Prot) (uint64, error) {
 	}
 	s.extents = append(s.extents, extent{start: base, end: base + npages*PageSize, prot: prot})
 	s.next = base + (npages+1)*PageSize // +1: unmapped hole
-	for pn := base >> pageShift; pn < (base>>pageShift)+npages; pn++ {
-		l := s.ensureLeaf(pn)
-		l.ptes[pn&leafMask].meta.Store(uint32(prot) | pteMapped)
-	}
-	s.stats.PagesMapped += npages
-	if s.stats.PagesMapped > s.stats.PagesPeak {
-		s.stats.PagesPeak = s.stats.PagesMapped
+	// Writers serialize on mu; the atomics are for StatsSnapshot, which
+	// a metrics scrape calls without it.
+	if mapped := atomic.AddUint64(&s.stats.PagesMapped, npages); mapped > s.stats.PagesPeak {
+		atomic.StoreUint64(&s.stats.PagesPeak, mapped)
 	}
 	return base, nil
 }
@@ -633,23 +639,21 @@ func (s *Space) Unmap(addr uint64, n int) error {
 		return err
 	}
 	s.extents = append(s.extents[:lo], s.extents[hi:]...)
-	for pn := addr >> pageShift; pn < (addr+bytes)>>pageShift; pn++ {
-		p := s.lookup(pn)
+	s.eachFilled(addr>>pageShift, (addr+bytes)>>pageShift, func(p *pte) {
 		// Revoke the translation before recycling the frame so lock-free
 		// readers that re-walk see the hole first.
 		p.meta.Store(0)
-		if f := p.frame.Swap(nil); f != nil {
-			s.freeFrames = append(s.freeFrames, f)
-			atomic.AddUint64(&s.stats.PagesDirty, ^uint64(0))
-		}
-	}
-	s.stats.PagesMapped -= bytes / PageSize
+		s.freeFrames = append(s.freeFrames, p.frame.Swap(nil))
+		atomic.AddUint64(&s.stats.PagesDirty, ^uint64(0))
+	})
+	atomic.AddUint64(&s.stats.PagesMapped, -(bytes / PageSize))
 	return nil
 }
 
 // Protect changes the protection of the page-aligned range [addr, addr+n).
-// The change is visible immediately: the affected page-table entries are
-// rewritten, so there are no stale cached translations.
+// The change is visible immediately: the range's filled page-table
+// entries are rewritten, and unfilled ones take the new protection from
+// the extents on first touch, so there are no stale cached translations.
 func (s *Space) Protect(addr uint64, n int, prot Prot) error {
 	if addr%PageSize != 0 || n <= 0 {
 		return &Fault{Addr: addr, Kind: AccessFree, Reason: "unaligned or empty protect"}
@@ -665,17 +669,16 @@ func (s *Space) Protect(addr uint64, n int, prot Prot) error {
 	for i := lo; i < hi; i++ {
 		s.extents[i].prot = prot
 	}
-	for pn := addr >> pageShift; pn < (addr+bytes)>>pageShift; pn++ {
-		s.lookup(pn).meta.Store(uint32(prot) | pteMapped)
-	}
+	s.eachFilled(addr>>pageShift, (addr+bytes)>>pageShift, func(p *pte) { p.meta.Store(uint32(prot)) })
 	return nil
 }
 
 // Mapped reports whether addr lies within a mapped page (of any
-// protection).
+// protection, touched or not).
 func (s *Space) Mapped(addr uint64) bool {
-	p := s.lookup(addr >> pageShift)
-	return p != nil && p.meta.Load()&pteMapped != 0
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.findExtent(addr) >= 0
 }
 
 // translate resolves an access: a two-level radix walk plus a protection
@@ -710,32 +713,30 @@ func (s *Space) translate(addr uint64, kind AccessKind) ([]byte, uint64, error) 
 }
 
 // translateSlow handles the cases the fast path rejects: unmapped pages,
-// protection violations, and first-touch instantiation. It re-walks
-// under the space mutex so instantiation races resolve to a single frame
-// and the page filler runs exactly once per page.
+// protection violations, and first touch. Under the space mutex it takes
+// the page's protection from the extents and, for a permitted access,
+// fills the leaf, frame, and PTE together, so first-touch races resolve
+// to a single frame and the page filler runs exactly once per page.
 func (s *Space) translateSlow(addr uint64, kind AccessKind) ([]byte, uint64, error) {
 	pn := addr >> pageShift
 	s.mu.Lock()
-	p := s.lookup(pn)
-	if p == nil || p.meta.Load()&pteMapped == 0 {
+	i := s.findExtent(addr)
+	if i < 0 {
 		s.mu.Unlock()
 		s.countFault()
 		return nil, 0, &Fault{Addr: addr, Kind: kind, Reason: "unmapped address"}
 	}
-	meta := p.meta.Load()
-	need := uint32(ProtRead)
-	if kind == AccessStore {
-		need = uint32(ProtWrite)
-	}
-	if meta&need == 0 {
+	prot := s.extents[i].prot
+	if prot&(ProtRead<<kind) == 0 {
 		s.mu.Unlock()
 		s.countFault()
 		reason := "protection violation"
-		if Prot(meta&^pteMapped) == ProtNone {
+		if prot == ProtNone {
 			reason = "guard page"
 		}
 		return nil, 0, &Fault{Addr: addr, Kind: kind, Reason: reason}
 	}
+	p := &s.ensureLeaf(pn).ptes[pn&leafMask]
 	f := p.frame.Load()
 	if f == nil {
 		f = s.allocFrame()
@@ -745,6 +746,7 @@ func (s *Space) translateSlow(addr uint64, kind AccessKind) ([]byte, uint64, err
 		p.frame.Store(f)
 		atomic.AddUint64(&s.stats.PagesDirty, 1)
 	}
+	p.meta.Store(uint32(prot))
 	s.mu.Unlock()
 	if s.tlb != nil && s.mode == StatsPrecise {
 		s.tlbTouch(pn)

@@ -3,9 +3,22 @@ package vmem
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// leaves counts the page-table leaves the space has allocated.
+func (s *Space) leaves() int {
+	n := 0
+	for i := range s.dir {
+		if s.dir[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
 
 func TestMapAndAccess(t *testing.T) {
 	s := NewSpace()
@@ -81,39 +94,80 @@ func TestGuardPages(t *testing.T) {
 	if !errors.As(err, &f) || f.Reason != "guard page" {
 		t.Fatalf("expected guard page fault, got %v", err)
 	}
+	// Mapped reads the extents: guard pages and untouched pages are
+	// mapped, the holes around each mapping are not.
+	untouched, err := s.MapGuarded(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		addr   uint64
+		mapped bool
+	}{
+		{"touched", base, true},
+		{"untouched", untouched + 99, true},
+		{"leading guard", base - PageSize, true},
+		{"trailing guard", base + PageSize, true},
+		{"hole after mapping", base + 2*PageSize, false},
+		{"null guard region", base - 2*PageSize, false},
+	} {
+		if got := s.Mapped(c.addr); got != c.mapped {
+			t.Errorf("%s: Mapped(%#x) = %v, want %v", c.name, c.addr, got, c.mapped)
+		}
+	}
 }
 
 func TestProtectReadOnly(t *testing.T) {
-	s := NewSpace()
-	base, _ := s.Map(PageSize, ProtRW)
-	if err := s.Store8(base, 42); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Protect(base, PageSize, ProtRead); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Load8(base); err != nil {
-		t.Fatalf("read of read-only page failed: %v", err)
-	}
-	if err := s.Store8(base, 1); err == nil {
-		t.Fatal("write to read-only page should fault")
+	// The page is touched before the Protect (its PTE is rewritten) or
+	// only after it (its PTE is filled from the extent on first touch):
+	// either way loads see the contents and stores fault alike.
+	for _, touched := range []bool{true, false} {
+		s := NewSpace()
+		base, _ := s.Map(PageSize, ProtRW)
+		want := byte(0)
+		if touched {
+			want = 42
+			if err := s.Store8(base, want); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Protect(base, PageSize, ProtRead); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := s.Load8(base); err != nil || v != want {
+			t.Fatalf("touched=%v: read of read-only page = %#x, %v; want %#x", touched, v, err, want)
+		}
+		var f *Fault
+		if err := s.Store8(base, 1); !errors.As(err, &f) || f.Reason != "protection violation" {
+			t.Fatalf("touched=%v: write to read-only page: %v, want a protection violation", touched, err)
+		}
 	}
 }
 
 func TestUnmapThenAccessFaults(t *testing.T) {
-	s := NewSpace()
-	base, _ := s.Map(2*PageSize, ProtRW)
-	if err := s.Store8(base, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Unmap(base, 2*PageSize); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Load8(base); err == nil {
-		t.Fatal("access after unmap should fault")
-	}
-	if s.Stats().PagesMapped != 0 {
-		t.Fatalf("PagesMapped = %d after full unmap", s.Stats().PagesMapped)
+	// The range is partly touched, or never touched at all (no PTE was
+	// ever filled): either way the unmapped pages fault.
+	for _, touched := range []bool{true, false} {
+		s := NewSpace()
+		base, _ := s.Map(2*PageSize, ProtRW)
+		if touched {
+			if err := s.Store8(base, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Unmap(base, 2*PageSize); err != nil {
+			t.Fatal(err)
+		}
+		for _, addr := range []uint64{base, base + PageSize} {
+			var f *Fault
+			if _, err := s.Load8(addr); !errors.As(err, &f) || f.Reason != "unmapped address" {
+				t.Fatalf("touched=%v: access at %#x after unmap: %v", touched, addr, err)
+			}
+		}
+		if st := s.Stats(); st.PagesMapped != 0 || st.PagesDirty != 0 {
+			t.Fatalf("touched=%v: PagesMapped = %d, PagesDirty = %d after full unmap", touched, st.PagesMapped, st.PagesDirty)
+		}
 	}
 }
 
@@ -211,20 +265,34 @@ func TestMemMoveOverlap(t *testing.T) {
 }
 
 func TestLazyInstantiation(t *testing.T) {
-	s := NewSpace()
-	// Reserve a large region; it should cost nothing until touched.
-	base, err := s.Map(1<<20, ProtRW) // 256 pages
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Stats().PagesDirty != 0 {
-		t.Fatalf("untouched mapping instantiated %d pages", s.Stats().PagesDirty)
-	}
-	if err := s.Store8(base+5*PageSize, 1); err != nil {
-		t.Fatal(err)
-	}
-	if s.Stats().PagesDirty != 1 {
-		t.Fatalf("one touch should dirty one page, got %d", s.Stats().PagesDirty)
+	// Reserve a large region (256 pages, and the paper's 384 MB heap);
+	// it should cost nothing until touched: no frames, and no page-table
+	// leaves either.
+	leafBytes := uint64(unsafe.Sizeof(leaf{}))
+	for _, size := range []int{1 << 20, 384 << 20} {
+		s := NewSpace()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		base, err := s.Map(size, ProtRW)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= leafBytes {
+			t.Fatalf("untouched %d-byte mapping allocated %d bytes (a leaf is %d)", size, grew, leafBytes)
+		}
+		if n := s.leaves(); n != 0 {
+			t.Fatalf("untouched %d-byte mapping allocated %d leaves", size, n)
+		}
+		if s.Stats().PagesDirty != 0 {
+			t.Fatalf("untouched mapping instantiated %d pages", s.Stats().PagesDirty)
+		}
+		if err := s.Store8(base+5*PageSize, 1); err != nil {
+			t.Fatal(err)
+		}
+		if s.Stats().PagesDirty != 1 || s.leaves() != 1 {
+			t.Fatalf("one touch should dirty one page in one leaf, got %d pages, %d leaves", s.Stats().PagesDirty, s.leaves())
+		}
 	}
 }
 
@@ -334,7 +402,9 @@ func TestMapRejectsBadSizes(t *testing.T) {
 
 func TestQuickStoreLoadRoundTrip(t *testing.T) {
 	s := NewSpace()
-	base, _ := s.Map(16*PageSize, ProtRW)
+	// Every uint16 offset plus the 8 bytes stored there lies inside the
+	// mapping: 16 pages alone would end 7 bytes short of offset 0xffff.
+	base, _ := s.Map(1<<16+8, ProtRW)
 	f := func(off uint16, v uint64) bool {
 		addr := base + uint64(off)
 		if err := s.Store64(addr, v); err != nil {
@@ -444,8 +514,11 @@ func TestProtectMiddleOfMapping(t *testing.T) {
 	if err := s.Store8(base+5*PageSize, 1); err != nil {
 		t.Fatalf("right flank: %v", err)
 	}
-	if err := s.Store8(base+3*PageSize, 1); err == nil {
-		t.Fatal("guarded middle should fault")
+	// The middle was guarded before its first touch: the fault reason
+	// comes from the extent, as for a guard page.
+	var f *Fault
+	if err := s.Store8(base+3*PageSize, 1); !errors.As(err, &f) || f.Reason != "guard page" {
+		t.Fatalf("guarded middle: %v, want a guard page fault", err)
 	}
 	// Re-open the middle.
 	if err := s.Protect(base+2*PageSize, 2*PageSize, ProtRW); err != nil {
@@ -606,29 +679,43 @@ func TestFaultExactlyAtGuardBoundaries(t *testing.T) {
 }
 
 func TestProtectVisibleThroughPageTable(t *testing.T) {
-	s := NewSpace()
-	base, _ := s.Map(PageSize, ProtRW)
-	if err := s.Store64(base, 0x1234); err != nil {
-		t.Fatal(err)
-	}
-	// Downgrade an already-instantiated page: the next access must see
-	// the new protection (no stale translation).
-	if err := s.Protect(base, PageSize, ProtRead); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Store8(base, 1); err == nil {
-		t.Fatal("store through stale translation after Protect")
-	}
-	v, err := s.Load64(base)
-	if err != nil || v != 0x1234 {
-		t.Fatalf("read-only page lost data: %v %#x", err, v)
-	}
-	// Re-upgrade: data still there, stores work again.
-	if err := s.Protect(base, PageSize, ProtRW); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Store8(base, 9); err != nil {
-		t.Fatal(err)
+	// Downgrade an already-instantiated page to read-only, or to no
+	// access at all: the next access must see the new protection (no
+	// stale translation), and the page keeps its contents across it.
+	for _, down := range []Prot{ProtRead, ProtNone} {
+		s := NewSpace()
+		base, _ := s.Map(PageSize, ProtRW)
+		if err := s.Store64(base, 0x1234); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Protect(base, PageSize, down); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Store8(base, 1); err == nil {
+			t.Fatalf("%v: store through stale translation after Protect", down)
+		}
+		v, err := s.Load64(base)
+		if down == ProtNone {
+			var f *Fault
+			if !errors.As(err, &f) || f.Reason != "guard page" {
+				t.Fatalf("load through stale translation after Protect(---): %v", err)
+			}
+		} else if err != nil || v != 0x1234 {
+			t.Fatalf("read-only page lost data: %v %#x", err, v)
+		}
+		// Re-upgrade: data still there, stores work again.
+		if err := s.Protect(base, PageSize, ProtRW); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := s.Load64(base); err != nil || v != 0x1234 {
+			t.Fatalf("%v: re-opened page lost data: %v %#x", down, err, v)
+		}
+		if err := s.Store8(base, 9); err != nil {
+			t.Fatal(err)
+		}
+		if s.Stats().PagesDirty != 1 {
+			t.Fatalf("%v: PagesDirty = %d, want 1", down, s.Stats().PagesDirty)
+		}
 	}
 }
 
