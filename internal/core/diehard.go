@@ -273,7 +273,6 @@ type subregion struct {
 
 func (s *subregion) get(i int) bool { return s.bits[i>>6]&(1<<(i&63)) != 0 }
 func (s *subregion) set(i int)      { s.bits[i>>6] |= 1 << (i & 63) }
-func (s *subregion) clear(i int)    { s.bits[i>>6] &^= 1 << (i & 63) }
 
 func (s *subregion) getAtomic(i int) bool {
 	return atomic.LoadUint64(&s.bits[i>>6])&(1<<(i&63)) != 0
@@ -299,16 +298,15 @@ func (s *subregion) casSet(i int) bool {
 	}
 }
 
-// casClear releases slot i on the lock-free path; false means the bit
-// was already clear (a double free, detected exactly as §4.3 requires —
-// of two racing frees of the same pointer, exactly one clears the bit).
-func (s *subregion) casClear(i int) bool {
-	return casClearBit(&s.bits[i>>6], 1<<(i&63))
-}
-
-// casClearBit is casClear on a resolved bitmap word and bit.
-func casClearBit(w *uint64, bit uint64) bool {
-	for {
+// release clears slot i's bit — by CAS on concurrent heaps — and reports
+// whether this call cleared it; false means the bit was already clear (a
+// double free, detected exactly as §4.3 requires — of two racing frees
+// of the same pointer, exactly one clears the bit). It is every free
+// route's bit-clear and the untagged heap's arbiter, small enough to
+// inline into the free, flush and ring drain loops.
+func (s *subregion) release(i int, concurrent bool) bool {
+	w, bit := &s.bits[i>>6], uint64(1)<<(i&63)
+	for concurrent {
 		old := atomic.LoadUint64(w)
 		if old&bit == 0 {
 			return false
@@ -316,17 +314,6 @@ func casClearBit(w *uint64, bit uint64) bool {
 		if atomic.CompareAndSwapUint64(w, old, old&^bit) {
 			return true
 		}
-	}
-}
-
-// release clears slot i's bit — by casClear on concurrent heaps — and
-// reports whether this call cleared it; false means the bit was already
-// clear. It is the untagged arbiter of a batched release, small enough
-// to inline into the magazine flush and ring drain loops.
-func (s *subregion) release(i int, concurrent bool) bool {
-	w, bit := &s.bits[i>>6], uint64(1)<<(i&63)
-	if concurrent {
-		return casClearBit(w, bit)
 	}
 	old := *w
 	*w = old &^ bit
@@ -726,9 +713,16 @@ func ClassSize(c int) int { return MinObjectSize << c }
 // is lock-free (DESIGN.md §10), and on the LockedHeap reference engine
 // mallocs in different size classes do not contend.
 func (h *Heap) Malloc(size int) (heap.Ptr, error) {
+	fp, err := h.malloc(size)
+	return fp.Addr, err
+}
+
+// malloc is the one malloc path: it returns the fat pointer carrying the
+// tag the claim issued, 0 on an untagged heap.
+func (h *Heap) malloc(size int) (heap.FatPtr, error) {
 	if size < 0 {
 		h.addStat(&h.stats.FailedMallocs, 1)
-		return heap.Null, fmt.Errorf("diehard: negative allocation size %d", size)
+		return heap.FatPtr{}, fmt.Errorf("diehard: negative allocation size %d", size)
 	}
 	if size == 0 {
 		size = 1 // malloc(0) returns a distinct pointer, as in C
@@ -745,7 +739,8 @@ func (h *Heap) Malloc(size int) (heap.Ptr, error) {
 	if h.lockfree {
 		return h.mallocLockFree(c, size)
 	}
-	return h.mallocLocked(c, size)
+	p, err := h.mallocLocked(c, size)
+	return heap.FatPtr{Addr: p}, err
 }
 
 // mallocLockFree is the default small-object malloc: a bounded CAS
@@ -763,11 +758,11 @@ func (h *Heap) Malloc(size int) (heap.Ptr, error) {
 // goroutine therefore consumes exactly the draw sequence the locked
 // engine would — the determinism the campaign recordings pin — at one
 // RMW instead of one per draw.
-func (h *Heap) mallocLockFree(c, size int) (heap.Ptr, error) {
+func (h *Heap) mallocLockFree(c, size int) (heap.FatPtr, error) {
 	cl := &h.classes[c]
 	if err := h.reserve(c); err != nil {
 		h.addStat(&h.stats.FailedMallocs, 1)
-		return heap.Null, err
+		return heap.FatPtr{}, err
 	}
 	// Probe for a free slot. The region is at most 1/M full, so the
 	// expected number of probes is 1/(1 - 1/M): two for M = 2 (§4.2).
@@ -785,6 +780,7 @@ func (h *Heap) mallocLockFree(c, size int) (heap.Ptr, error) {
 		local   int
 		probes  int
 		replays int
+		gen     uint32
 	)
 	for {
 		st0 := atomic.LoadUint64(&cl.randState)
@@ -795,8 +791,8 @@ func (h *Heap) mallocLockFree(c, size int) (heap.Ptr, error) {
 		rejectBelow := -n % n
 		for {
 			if probes >= 64*regs.totalSlots+64 {
-				h.releaseReservation(cl)
-				return heap.Null, &heap.CorruptionError{Detail: "diehard: no free slot found below fill threshold"}
+				h.unreserve(cl, 1)
+				return heap.FatPtr{}, &heap.CorruptionError{Detail: "diehard: no free slot found below fill threshold"}
 			}
 			probes++
 			// Lemire multiply-shift with rejection: the identical draw
@@ -822,7 +818,7 @@ func (h *Heap) mallocLockFree(c, size int) (heap.Ptr, error) {
 			// commit plainly and claim without fences.
 			cl.randState = st
 			sub.set(local)
-			h.genClaim(sub, local)
+			gen = h.genClaim(sub, local)
 			cl.mallocs++
 			break
 		}
@@ -840,7 +836,7 @@ func (h *Heap) mallocLockFree(c, size int) (heap.Ptr, error) {
 			// The generation bump needs no CAS: the slot's word is only
 			// ever advanced even→odd by its casSet winner (us), and frees
 			// reject even words, so the word is quiescent until we bump.
-			h.genClaim(sub, local)
+			gen = h.genClaim(sub, local)
 			atomic.AddUint64(&cl.mallocs, 1)
 			break
 		}
@@ -861,7 +857,7 @@ func (h *Heap) mallocLockFree(c, size int) (heap.Ptr, error) {
 	if h.opts.OnAlloc != nil {
 		h.opts.OnAlloc(ptr, size, cl.size)
 	}
-	return ptr, nil
+	return heap.FatPtr{Addr: ptr, Gen: uint64(gen)}, nil
 }
 
 // backoffSink absorbs the spin loop below so the compiler cannot
@@ -942,13 +938,13 @@ func (h *Heap) reserve(c int) error {
 	}
 }
 
-// releaseReservation hands back an occupancy unit on a failed lock-free
-// malloc.
-func (h *Heap) releaseReservation(cl *sizeClass) {
+// unreserve hands n units of class occupancy back: the one occupancy
+// release of every free route and of every abandoned reservation.
+func (h *Heap) unreserve(cl *sizeClass, n int) {
 	if h.atomicStats {
-		atomic.AddInt64(&cl.inUse, -1)
+		atomic.AddInt64(&cl.inUse, -int64(n))
 	} else {
-		cl.inUse--
+		cl.inUse -= int64(n)
 	}
 }
 
@@ -1118,14 +1114,14 @@ func (h *Heap) fillRandom(r *rng.MWC, buf *[]byte, ptr heap.Ptr, n int) error {
 // allocateLargeObject serves requests above MaxObjectSize from a
 // dedicated guarded mapping and records it for validity checking by Free
 // (§4.1, §4.3).
-func (h *Heap) allocateLargeObject(size int) (heap.Ptr, error) {
+func (h *Heap) allocateLargeObject(size int) (heap.FatPtr, error) {
 	npages := (size + vmem.PageSize - 1) / vmem.PageSize
 	h.largeMu.Lock()
 	base, err := h.space.MapGuarded(size)
 	if err != nil {
 		h.largeMu.Unlock()
 		h.addStat(&h.stats.FailedMallocs, 1)
-		return heap.Null, err
+		return heap.FatPtr{}, err
 	}
 	lo := largeObject{
 		size:      size,
@@ -1147,14 +1143,14 @@ func (h *Heap) allocateLargeObject(size int) (heap.Ptr, error) {
 	}
 	h.largeMu.Unlock()
 	if fillErr != nil {
-		return heap.Null, fillErr
+		return heap.FatPtr{}, fillErr
 	}
 	h.addStat(&h.stats.WorkUnits, heap.WorkMmap)
 	h.countMalloc(size, npages*vmem.PageSize)
 	if h.opts.OnAlloc != nil {
 		h.opts.OnAlloc(base, size, npages*vmem.PageSize)
 	}
-	return base, nil
+	return heap.FatPtr{Addr: base, Gen: lo.gen}, nil
 }
 
 // Free releases an allocation (DieHardFree, Figure 2). Invalid and double
@@ -1162,25 +1158,26 @@ func (h *Heap) allocateLargeObject(size int) (heap.Ptr, error) {
 // multiple of the object size, and the object must currently be marked
 // allocated. Free never fails. Safe for concurrent use.
 func (h *Heap) Free(p heap.Ptr) error {
+	_, err := h.free(heap.FatPtr{Addr: p})
+	return err
+}
+
+// free is the one free path. fp.Gen is the tag a checked free carries —
+// already admitted by a fat entry point's gate (fatGate) — or 0 for an
+// unchecked free. accepted reports whether this call won the release
+// (or retired the slot, or diverted it into the quarantine).
+func (h *Heap) free(fp heap.FatPtr) (accepted bool, err error) {
+	p := fp.Addr
 	if p == heap.Null {
-		return nil // free(NULL) is a no-op in C
+		return true, nil // free(NULL) is a no-op in C
 	}
 	cl, sub, local := h.find(p)
 	if cl == nil {
-		h.largeMu.Lock()
-		lo, ok := h.large[p]
-		if !ok {
-			h.largeMu.Unlock()
-			h.addStat(&h.stats.IgnoredFrees, 1) // not our pointer: ignore (§4.3)
-			return nil
-		}
-		delete(h.large, p) // delete-first: exactly one racing free wins
-		h.largeMu.Unlock()
-		return h.finishLargeFree(p, lo)
+		return h.freeLarge(fp)
 	}
 	if (p-sub.base)&cl.mask != 0 {
 		h.addStat(&h.stats.IgnoredFrees, 1) // misaligned interior pointer: ignore
-		return nil
+		return false, nil
 	}
 	if sub.gens != nil {
 		// Tagged heap (DESIGN.md §15): the generation word is the free
@@ -1190,58 +1187,39 @@ func (h *Heap) Free(p heap.Ptr) error {
 		// frees lose here (so the quarantine FIFO never holds duplicates
 		// on tagged heaps, and a release's bit-clear can never race a
 		// reallocated slot).
-		switch h.genFreePlain(sub, local) {
+		switch h.genFree(sub, local, uint32(fp.Gen)) {
 		case genLose:
-			h.addStat(&h.stats.IgnoredFrees, 1) // double free: ignore
-			return nil
+			h.rejectFree(p, fp.Gen)
+			return false, nil
 		case genRetireOut:
 			h.addStat(&h.stats.Retired, 1)
-			return nil
+			return true, nil
 		}
-		if h.opts.FreeFilter != nil && h.opts.FreeFilter(p, cl.size) {
-			h.quarantineHold(p)
-			return nil
-		}
-		h.genFinishFree(cl, sub, local, p)
-		return nil
 	}
-	if h.opts.FreeFilter != nil && sub.getAtomic(local) && h.opts.FreeFilter(p, cl.size) {
-		// Quarantine divert: the slot stays marked allocated (bit set,
-		// occupancy reserved), so the probe stream cannot re-issue it.
-		// The liveness pre-check only filters obviously dead pointers
-		// cheaply; the release's CAS-clear remains the one arbiter of
-		// racing frees, so a stale read here just enqueues a duplicate
-		// that loses (and is counted an IgnoredFree) at release time.
+	// The quarantine divert keeps the slot marked allocated (bit set,
+	// occupancy reserved), so the probe stream cannot re-issue it. On an
+	// untagged heap the liveness pre-check only filters obviously dead
+	// pointers cheaply; the release's bit-clear remains the one arbiter
+	// of racing frees, so a stale read here just enqueues a duplicate
+	// that loses (and is counted an IgnoredFree) at release time.
+	if h.opts.FreeFilter != nil && (sub.gens != nil || sub.getAtomic(local)) && h.opts.FreeFilter(p, cl.size) {
 		h.quarantineHold(p)
-		return nil
+		return true, nil
 	}
+	// Untagged, the bit-clear arbitrates: of any set of racing frees of
+	// this pointer, exactly one clears the bit and the rest are double
+	// frees. After a won generation transition it cannot fail.
+	var won bool
 	if h.lockfree {
-		if h.atomicStats {
-			// CAS release: of any set of racing frees of this pointer,
-			// exactly one clears the bit; the rest are double frees.
-			if !sub.casClear(local) {
-				h.addStat(&h.stats.IgnoredFrees, 1) // double free: ignore
-				return nil
-			}
-			atomic.AddInt64(&cl.inUse, -1)
-		} else {
-			if !sub.get(local) {
-				h.addStat(&h.stats.IgnoredFrees, 1) // double free: ignore
-				return nil
-			}
-			sub.clear(local)
-			cl.inUse--
+		if won = sub.release(local, h.atomicStats); won {
+			h.unreserve(cl, 1)
 		}
 	} else {
-		cl.mu.Lock()
-		if !sub.get(local) {
-			cl.mu.Unlock()
-			h.addStat(&h.stats.IgnoredFrees, 1) // double free: ignore
-			return nil
-		}
-		sub.clear(local)
-		cl.inUse--
-		cl.mu.Unlock()
+		won = h.freeLocked(cl, sub, local)
+	}
+	if !won {
+		h.addStat(&h.stats.IgnoredFrees, 1) // double free: ignore
+		return false, nil
 	}
 	h.addStat(&h.stats.WorkUnits, heap.WorkBitmap)
 	h.countFree(cl.size)
@@ -1251,13 +1229,47 @@ func (h *Heap) Free(p heap.Ptr) error {
 	if h.opts.OnFree != nil {
 		h.opts.OnFree(p, cl.size)
 	}
-	return nil
+	return true, nil
 }
 
-// finishLargeFree completes the free of a large object after the caller
-// removed it from the table (delete-first under largeMu, so exactly one
-// racing free reaches here): hook, unmap, accounting.
-func (h *Heap) finishLargeFree(p heap.Ptr, lo largeObject) error {
+// freeLocked is free's release on the LockedHeap reference engine, whose
+// bitmap and occupancy the class mutex guards.
+func (h *Heap) freeLocked(cl *sizeClass, sub *subregion, local int) bool {
+	cl.mu.Lock()
+	won := sub.release(local, false)
+	if won {
+		h.unreserve(cl, 1)
+	}
+	cl.mu.Unlock()
+	return won
+}
+
+// rejectFree counts a free that lost: a stale free if it carried a tag,
+// the §4.3 ignore if it did not.
+func (h *Heap) rejectFree(p heap.Ptr, gen uint64) {
+	if gen != 0 {
+		h.noteStaleFree(p, gen)
+		return
+	}
+	h.addStat(&h.stats.IgnoredFrees, 1)
+}
+
+// freeLarge frees the large object at fp.Addr: removed from the table
+// (delete-first under largeMu, so exactly one racing free wins), hook,
+// unmap, accounting. A pointer to no live large object — not ours, or
+// already freed — is rejected, and so is a checked free whose tag is
+// not the object's.
+func (h *Heap) freeLarge(fp heap.FatPtr) (bool, error) {
+	p := fp.Addr
+	h.largeMu.Lock()
+	lo, ok := h.large[p]
+	if !ok || fp.Gen != 0 && lo.gen != fp.Gen {
+		h.largeMu.Unlock()
+		h.rejectFree(p, fp.Gen)
+		return false, nil
+	}
+	delete(h.large, p)
+	h.largeMu.Unlock()
 	usable := (lo.mapLength/vmem.PageSize - 2) * vmem.PageSize
 	if h.opts.OnFree != nil {
 		// Fire while the guarded mapping is still live, so a
@@ -1272,14 +1284,14 @@ func (h *Heap) finishLargeFree(p heap.Ptr, lo largeObject) error {
 		h.largeMu.Lock()
 		h.large[p] = lo
 		h.largeMu.Unlock()
-		return err
+		return true, err
 	}
 	h.addStat(&h.stats.WorkUnits, heap.WorkMmap)
 	h.countFree(usable)
 	if h.trace != nil {
 		h.trace.Emit(obs.EvFree, p)
 	}
-	return nil
+	return true, nil
 }
 
 // quarantineHold enqueues a filtered free (Options.FreeFilter) into the
@@ -1317,32 +1329,19 @@ func (h *Heap) quarantineHold(p heap.Ptr) {
 // releaseHeld performs the deferred free of a quarantined slot: the
 // normal clear path of Free, minus the filter (a released slot must not
 // re-enter the quarantine it just left). Exactly one release of any set
-// of duplicate enqueues wins the CAS-clear; the rest count IgnoredFrees,
+// of duplicate enqueues wins the bit-clear; the rest count IgnoredFrees,
 // preserving §4.3's double-free accounting across the deferral. OnFree
 // fires here — not at divert time — so a detection layer re-arms its
 // canary exactly when the slot truly rejoins free space.
 func (h *Heap) releaseHeld(p heap.Ptr) bool {
 	cl, sub, local := h.find(p)
-	if cl == nil {
-		// Unreachable for pointers the divert path resolved, kept for
-		// defense in depth.
+	// A nil class is unreachable for pointers the divert path resolved;
+	// the check is kept for defense in depth.
+	if cl == nil || !sub.release(local, h.atomicStats) {
 		h.addStat(&h.stats.IgnoredFrees, 1)
 		return false
 	}
-	if h.atomicStats {
-		if !sub.casClear(local) {
-			h.addStat(&h.stats.IgnoredFrees, 1)
-			return false
-		}
-		atomic.AddInt64(&cl.inUse, -1)
-	} else {
-		if !sub.get(local) {
-			h.addStat(&h.stats.IgnoredFrees, 1)
-			return false
-		}
-		sub.clear(local)
-		cl.inUse--
-	}
+	h.unreserve(cl, 1)
 	h.addStat(&h.stats.WorkUnits, heap.WorkBitmap)
 	h.addStat(&h.stats.QuarantineOut, 1)
 	h.countFree(cl.size)

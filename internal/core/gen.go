@@ -83,96 +83,31 @@ func (h *Heap) genClaim(sub *subregion, local int) uint32 {
 	return sub.gens[local]
 }
 
-// genFreePlain arbitrates an untagged free of slot local on a tagged
-// heap: CAS the word odd→even (or into retirement at the ceiling).
-// genLose means the slot is already free, retired, or lost to a racing
-// free — the §4.3 ignore.
-func (h *Heap) genFreePlain(sub *subregion, local int) genOutcome {
+// genFree arbitrates a free of slot local on a tagged heap: CAS the
+// word odd→even, or into retirement at the ceiling. want is the tag the
+// free carries, 0 for an unchecked free; a checked free additionally
+// demands the word equal it, so a stale pointer — freed, reallocated,
+// quarantined, or retired since issue — loses deterministically.
+// genLose means the slot is already free, retired, stale, or lost to a
+// racing free.
+func (h *Heap) genFree(sub *subregion, local int, want uint32) genOutcome {
 	g := &sub.gens[local]
-	if !h.atomicStats {
-		cur := *g
-		switch {
-		case cur&1 == 0 || cur == genRetired:
-			return genLose
-		case cur >= genRetireAt:
-			*g = genRetired
-			return genRetireOut
-		default:
-			*g = cur + 1
-			return genWin
-		}
-	}
 	for {
 		cur := atomic.LoadUint32(g)
-		if cur&1 == 0 || cur == genRetired {
+		if cur&1 == 0 || cur == genRetired || want != 0 && cur != want {
 			return genLose
 		}
+		next, out := cur+1, genWin
 		if cur >= genRetireAt {
-			if atomic.CompareAndSwapUint32(g, cur, genRetired) {
-				return genRetireOut
-			}
-			continue
+			next, out = genRetired, genRetireOut
 		}
-		if atomic.CompareAndSwapUint32(g, cur, cur+1) {
-			return genWin
+		if !h.atomicStats {
+			*g = next
+			return out
 		}
-	}
-}
-
-// genFreeFat arbitrates a fat free: the transition additionally demands
-// the slot's word equal the fat pointer's tag, so a stale pointer —
-// freed, reallocated, quarantined, or retired since issue — loses
-// deterministically. want has been validated odd and below genRetired.
-func (h *Heap) genFreeFat(sub *subregion, local int, want uint32) genOutcome {
-	g := &sub.gens[local]
-	if !h.atomicStats {
-		cur := *g
-		switch {
-		case cur != want:
-			return genLose
-		case cur >= genRetireAt:
-			*g = genRetired
-			return genRetireOut
-		default:
-			*g = cur + 1
-			return genWin
+		if atomic.CompareAndSwapUint32(g, cur, next) {
+			return out
 		}
-	}
-	for {
-		cur := atomic.LoadUint32(g)
-		if cur != want {
-			return genLose
-		}
-		if cur >= genRetireAt {
-			if atomic.CompareAndSwapUint32(g, cur, genRetired) {
-				return genRetireOut
-			}
-			continue
-		}
-		if atomic.CompareAndSwapUint32(g, cur, cur+1) {
-			return genWin
-		}
-	}
-}
-
-// genFinishFree applies the release a won free transition granted: the
-// bit-clear cannot fail (clears only follow won transitions, and claims
-// need a cleared bit first), so no arbitration remains.
-func (h *Heap) genFinishFree(cl *sizeClass, sub *subregion, local int, p heap.Ptr) {
-	if h.atomicStats {
-		sub.casClear(local)
-		atomic.AddInt64(&cl.inUse, -1)
-	} else {
-		sub.clear(local)
-		cl.inUse--
-	}
-	h.addStat(&h.stats.WorkUnits, heap.WorkBitmap)
-	h.countFree(cl.size)
-	if h.trace != nil {
-		h.trace.Emit(obs.EvFree, p)
-	}
-	if h.opts.OnFree != nil {
-		h.opts.OnFree(p, cl.size)
 	}
 }
 
@@ -189,8 +124,11 @@ func (h *Heap) noteStaleFree(p heap.Ptr, gen uint64) {
 }
 
 // genValidTag reports whether g could ever have been issued as a tag:
-// odd, nonzero, below the retirement sentinel, and within 32 bits for
-// small objects. Anything else is stale by construction.
+// odd, nonzero, below the retirement sentinel, and within 32 bits.
+// Anything else is stale by construction. Large-object tags qualify
+// too: each large object takes at least 32 KB of the never-reused
+// 64 GB simulated address space (guards and hole included), so a heap
+// issues fewer than 2^21 of them.
 func genValidTag(g uint64) bool {
 	return g&1 == 1 && g == uint64(uint32(g)) && uint32(g) != genRetired
 }
@@ -271,18 +209,27 @@ func (h *Heap) SetGen(p heap.Ptr, gen uint32) (heap.FatPtr, bool) {
 }
 
 // MallocFat allocates like Malloc and returns the fat pointer carrying
-// the slot's freshly bumped generation. The read is race-free: the
-// address has not escaped yet, so nothing can free (and re-bump) it.
+// the generation its claim issued.
 func (h *Heap) MallocFat(size int) (heap.FatPtr, error) {
 	if !h.opts.GenTags {
 		return heap.FatPtr{}, ErrNotGenTagged
 	}
-	p, err := h.Malloc(size)
-	if err != nil {
-		return heap.FatPtr{}, err
+	return h.malloc(size)
+}
+
+// fatGate admits a fat free: an untagged heap refuses it, and a tag no
+// claim could have issued (genValidTag) is a stale free, rejected here
+// once. Past the gate a zero tag only ever means "unchecked", which is
+// what ring cells and magazine buffers carry for plain frees.
+func (h *Heap) fatGate(fp heap.FatPtr) (admitted bool, err error) {
+	if !h.opts.GenTags {
+		return false, ErrNotGenTagged
 	}
-	g, _ := h.GenOf(p)
-	return heap.FatPtr{Addr: p, Gen: g}, nil
+	if fp.Addr != heap.Null && !genValidTag(fp.Gen) {
+		h.noteStaleFree(fp.Addr, fp.Gen)
+		return false, nil
+	}
+	return true, nil
 }
 
 // FreeFat releases a generation-tagged allocation. accepted reports
@@ -297,131 +244,47 @@ func (h *Heap) MallocFat(size int) (heap.FatPtr, error) {
 // §4.3 ignore (Stats.IgnoredFrees): they are spatial, not temporal,
 // errors.
 func (h *Heap) FreeFat(fp heap.FatPtr) (accepted bool, err error) {
-	if !h.opts.GenTags {
-		return false, ErrNotGenTagged
+	if ok, err := h.fatGate(fp); !ok {
+		return false, err
 	}
-	p := fp.Addr
-	if p == heap.Null {
-		return true, nil // free(NULL) is a no-op in C
-	}
-	cl, sub, local := h.find(p)
-	if cl == nil {
-		// Large object, or nothing at all. A fat pointer resolving to no
-		// live object is stale by construction (fat pointers are only
-		// issued by MallocFat): the freed-large-object double free lands
-		// here deterministically.
-		h.largeMu.Lock()
-		lo, ok := h.large[p]
-		if !ok || lo.gen != fp.Gen {
-			h.largeMu.Unlock()
-			h.noteStaleFree(p, fp.Gen)
-			return false, nil
-		}
-		delete(h.large, p) // delete-first: exactly one racing free wins
-		h.largeMu.Unlock()
-		return true, h.finishLargeFree(p, lo)
-	}
-	if (p-sub.base)&cl.mask != 0 {
-		h.addStat(&h.stats.IgnoredFrees, 1) // misaligned interior pointer: ignore
-		return false, nil
-	}
-	if !genValidTag(fp.Gen) {
-		h.noteStaleFree(p, fp.Gen)
-		return false, nil
-	}
-	switch h.genFreeFat(sub, local, uint32(fp.Gen)) {
-	case genLose:
-		h.noteStaleFree(p, fp.Gen)
-		return false, nil
-	case genRetireOut:
-		h.addStat(&h.stats.Retired, 1)
-		return true, nil
-	}
-	if h.opts.FreeFilter != nil && h.opts.FreeFilter(p, cl.size) {
-		// Quarantine divert after the won transition: the held slot sits
-		// bit-set with an even generation, so stale accesses and stale
-		// frees during the hold are detected, and the eventual release
-		// is the slot's sole bit-clearer.
-		h.quarantineHold(p)
-		return true, nil
-	}
-	h.genFinishFree(cl, sub, local, p)
-	return true, nil
+	return h.free(fp)
 }
 
 // RemoteFreeFat releases fp through the remote-free ring, carrying the
 // generation in the ring cell so the owner's drain runs the same
 // gen-checked arbitration FreeFat does — a stale fat pointer is
 // rejected (Stats.StaleFrees) at drain time, after any reallocation the
-// deferral allowed. Everything the ring cannot defer falls back to the
-// synchronous FreeFat. accepted == true for an enqueued free means
+// deferral allowed; a tag no claim could have issued is rejected at
+// once. Everything the ring cannot defer falls back to the
+// synchronous path. accepted == true for an enqueued free means
 // "queued": the verdict lands in the owner's counters at its next
 // drain.
 func (h *Heap) RemoteFreeFat(fp heap.FatPtr) (accepted bool, err error) {
-	if !h.opts.GenTags {
-		return false, ErrNotGenTagged
+	if ok, err := h.fatGate(fp); !ok {
+		return false, err
 	}
-	if fp.Addr == heap.Null {
-		return true, nil
-	}
-	r := h.remote
-	if r == nil {
-		return h.FreeFat(fp)
-	}
-	cl, sub, _ := h.find(fp.Addr)
-	if cl == nil || (fp.Addr-sub.base)&cl.mask != 0 {
-		return h.FreeFat(fp) // large, foreign, or interior: the unbatched path decides
-	}
-	if !r.enqueue(fp.Addr, fp.Gen) {
-		return h.FreeFat(fp) // owner is behind; apply in place rather than wait
-	}
-	if h.trace != nil {
-		h.trace.Emit(obs.EvRemoteFree, fp.Addr)
-	}
-	return true, nil
+	return h.remoteFree(fp)
 }
 
 // MallocFat allocates from the emptiest shard (the Malloc routing) and
-// returns the fat pointer with the owning shard's generation.
+// returns the fat pointer carrying the generation its claim issued.
 func (sh *ShardedHeap) MallocFat(size int) (heap.FatPtr, error) {
-	p, err := sh.Malloc(size)
-	if err != nil {
-		return heap.FatPtr{}, err
-	}
-	s := sh.owner(p)
-	if s == nil || !s.opts.GenTags {
+	if !sh.shards[0].opts.GenTags {
 		return heap.FatPtr{}, ErrNotGenTagged
 	}
-	g, _ := s.GenOf(p)
-	return heap.FatPtr{Addr: p, Gen: g}, nil
+	return sh.malloc(size)
 }
 
 // FreeFat routes fp to its owning shard's gen-checked free. A fat
 // pointer owned by no shard is stale by construction (its large object
 // was already freed) and rejected.
-func (sh *ShardedHeap) FreeFat(fp heap.FatPtr) (bool, error) {
-	if fp.Addr == heap.Null {
-		return true, nil
-	}
-	if s := sh.owner(fp.Addr); s != nil {
-		return s.FreeFat(fp)
-	}
-	atomic.AddUint64(&sh.stats.StaleFrees, 1)
-	return false, nil
-}
+func (sh *ShardedHeap) FreeFat(fp heap.FatPtr) (bool, error) { return sh.shardOf(fp.Addr).FreeFat(fp) }
 
 // RemoteFreeFat routes fp to its owning shard's ring with the
 // generation attached, exactly as ShardedHeap.RemoteFree routes plain
 // pointers.
 func (sh *ShardedHeap) RemoteFreeFat(fp heap.FatPtr) (bool, error) {
-	if fp.Addr == heap.Null {
-		return true, nil
-	}
-	if s := sh.owner(fp.Addr); s != nil {
-		return s.RemoteFreeFat(fp)
-	}
-	atomic.AddUint64(&sh.stats.StaleFrees, 1)
-	return false, nil
+	return sh.shardOf(fp.Addr).RemoteFreeFat(fp)
 }
 
 // GenOf resolves p's current generation through its owning shard.

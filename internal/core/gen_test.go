@@ -24,7 +24,9 @@ import (
 // free bumps it even, a second free of the same fat pointer is a
 // deterministic StaleFrees rejection with the OnStaleFree evidence
 // callback, misaligned interior pointers keep the spatial §4.3 ignore,
-// and forged tags (even, zero, oversized) never validate.
+// forged tags (even, zero, oversized) are rejected as stale by every
+// fat-free route, and the fat API refuses untagged heaps before
+// allocating anything.
 func TestGenTagBasics(t *testing.T) {
 	var evAddr heap.Ptr
 	var evGen uint64
@@ -85,15 +87,6 @@ func TestGenTagBasics(t *testing.T) {
 		t.Fatalf("IgnoredFrees, StaleFrees = %d, %d; want 1, 1 (misalignment is not stale)",
 			st.IgnoredFrees, st.StaleFrees)
 	}
-	// Forged tags can never have been issued: rejected before the CAS.
-	for _, g := range []uint64{0, 2, 1 << 33, uint64(genRetired)} {
-		if ok, _ := h.FreeFat(heap.FatPtr{Addr: fp2.Addr, Gen: g}); ok {
-			t.Errorf("forged tag %#x accepted", g)
-		}
-	}
-	if !h.CheckGen(fp2) {
-		t.Fatal("live object invalidated by rejected forgeries")
-	}
 	// free(NULL) stays a no-op.
 	if ok, err := h.FreeFat(heap.FatPtr{}); !ok || err != nil {
 		t.Fatalf("FreeFat(null) = %v, %v; want true, nil", ok, err)
@@ -101,13 +94,82 @@ func TestGenTagBasics(t *testing.T) {
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// The fat API demands a tagged heap.
+	// Forged tags can never have been issued: every fat-free route
+	// rejects them as stale, and the live object survives the route's
+	// drain. A zero tag must not pass for an unchecked free — ring cells
+	// and magazine buffers use 0 for exactly that.
+	ring, err := New(Options{HeapSize: 12 << 20, Seed: 7, GenTags: true, Concurrent: true, RemoteRing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := NewSharded(2, Options{HeapSize: 24 << 20, Seed: 7, GenTags: true, RemoteRing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mag, err := h.NewMagazine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mag.Close()
+	type tagged interface {
+		CheckGen(heap.FatPtr) bool
+		CheckInvariants() error
+		StatsSnapshot() heap.Stats
+	}
+	for _, r := range []struct {
+		name   string
+		heap   tagged
+		malloc func(int) (heap.FatPtr, error)
+		free   func(heap.FatPtr) (bool, error)
+	}{
+		{"Heap.FreeFat", h, h.MallocFat, h.FreeFat},
+		{"Heap.RemoteFreeFat", ring, ring.MallocFat, ring.RemoteFreeFat},
+		{"ShardedHeap.RemoteFreeFat", sh, sh.Shard(1).MallocFat, sh.RemoteFreeFat},
+		{"Magazine.FreeFat", h, h.MallocFat, mag.FreeFat},
+	} {
+		live, err := r.malloc(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stale := r.heap.StatsSnapshot().StaleFrees
+		forged := []uint64{0, 2, 1 << 33, uint64(genRetired)}
+		for _, g := range forged {
+			if ok, err := r.free(heap.FatPtr{Addr: live.Addr, Gen: g}); ok || err != nil {
+				t.Errorf("%s: forged tag %#x = %v, %v; want rejected", r.name, g, ok, err)
+			}
+		}
+		if err := r.heap.CheckInvariants(); err != nil { // drains rings and magazines
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if !r.heap.CheckGen(live) {
+			t.Errorf("%s: live object invalidated by rejected forgeries", r.name)
+		}
+		if got := r.heap.StatsSnapshot().StaleFrees - stale; got != uint64(len(forged)) {
+			t.Errorf("%s: StaleFrees += %d; want %d", r.name, got, len(forged))
+		}
+	}
+	// The fat API demands a tagged heap, and refuses before allocating:
+	// a refused MallocFat leaves nothing live that no one could free.
 	un, err := New(Options{HeapSize: 12 << 20, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := un.MallocFat(64); err != ErrNotGenTagged {
-		t.Fatalf("MallocFat on untagged heap: %v; want ErrNotGenTagged", err)
+	unSharded, err := NewSharded(2, Options{HeapSize: 24 << 20, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []interface {
+		MallocFat(int) (heap.FatPtr, error)
+		StatsSnapshot() heap.Stats
+	}{un, unSharded} {
+		for _, size := range []int{64, MaxObjectSize + 1} {
+			if fp, err := a.MallocFat(size); err != ErrNotGenTagged || fp != (heap.FatPtr{}) {
+				t.Fatalf("%T.MallocFat(%d) on untagged heap: %v, %v; want null, ErrNotGenTagged", a, size, fp, err)
+			}
+		}
+		if live := a.StatsSnapshot().LiveObjects; live != 0 {
+			t.Fatalf("%T: refused MallocFat left %d live objects; want 0", a, live)
+		}
 	}
 	if _, err := un.FreeFat(heap.FatPtr{Addr: 1, Gen: 1}); err != ErrNotGenTagged {
 		t.Fatalf("FreeFat on untagged heap: %v; want ErrNotGenTagged", err)

@@ -168,12 +168,11 @@ func (m *Magazine) init() {
 }
 
 // fatAllocator is what a magazine's unbatched fallbacks call on its
-// backing heap; Heap and ShardedHeap both provide it.
+// backing heap: the one malloc and free path Heap and ShardedHeap both
+// provide.
 type fatAllocator interface {
-	Malloc(size int) (heap.Ptr, error)
-	Free(p heap.Ptr) error
-	MallocFat(size int) (heap.FatPtr, error)
-	FreeFat(fp heap.FatPtr) (bool, error)
+	malloc(size int) (heap.FatPtr, error)
+	free(fp heap.FatPtr) (bool, error)
 }
 
 // backing is the allocator behind this magazine, for the paths that
@@ -211,11 +210,7 @@ func (m *Magazine) MallocFat(size int) (heap.FatPtr, error) {
 // occupancy unit, so the pop just skips it.
 func (m *Magazine) malloc(size int) (heap.FatPtr, error) {
 	if size > MaxObjectSize || size < 0 {
-		if m.tagged {
-			return m.backing().MallocFat(size)
-		}
-		p, err := m.backing().Malloc(size)
-		return heap.FatPtr{Addr: p}, err
+		return m.backing().malloc(size)
 	}
 	if size == 0 {
 		size = 1 // malloc(0) returns a distinct pointer, as in C
@@ -252,7 +247,7 @@ func (m *Magazine) malloc(size int) (heap.FatPtr, error) {
 // the §4.3 ignores. On a tagged heap the free is unchecked, like
 // Heap.Free there.
 func (m *Magazine) Free(p heap.Ptr) error {
-	_, err := m.free(heap.FatPtr{Addr: p}, false)
+	_, err := m.free(heap.FatPtr{Addr: p})
 	return err
 }
 
@@ -262,18 +257,22 @@ func (m *Magazine) Free(p heap.Ptr) error {
 // EvStaleFree and OnStaleFree exactly as the synchronous FreeFat does.
 // accepted == true for a buffered free means "queued": its verdict
 // lands at the flush. A tag that could never have been issued is
-// rejected at once; everything the magazine does not batch takes the
-// backing FreeFat.
+// rejected at once, by the backing heap's gate.
 func (m *Magazine) FreeFat(fp heap.FatPtr) (accepted bool, err error) {
-	if !m.tagged {
-		return false, ErrNotGenTagged
+	if !m.tagged || fp.Addr != heap.Null && !genValidTag(fp.Gen) {
+		// The backing heap's gate refuses or rejects it, charging the
+		// heap (or shard) that owns fp.
+		if m.sh != nil {
+			return m.sh.FreeFat(fp)
+		}
+		return m.h.FreeFat(fp)
 	}
-	return m.free(fp, true)
+	return m.free(fp)
 }
 
-// free is the one push path; checked frees buffer fp.Gen for the
-// flush's arbiter, unchecked ones buffer 0.
-func (m *Magazine) free(fp heap.FatPtr, checked bool) (bool, error) {
+// free is the one push path. fp.Gen is buffered for the flush's
+// arbiter: a gate-admitted tag, or 0 for an unchecked free.
+func (m *Magazine) free(fp heap.FatPtr) (bool, error) {
 	p := fp.Addr
 	if p == heap.Null {
 		return true, nil
@@ -294,22 +293,11 @@ func (m *Magazine) free(fp heap.FatPtr, checked bool) (bool, error) {
 	if sub == nil || (p-sub.base)&sub.cl.mask != 0 {
 		// Large, foreign, or misaligned interior: the unbatched path
 		// decides (and counts the §4.3 ignores).
-		if checked {
-			return m.backing().FreeFat(fp)
-		}
-		return true, m.backing().Free(p)
-	}
-	var gen uint32
-	if checked {
-		if !genValidTag(fp.Gen) {
-			sub.h.noteStaleFree(p, fp.Gen)
-			return false, nil
-		}
-		gen = uint32(fp.Gen)
+		return m.backing().free(fp)
 	}
 	c := int(sub.shift) - minObjectShift
 	cm := &m.classes[c]
-	cm.free = append(cm.free, magFree{sub: sub, local: int32(local), gen: gen})
+	cm.free = append(cm.free, magFree{sub: sub, local: int32(local), gen: uint32(fp.Gen)})
 	if m.trace != nil {
 		m.trace.Emit(obs.EvFree, p)
 	}
@@ -438,7 +426,7 @@ func (h *Heap) releaseBuffered(c int, buf []magFree, reroute bool) {
 		}
 		switch {
 		case e.sub.gens != nil:
-			t.settleTagged(h, e.sub, local, uint64(e.gen))
+			t.settleTagged(h, e.sub, local, e.gen)
 		case e.sub.release(local, h.atomicStats):
 			t.wins++
 		default:
@@ -450,22 +438,18 @@ func (h *Heap) releaseBuffered(c int, buf []magFree, reroute bool) {
 
 // settleTagged arbitrates one batched release on a tagged heap — a
 // magazine's buffered free or a remote ring entry; gen is its tag, 0
-// for an unchecked free — and tallies the outcome. A lost unchecked
-// release is a §4.3 ignore; a lost tagged one is a stale free, noted at
-// once (counter, trace event, and the OnStaleFree hook) as on the
-// synchronous path.
-func (t *flushTally) settleTagged(h *Heap, sub *subregion, local int, gen uint64) {
+// for an unchecked free — and tallies wins and retirements. A lost
+// release is rejected at once, as on the synchronous path: a stale free
+// (counter, trace event, and the OnStaleFree hook) if it carried a tag,
+// the §4.3 ignore if not.
+func (t *flushTally) settleTagged(h *Heap, sub *subregion, local int, gen uint32) {
 	switch h.genFreeSlot(sub, local, gen) {
 	case genWin:
 		t.wins++
 	case genRetireOut:
 		t.retired++
 	default:
-		if gen == 0 {
-			t.ignored++
-		} else {
-			h.noteStaleFree(sub.base+uint64(local)<<sub.shift, gen)
-		}
+		h.rejectFree(sub.base+uint64(local)<<sub.shift, uint64(gen))
 	}
 }
 
@@ -503,7 +487,7 @@ func (m *Magazine) returnClaims(c int, cm *classMagazine) {
 			out := genLose
 			switch {
 			case m.tagged:
-				out = owner.genFreeSlot(sub, local, uint64(cm.tags[i]))
+				out = owner.genFreeSlot(sub, local, cm.tags[i])
 			case sub.release(local, owner.atomicStats):
 				out = genWin
 			}
@@ -520,12 +504,7 @@ func (m *Magazine) returnClaims(c int, cm *classMagazine) {
 			owner.addStat(&owner.stats.Retired, uint64(retired))
 		}
 		if wins > 0 {
-			cl := &owner.classes[c]
-			if owner.atomicStats {
-				atomic.AddInt64(&cl.inUse, -int64(wins))
-			} else {
-				cl.inUse -= int64(wins)
-			}
+			owner.unreserve(&owner.classes[c], wins)
 		}
 	}
 	cm.slots = cm.slots[:0]
@@ -578,17 +557,11 @@ func (h *Heap) DrainMagazines() {
 // genFreeSlot is the §4.3 arbiter of a batched release on a tagged
 // heap — a magazine's buffered free, a remote ring entry, or a returned
 // pre-claim — and on a win clears the slot's bit. gen is the tag the
-// release carries: 0 frees unchecked (the plain protocol), anything
-// else must equal the slot's generation word, and a value no claim
-// could have issued loses outright. genLose is a double, stale, or
-// stolen release; occupancy and statistics are the caller's, in batch.
-func (h *Heap) genFreeSlot(sub *subregion, local int, gen uint64) genOutcome {
-	out := genLose
-	if gen == 0 {
-		out = h.genFreePlain(sub, local)
-	} else if genValidTag(gen) {
-		out = h.genFreeFat(sub, local, uint32(gen))
-	}
+// release carries, 0 for an unchecked free (genFree). genLose is a
+// double, stale, or stolen release; occupancy and statistics are the
+// caller's, in batch.
+func (h *Heap) genFreeSlot(sub *subregion, local int, gen uint32) genOutcome {
+	out := h.genFree(sub, local, gen)
 	if out == genWin {
 		sub.release(local, h.atomicStats) // cannot fail after a won transition
 	}
@@ -602,11 +575,7 @@ func (h *Heap) genFreeSlot(sub *subregion, local int, gen uint64) genOutcome {
 func (h *Heap) finishBatchedFrees(c int, t flushTally) {
 	if t.wins > 0 {
 		cl := &h.classes[c]
-		if h.atomicStats {
-			atomic.AddInt64(&cl.inUse, -int64(t.wins))
-		} else {
-			cl.inUse -= int64(t.wins)
-		}
+		h.unreserve(cl, t.wins)
 		h.addStat(&h.stats.WorkUnits, uint64(t.wins)*heap.WorkBitmap)
 		if h.atomicStats {
 			heap.CountFreeBatchAtomic(&h.stats, t.wins, uint64(t.wins)*uint64(cl.size))
@@ -776,12 +745,7 @@ func (h *Heap) magazineRefill(c, want int, cm *classMagazine) (int, error) {
 			// Metadata-accounting failure (the same astronomically
 			// unlikely guard the unbatched loop carries): undo and
 			// release everything this refill still holds.
-			held := got - h.undoClaims(regs, idxs)
-			if h.atomicStats {
-				atomic.AddInt64(&cl.inUse, -int64(held))
-			} else {
-				cl.inUse -= int64(held)
-			}
+			h.unreserve(cl, got-h.undoClaims(regs, idxs))
 			return 0, &heap.CorruptionError{Detail: "diehard: no free slot found below fill threshold"}
 		}
 		if !h.atomicStats {
@@ -844,9 +808,7 @@ func (h *Heap) undoClaims(regs *classRegions, idxs []int32) int {
 		if !single {
 			sub, local = regs.locate(int(idx))
 		}
-		if !h.atomicStats {
-			sub.clear(local)
-		} else if !sub.casClear(local) {
+		if !sub.release(local, h.atomicStats) {
 			lost++
 		}
 	}

@@ -3,7 +3,7 @@ package core
 // Remote-free rings (DESIGN.md §12): the producer-consumer free path.
 //
 // Magazines (§11) batch the frees a worker applies itself, but a free
-// still ends in a casClear on the owning shard's bitmap word plus an
+// still ends in a CAS bit-clear on the owning shard's bitmap word plus an
 // occupancy decrement on its atomic counter — shared cache lines that a
 // serve-style workload (objects allocated by one worker, freed by
 // another) hammers from the wrong core on every session. A remote-free
@@ -18,9 +18,10 @@ package core
 // splitting authority: an enqueued free leaves the slot's bit set and
 // its occupancy unit reserved, so every invariant (popcount == inUse,
 // threshold bounds) holds with entries in flight, and the drain's
-// casClear remains the single arbiter of §4.3 double-free detection —
-// of any set of racing frees of one slot, through any mix of rings,
-// magazines, and synchronous calls, exactly one clears the bit. A full
+// bit-clear (subregion.release) remains the single arbiter of §4.3
+// double-free detection — of any set of racing frees of one slot,
+// through any mix of rings, magazines, and synchronous calls, exactly
+// one clears the bit (on a tagged heap, the generation CAS). A full
 // ring falls back to the synchronous path rather than blocking, so
 // RemoteFree never waits on the owner.
 
@@ -41,10 +42,10 @@ const remoteRingSize = 1024
 // the cell between producers and the consumer: a producer may claim the
 // cell when seq == pos (its ticket), publishes with seq = pos+1, and the
 // consumer recycles it with seq = pos+mask+1. addr and gen are plain:
-// the seq store/load pair orders them. gen 0 marks an untagged free
+// the seq store/load pair orders them. gen 0 marks an unchecked free
 // (plain RemoteFree, or any free on an untagged heap — issued tags are
-// never 0); a nonzero gen carries a fat pointer's tag to the owner's
-// gen-checked drain.
+// never 0); a nonzero gen carries a fat pointer's tag, admitted by
+// fatGate, to the owner's gen-checked drain.
 type freeCell struct {
 	seq  atomic.Uint64
 	addr uint64
@@ -130,42 +131,38 @@ func (r *freeRing) empty() bool {
 // ring — falls back to the synchronous Free, so RemoteFree keeps Free's
 // exact §4.3 semantics and never blocks on the owner.
 func (h *Heap) RemoteFree(p heap.Ptr) error {
-	if p == heap.Null {
-		return nil
-	}
+	_, err := h.remoteFree(heap.FatPtr{Addr: p})
+	return err
+}
+
+// remoteFree is the one remote free path; fp.Gen follows free's
+// convention (a gate-admitted tag, or 0 for unchecked) and travels in
+// the ring cell.
+func (h *Heap) remoteFree(fp heap.FatPtr) (bool, error) {
 	r := h.remote
 	if r == nil {
-		return h.Free(p)
+		return h.free(fp)
 	}
-	cl, sub, _ := h.find(p)
-	if cl == nil || (p-sub.base)&cl.mask != 0 {
-		return h.Free(p) // large, foreign, or interior: the unbatched path decides
+	cl, sub, _ := h.find(fp.Addr)
+	if cl == nil || (fp.Addr-sub.base)&cl.mask != 0 {
+		return h.free(fp) // null, large, foreign, or interior: the unbatched path decides
 	}
-	if !r.enqueue(p, 0) {
-		return h.Free(p) // owner is behind; apply in place rather than wait
+	if !r.enqueue(fp.Addr, fp.Gen) {
+		return h.free(fp) // owner is behind; apply in place rather than wait
 	}
 	if h.trace != nil {
-		h.trace.Emit(obs.EvRemoteFree, p)
+		h.trace.Emit(obs.EvRemoteFree, fp.Addr)
 	}
-	return nil
+	return true, nil
 }
 
 // RemoteFree routes p to its owning shard's ring (falling back to the
 // synchronous path exactly as Heap.RemoteFree does); pointers owned by
 // no shard are ignored, DieHard's §4.3 semantics.
-func (sh *ShardedHeap) RemoteFree(p heap.Ptr) error {
-	if p == heap.Null {
-		return nil
-	}
-	if s := sh.owner(p); s != nil {
-		return s.RemoteFree(p)
-	}
-	atomic.AddUint64(&sh.stats.IgnoredFrees, 1)
-	return nil
-}
+func (sh *ShardedHeap) RemoteFree(p heap.Ptr) error { return sh.shardOf(p).RemoteFree(p) }
 
 // drainRemote applies everything queued in the remote ring: per entry
-// one casClear (the single §4.3 arbiter — a queued double free loses
+// one bit-clear (the single §4.3 arbiter — a queued double free loses
 // here and is counted ignored), then per touched class one batched
 // occupancy decrement and one batched stats publication. Returns the
 // number of wins for class want (pass -1 when the caller only needs the
@@ -223,8 +220,8 @@ func (h *Heap) drainRemoteLocked(want int) int {
 		t := &tally[int(sub.shift)-minObjectShift]
 		switch {
 		case sub.gens != nil:
-			t.settleTagged(h, sub, local, gen)
-		case sub.casClear(local): // ring heaps are always concurrent
+			t.settleTagged(h, sub, local, uint32(gen))
+		case sub.release(local, h.atomicStats):
 			t.wins++
 		default:
 			t.ignored++

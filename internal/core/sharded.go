@@ -44,7 +44,6 @@ type ShardedHeap struct {
 	space  *vmem.Space
 	shards []*Heap
 	seed   uint64
-	stats  heap.Stats // aggregate snapshot storage is per-call; this holds sharded-level counters (ignored frees)
 
 	// route is the per-class steal-routing hysteresis word (DESIGN.md
 	// §11): shard index in the high half, requests remaining in the low.
@@ -141,6 +140,13 @@ func (sh *ShardedHeap) Shard(i int) *Heap { return sh.shards[i%len(sh.shards)] }
 // Workers that want stable placement should allocate through Shard(i)
 // instead.
 func (sh *ShardedHeap) Malloc(size int) (heap.Ptr, error) {
+	fp, err := sh.malloc(size)
+	return fp.Addr, err
+}
+
+// malloc is the one routed malloc path: the chosen shard's malloc,
+// tag included.
+func (sh *ShardedHeap) malloc(size int) (heap.FatPtr, error) {
 	if size > MaxObjectSize {
 		// Large objects bypass the size classes; balance them by total
 		// live bytes instead of class occupancy. No hysteresis: large
@@ -170,15 +176,15 @@ func (sh *ShardedHeap) Malloc(size int) (heap.Ptr, error) {
 			sh.route[c].Store(0)
 		} else {
 			sh.route[c].Store(st - 1)
-			p, err := s.Malloc(size)
+			fp, err := s.malloc(size)
 			if err == nil || !errors.Is(err, heap.ErrOutOfMemory) {
-				return p, err
+				return fp, err
 			}
 			sh.route[c].Store(0) // sticky shard is full: reroute now
 		}
 	}
 	best, idx := sh.emptiest(load, nil)
-	p, err := best.Malloc(size)
+	fp, err := best.malloc(size)
 	if err == nil {
 		sh.route[c].Store(uint64(idx)<<32 | (routeWindow - 1))
 		if sh.trace != nil {
@@ -186,10 +192,10 @@ func (sh *ShardedHeap) Malloc(size int) (heap.Ptr, error) {
 			// sticky shard for this class.
 			sh.trace.Emit(obs.EvSteal, uint64(idx)<<32|uint64(c))
 		}
-		return p, nil
+		return fp, nil
 	}
 	if !errors.Is(err, heap.ErrOutOfMemory) {
-		return p, err
+		return fp, err
 	}
 	return sh.mallocRetrying(best, size, load)
 }
@@ -198,20 +204,20 @@ func (sh *ShardedHeap) Malloc(size int) (heap.Ptr, error) {
 // refused: the remaining shards in ascending load order, so a routed
 // request fails only when every shard is genuinely out of memory. The
 // exclusion set is allocated off the hot path.
-func (sh *ShardedHeap) mallocRetrying(first *Heap, size int, load func(*Heap) int64) (heap.Ptr, error) {
-	p, err := first.Malloc(size)
+func (sh *ShardedHeap) mallocRetrying(first *Heap, size int, load func(*Heap) int64) (heap.FatPtr, error) {
+	fp, err := first.malloc(size)
 	if err == nil || !errors.Is(err, heap.ErrOutOfMemory) {
-		return p, err
+		return fp, err
 	}
 	tried := map[*Heap]bool{first: true}
 	for len(tried) < len(sh.shards) {
 		next, _ := sh.emptiest(load, tried)
-		if p, err = next.Malloc(size); err == nil || !errors.Is(err, heap.ErrOutOfMemory) {
-			return p, err
+		if fp, err = next.malloc(size); err == nil || !errors.Is(err, heap.ErrOutOfMemory) {
+			return fp, err
 		}
 		tried[next] = true
 	}
-	return heap.Null, err
+	return heap.FatPtr{}, err
 }
 
 // classLoad returns the routing load function for size class c: the
@@ -258,18 +264,24 @@ func (sh *ShardedHeap) owner(p heap.Ptr) *Heap {
 	return nil
 }
 
+// shardOf is the free routes' owner lookup: a pointer no shard owns
+// (null included) goes to shard 0, whose free rejects it as any heap
+// rejects a pointer it does not own.
+func (sh *ShardedHeap) shardOf(p heap.Ptr) *Heap {
+	if p != heap.Null {
+		if s := sh.owner(p); s != nil {
+			return s
+		}
+	}
+	return sh.shards[0]
+}
+
 // Free routes p to its owning shard; pointers owned by no shard are
 // ignored, DieHard's §4.3 semantics.
-func (sh *ShardedHeap) Free(p heap.Ptr) error {
-	if p == heap.Null {
-		return nil
-	}
-	if s := sh.owner(p); s != nil {
-		return s.Free(p)
-	}
-	atomic.AddUint64(&sh.stats.IgnoredFrees, 1)
-	return nil
-}
+func (sh *ShardedHeap) Free(p heap.Ptr) error { return sh.shardOf(p).Free(p) }
+
+// free is the one routed free path, on the owning shard.
+func (sh *ShardedHeap) free(fp heap.FatPtr) (bool, error) { return sh.shardOf(fp.Addr).free(fp) }
 
 // SizeOf reports the usable size of the allocated object starting
 // exactly at p, whichever shard owns it.
@@ -304,15 +316,12 @@ func (sh *ShardedHeap) InHeap(p heap.Ptr) bool {
 // Mem returns the shared simulated address space all shards allocate in.
 func (sh *ShardedHeap) Mem() *vmem.Space { return sh.space }
 
-// Stats returns an aggregate snapshot of all shard counters (plus frees
-// the router ignored). Unlike the single-heap allocators, the returned
-// struct is a fresh snapshot, not a live view; PeakLiveBytes is the sum
-// of per-shard peaks, an upper bound on the true simultaneous peak.
+// Stats returns an aggregate snapshot of all shard counters. Unlike the
+// single-heap allocators, the returned struct is a fresh snapshot, not a
+// live view; PeakLiveBytes is the sum of per-shard peaks, an upper bound
+// on the true simultaneous peak.
 func (sh *ShardedHeap) Stats() *heap.Stats {
-	agg := heap.Stats{
-		IgnoredFrees: atomic.LoadUint64(&sh.stats.IgnoredFrees),
-		StaleFrees:   atomic.LoadUint64(&sh.stats.StaleFrees),
-	}
+	var agg heap.Stats
 	for _, s := range sh.shards {
 		st := s.Stats()
 		agg.Mallocs += atomic.LoadUint64(&st.Mallocs)

@@ -184,7 +184,7 @@ type Result struct {
 	// P50/P99/P999 are session latencies in nanoseconds: scheduled
 	// arrival to completion (malloc + access + free + queueing).
 	P50, P99, P999 int64
-	Hist           *Histogram
+	Hist           *obs.Histogram
 	// FullnessEnd is live objects over the aggregate 1/M threshold
 	// after magazines closed and rings drained — the heap-fullness
 	// drift from the empty start. A leak-free soak ends at 0.
@@ -221,7 +221,7 @@ type worker struct {
 	mag     *core.Magazine
 	mem     heap.Memory
 	r       *rng.MWC
-	hist    Histogram
+	hist    obs.Histogram
 	mode    FreeMode
 	inbox   chan []heap.FatPtr
 	out     chan []heap.FatPtr // the next worker's inbox
@@ -738,7 +738,7 @@ func Run(cfg Config) (*Result, error) {
 	res := &Result{
 		Sessions: cfg.Sessions,
 		Elapsed:  elapsed,
-		Hist:     &Histogram{},
+		Hist:     &obs.Histogram{},
 		Stats:    sh.StatsSnapshot(),
 	}
 	for _, w := range workers {
