@@ -893,10 +893,11 @@ func TestPageIndexResolvesAcrossAdaptiveGrowth(t *testing.T) {
 
 // TestNewHeapConstructionCost pins what a heap with the paper's defaults
 // (384 MB, M = 2) allocates before its first malloc: the class bitmaps
-// (1 MB), the space's fixed leaf directory (256 KB), and the page index
-// at 2 bytes a page (192 KB). Untouched pages cost no page-table leaves,
-// and the page index is built once, so beyond those 2 bytes nothing
-// grows with the reserved pages.
+// (1 MB), the page index at 2 bytes a page (192 KB), and the space's
+// leaf directory, sized to the mapping (a few KB). Untouched pages cost
+// no page-table leaves, and the page index is built once, so beyond its
+// 2 bytes a page and the directory's 8 bytes per 2 MB nothing grows
+// with the reserved pages.
 func TestNewHeapConstructionCost(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -54,6 +54,7 @@
 package detect
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -285,10 +286,10 @@ func New(copts core.Options, dopts Options) (*Heap, error) {
 	// detection analog of replicated mode's random fill, realized
 	// through the same lazy page filler. Page frames are page-aligned,
 	// so filling from the frame start keeps the pattern aligned to
-	// absolute addresses.
+	// absolute addresses, and words[0] is the pattern as one word.
 	d.space.SetPageFiller(func(b []byte) {
-		for i := range b {
-			b[i] = d.pat[i&7]
+		for i := 0; i < len(b); i += 8 {
+			binary.LittleEndian.PutUint64(b[i:], d.words[0])
 		}
 	})
 	return &Heap{Heap: h, det: d}, nil

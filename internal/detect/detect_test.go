@@ -7,6 +7,7 @@ import (
 	"diehard/internal/core"
 	"diehard/internal/fault"
 	"diehard/internal/heap"
+	"diehard/internal/vmem"
 )
 
 func newDetectHeap(t *testing.T, seed uint64) *Heap {
@@ -252,6 +253,22 @@ func TestHeapCheckFullCatchesStrayWriteInVirginSpace(t *testing.T) {
 	}
 	// A wild write far past the object, into never-allocated space.
 	stray := p + 64*10
+	// Virgin space reads as the canary pattern, aligned to absolute
+	// addresses, at every offset of the page it lands on.
+	page := make([]byte, vmem.PageSize)
+	pageBase := stray &^ (vmem.PageSize - 1)
+	dirty := h.Mem().Stats().PagesDirty
+	if err := h.Mem().ReadBytes(pageBase, page); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Mem().Stats().PagesDirty; got != dirty+1 {
+		t.Fatalf("reading the stray's page dirtied %d pages, want 1 fresh page", got-dirty)
+	}
+	for i, b := range page {
+		if want := h.Detector().pat[(pageBase+heap.Ptr(i))&7]; b != want {
+			t.Fatalf("fresh page byte at %#x = %#x, want canary %#x", pageBase+heap.Ptr(i), b, want)
+		}
+	}
 	if err := h.Mem().Store64(stray, 0xBAD); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package vmem
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -180,6 +181,103 @@ func TestConcurrentFirstTouch(t *testing.T) {
 	}
 	if got := s.Stats().PagesDirty; got != pages {
 		t.Errorf("PagesDirty = %d, want %d", got, pages)
+	}
+}
+
+// TestConcurrentDirectoryGrowth has readers store to and load from a
+// page mapped before they start while a mapper grows the space region by
+// region, republishing the directory as longer copies. The mapper hands
+// each region to every reader, which first-touches a page of its own in
+// it: accesses through a directory copy that lacks a new leaf must fall
+// to the slow path and still succeed, and every page is instantiated
+// exactly once.
+func TestConcurrentDirectoryGrowth(t *testing.T) {
+	const readers = 4
+	const regions = 128
+	const regionBytes = 2 << 20
+
+	s := NewSpace()
+	s.SetStatsMode(StatsShared)
+	home, err := s.Map(readers*8, ProtRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handoff := make([]chan uint64, readers)
+	for w := range handoff {
+		handoff[w] = make(chan uint64, regions)
+	}
+
+	var wg sync.WaitGroup
+	errs := make([]error, readers)
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			check := func(addr, want uint64) error {
+				if err := s.Store64(addr, want); err != nil {
+					return err
+				}
+				got, err := s.Load64(addr)
+				if err != nil {
+					return err
+				}
+				if got != want {
+					return fmt.Errorf("read %#x at %#x, stored %#x", got, addr, want)
+				}
+				return nil
+			}
+			for i := uint64(0); ; i++ {
+				select {
+				case base, ok := <-handoff[w]:
+					if !ok {
+						return
+					}
+					if err := check(base+uint64(w)*PageSize, base|uint64(w)); err != nil {
+						errs[w] = err
+						return
+					}
+				default:
+				}
+				if err := check(home+uint64(w)*8, uint64(w)<<32|i); err != nil {
+					errs[w] = err
+					return
+				}
+			}
+		}(w)
+	}
+
+	republished := 0
+	var mapErr error
+	for r, size := 0, len(*s.dir.Load()); r < regions; r++ {
+		base, err := s.Map(regionBytes, ProtRW)
+		if err != nil {
+			mapErr = err
+			break
+		}
+		if n := len(*s.dir.Load()); n != size {
+			republished, size = republished+1, n
+		}
+		for w := range handoff {
+			handoff[w] <- base
+		}
+	}
+	for w := range handoff {
+		close(handoff[w])
+	}
+	wg.Wait()
+	if mapErr != nil {
+		t.Fatal(mapErr)
+	}
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("reader %d: %v", w, err)
+		}
+	}
+	if republished < 7 {
+		t.Errorf("directory republished %d times while readers ran, want >= 7", republished)
+	}
+	if got, want := s.Stats().PagesDirty, uint64(1+regions*readers); got != want {
+		t.Errorf("PagesDirty = %d, want %d", got, want)
 	}
 }
 

@@ -13,12 +13,12 @@
 // Translation is a two-level radix page table modeled on real MMU walks
 // (DESIGN.md §2): a directory of fixed-size leaves of page-table entries,
 // indexed by bit fields of the page number. The access hot path performs
-// two array indexations and a protection mask test; no map lookups and no
-// binary searches. Mapped ranges are recorded as extents, the source of
-// truth for what is mapped and with which protection. PTEs are filled from
-// the extents on a page's first touch, under the space mutex, the way a
-// kernel fills its page table from VMAs at fault time; the lock-free access
-// path reads only the page table.
+// one directory load, two array indexations and a protection mask test;
+// no map lookups and no binary searches. Mapped ranges are recorded as
+// extents, the source of truth for what is mapped and with which
+// protection. PTEs are filled from the extents on a page's first touch,
+// under the space mutex, the way a kernel fills its page table from VMAs
+// at fault time; the lock-free access path reads only the page table.
 //
 // Concurrency (DESIGN.md §7): the access path is lock-free. The
 // directory, its leaves, and each page's backing frame are published
@@ -67,20 +67,19 @@ const (
 	leafSlots = 1 << leafBits
 	leafMask  = leafSlots - 1
 
-	// dirBits is the span of the first radix level. The directory is a
-	// fixed array embedded in the Space — exactly a hardware table root —
-	// so lock-free translation needs no directory-growth publication:
-	// one bounds compare against a constant, then an atomic leaf load.
-	// 2^15 leaves x 2 MB = 64 GB of simulated address space per Space.
+	// dirBits bounds the first radix level: the directory grows with the
+	// mapping up to 2^15 leaves x 2 MB = 64 GB of simulated address
+	// space per Space.
 	dirBits  = 15
 	dirSlots = 1 << dirBits
 
 	// maxAddr bounds Map: the highest simulated address + 1.
 	maxAddr = uint64(dirSlots) << (leafBits + pageShift)
 
-	// slabPages is the number of page frames carved from one backing
-	// arena chunk (1 MB per chunk).
-	slabPages = 256
+	// A space's first backing arena chunk holds firstSlabPages page
+	// frames; each later chunk doubles the last, up to slabPages (1 MB).
+	firstSlabPages = 8
+	slabPages      = 256
 )
 
 // frame is a page's backing store. Frames are published into PTEs via
@@ -283,7 +282,8 @@ func (t *tlbState) slot(pn uint64) *uint8 {
 // SetStatsMode) must precede concurrent use.
 type Space struct {
 	// mu serializes address-space mutation: Map/Unmap/Protect, extent
-	// bookkeeping, slab carving, and first-touch PTE fills.
+	// bookkeeping, directory growth, slab carving, and first-touch PTE
+	// fills.
 	mu      sync.Mutex
 	extents []extent // sorted by start, non-overlapping; under mu
 	next    uint64   // next free virtual address for Map; under mu
@@ -305,20 +305,27 @@ type Space struct {
 	accessHook func(pn uint64)
 	tlb        *tlbState
 
-	// dir is the first radix level: leaf pointers are published with
-	// atomic stores under mu and read lock-free on every access. The
-	// fixed array keeps the translation chain as short as a mutable
-	// slice field while making publication a single atomic store.
-	dir [dirSlots]atomic.Pointer[leaf]
+	// dir is the first radix level, covering at least [0, next): Map
+	// grows it under mu by publishing a longer copy, and leaf pointers
+	// are stored into the current copy under mu. Accesses load it
+	// lock-free; a reader holding an older copy that lacks a new leaf
+	// takes translateSlow, which reads the current one.
+	dir atomic.Pointer[[]atomic.Pointer[leaf]]
 }
+
+// emptyDir is the directory of a space with nothing mapped. It has no
+// slots to store into, so every space can share it.
+var emptyDir []atomic.Pointer[leaf]
 
 // NewSpace returns an empty address space. Address 0 is never mapped, so 0
 // serves as the null pointer. The simulated TLB starts disabled; call
 // EnableTLB for experiments that model translation costs.
 func NewSpace() *Space {
-	return &Space{
+	s := &Space{
 		next: 0x10000, // leave a generous null guard region
 	}
+	s.dir.Store(&emptyDir)
+	return s
 }
 
 // SetStatsMode selects how per-access counters are maintained. The
@@ -482,21 +489,38 @@ func (s *Space) countFault() { atomic.AddUint64(&s.stats.Faults, 1) }
 // publishing it on demand. Caller holds mu; readers observe the new
 // leaf through atomic loads.
 func (s *Space) ensureLeaf(pn uint64) *leaf {
-	di := pn >> leafBits
-	if l := s.dir[di].Load(); l != nil {
+	slot := &(*s.dir.Load())[pn>>leafBits]
+	if l := slot.Load(); l != nil {
 		return l
 	}
 	l := new(leaf)
-	s.dir[di].Store(l)
+	slot.Store(l)
 	return l
+}
+
+// growDir extends the directory to cover [0, s.next), at least doubling
+// it so a run of small mappings republishes O(log n) times. Caller holds
+// mu.
+func (s *Space) growDir() {
+	cur := *s.dir.Load()
+	need := int((s.next + 1<<(leafBits+pageShift) - 1) >> (leafBits + pageShift))
+	if need <= len(cur) {
+		return
+	}
+	grown := make([]atomic.Pointer[leaf], min(max(need, 2*len(cur)), dirSlots))
+	for i := range cur {
+		grown[i].Store(cur[i].Load())
+	}
+	s.dir.Store(&grown)
 }
 
 // eachFilled calls fn on every filled PTE of the pages [lo, hi): those
 // with a frame. Ranges no leaf covers are skipped a leaf at a time, so
 // revoking an untouched range costs nothing per page. Caller holds mu.
 func (s *Space) eachFilled(lo, hi uint64, fn func(*pte)) {
+	dir := *s.dir.Load()
 	for pn := lo; pn < hi; pn = (pn | leafMask) + 1 {
-		l := s.dir[pn>>leafBits].Load()
+		l := dir[pn>>leafBits].Load()
 		if l == nil {
 			continue
 		}
@@ -510,7 +534,9 @@ func (s *Space) eachFilled(lo, hi uint64, fn func(*pte)) {
 }
 
 // allocFrame returns a zeroed page frame, recycling frames released by
-// Unmap and otherwise carving them from 1 MB slab arenas. Caller holds mu.
+// Unmap and otherwise carving them from slab arenas that double from
+// firstSlabPages to slabPages frames, so a space that touches a few
+// pages zeroes a few pages. Caller holds mu.
 func (s *Space) allocFrame() *frame {
 	if n := len(s.freeFrames); n > 0 {
 		f := s.freeFrames[n-1]
@@ -519,7 +545,7 @@ func (s *Space) allocFrame() *frame {
 		return f
 	}
 	if s.arenaOff == len(s.arena) {
-		s.arena = make([]byte, slabPages*PageSize)
+		s.arena = make([]byte, min(max(2*len(s.arena), firstSlabPages*PageSize), slabPages*PageSize))
 		s.arenaOff = 0
 	}
 	f := (*frame)(s.arena[s.arenaOff : s.arenaOff+PageSize])
@@ -547,6 +573,7 @@ func (s *Space) Map(n int, prot Prot) (uint64, error) {
 	}
 	s.extents = append(s.extents, extent{start: base, end: base + npages*PageSize, prot: prot})
 	s.next = base + (npages+1)*PageSize // +1: unmapped hole
+	s.growDir()
 	// Writers serialize on mu; the atomics are for StatsSnapshot, which
 	// a metrics scrape calls without it.
 	if mapped := atomic.AddUint64(&s.stats.PagesMapped, npages); mapped > s.stats.PagesPeak {
@@ -691,8 +718,8 @@ func (s *Space) Mapped(addr uint64) bool {
 // kind must be AccessLoad or AccessStore.
 func (s *Space) translate(addr uint64, kind AccessKind) ([]byte, uint64, error) {
 	pn := addr >> pageShift
-	if di := pn >> leafBits; di < dirSlots {
-		if l := s.dir[di].Load(); l != nil {
+	if dir, di := *s.dir.Load(), pn>>leafBits; di < uint64(len(dir)) {
+		if l := dir[di].Load(); l != nil {
 			p := &l.ptes[pn&leafMask]
 			// The permission bit for AccessLoad (0) is ProtRead, for
 			// AccessStore (1) ProtWrite = ProtRead<<1.

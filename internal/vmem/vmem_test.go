@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -12,8 +13,9 @@ import (
 // leaves counts the page-table leaves the space has allocated.
 func (s *Space) leaves() int {
 	n := 0
-	for i := range s.dir {
-		if s.dir[i].Load() != nil {
+	dir := *s.dir.Load()
+	for i := range dir {
+		if dir[i].Load() != nil {
 			n++
 		}
 	}
@@ -267,31 +269,49 @@ func TestMemMoveOverlap(t *testing.T) {
 func TestLazyInstantiation(t *testing.T) {
 	// Reserve a large region (256 pages, and the paper's 384 MB heap);
 	// it should cost nothing until touched: no frames, and no page-table
-	// leaves either.
+	// leaves either. The space itself costs what it maps and touches: an
+	// empty space allocates no directory, and the first touch allocates
+	// one leaf and a small first slab, not a whole 1 MB one.
+	const spaces = 16
 	leafBytes := uint64(unsafe.Sizeof(leaf{}))
-	for _, size := range []int{1 << 20, 384 << 20} {
-		s := NewSpace()
+	// perSpace returns the bytes op allocates per space, averaged over
+	// the spaces so that an allocation by another goroutine of the test
+	// binary cannot push one measurement over its bound.
+	perSpace := func(op func(i int) error) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		base, err := s.Map(size, ProtRW)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
+		for i := 0; i < spaces; i++ {
+			if err := op(i); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew >= leafBytes {
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / spaces
+	}
+	for _, size := range []int{1 << 20, 384 << 20} {
+		ss := make([]*Space, spaces)
+		bases := make([]uint64, spaces)
+		if grew := perSpace(func(i int) error { ss[i] = NewSpace(); return nil }); grew >= 4<<10 {
+			t.Fatalf("NewSpace allocated %d bytes, want < 4 KB", grew)
+		}
+		if grew := perSpace(func(i int) (err error) { bases[i], err = ss[i].Map(size, ProtRW); return err }); grew >= leafBytes {
 			t.Fatalf("untouched %d-byte mapping allocated %d bytes (a leaf is %d)", size, grew, leafBytes)
 		}
-		if n := s.leaves(); n != 0 {
-			t.Fatalf("untouched %d-byte mapping allocated %d leaves", size, n)
+		for _, s := range ss {
+			if n := s.leaves(); n != 0 {
+				t.Fatalf("untouched %d-byte mapping allocated %d leaves", size, n)
+			}
+			if s.Stats().PagesDirty != 0 {
+				t.Fatalf("untouched mapping instantiated %d pages", s.Stats().PagesDirty)
+			}
 		}
-		if s.Stats().PagesDirty != 0 {
-			t.Fatalf("untouched mapping instantiated %d pages", s.Stats().PagesDirty)
+		if grew := perSpace(func(i int) error { return ss[i].Store8(bases[i]+5*PageSize, 1) }); grew >= leafBytes+64<<10 {
+			t.Fatalf("first touch allocated %d bytes, want < a leaf (%d) + 64 KB", grew, leafBytes)
 		}
-		if err := s.Store8(base+5*PageSize, 1); err != nil {
-			t.Fatal(err)
-		}
-		if s.Stats().PagesDirty != 1 || s.leaves() != 1 {
-			t.Fatalf("one touch should dirty one page in one leaf, got %d pages, %d leaves", s.Stats().PagesDirty, s.leaves())
+		for _, s := range ss {
+			if s.Stats().PagesDirty != 1 || s.leaves() != 1 {
+				t.Fatalf("one touch should dirty one page in one leaf, got %d pages, %d leaves", s.Stats().PagesDirty, s.leaves())
+			}
 		}
 	}
 }
@@ -397,6 +417,46 @@ func TestMapRejectsBadSizes(t *testing.T) {
 	}
 	if _, err := s.MapGuarded(0); err == nil {
 		t.Fatal("MapGuarded(0) should fail")
+	}
+	// The whole 64 GB above the null guard region maps (its pages come
+	// into being only when touched), its last word, in the directory's
+	// top leaf, is usable, and past it the space is exhausted.
+	n := int(maxAddr - s.next - PageSize)
+	base, err := s.Map(n, ProtRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := base + uint64(n) - 8
+	if last>>(pageShift+leafBits) != dirSlots-1 {
+		t.Fatalf("last word %#x is not in the top leaf", last)
+	}
+	if err := s.Store64(last, 0xFEED); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := s.Load64(last); err != nil || v != 0xFEED {
+		t.Fatalf("last word = %#x, %v", v, err)
+	}
+	if _, err := s.Map(PageSize, ProtRW); err == nil || !strings.Contains(err.Error(), "address space exhausted") {
+		t.Fatalf("Map past the top: %v, want address space exhausted", err)
+	}
+}
+
+// BenchmarkNewSpaceFirstTouch is the space shape of a detection campaign
+// trial: a fresh space maps 1 MB and touches 32 scattered pages.
+func BenchmarkNewSpaceFirstTouch(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := NewSpace()
+		base, err := s.Map(1<<20, ProtRW)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for p := uint64(0); p < 32; p++ {
+			// 37 is odd, so the 32 pages are distinct among the 256.
+			if err := s.Store64(base+(p*37%256)*PageSize, p); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 
