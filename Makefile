@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-baseline bench-smoke fig5
+.PHONY: all build vet test race bench bench-smoke fig5
 
 all: build vet test
 
@@ -24,20 +24,13 @@ race:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1s .
 
-# Record the memory-system perf baseline into BENCH_vmem.json under the
-# given LABEL (see cmd/vmembench). CI prints the live numbers; this file
-# is the repo's perf trajectory.
-LABEL ?= current
-bench-baseline:
-	$(GO) run ./cmd/vmembench -label $(LABEL) -out BENCH_vmem.json
-
-# Perf gates (cmd/vmembench -smoke): lock-free malloc pair w1 within 15%
-# of the locked reference engine, magazine within 10% of lock-free,
-# remote-free ring churn within 5% of sync cross-frees, and the disabled
-# flight recorder within 2% of magazine, each gate on the medians of 5
-# interleaved runs (writes nothing; safe on any host).
+# Perf gates (BenchmarkGate in internal/core): lock-free malloc pair
+# within 15% of the locked reference engine, magazine within 10% of
+# lock-free, remote-free ring churn within 5% of sync cross-frees, and
+# the obs-off magazine arm within 2% of the magazine arm, each gate on
+# the median ratio over 800 interleaved 2.5 ms slices.
 bench-smoke:
-	$(GO) run ./cmd/vmembench -smoke
+	$(GO) test -run '^$$' -bench BenchmarkGate -benchtime 1x ./internal/core
 
 # Reproduce Figure 5 on both platforms.
 fig5:

@@ -12,38 +12,17 @@
 //	detect -multipliers 2,4,8       # extra heap expansion factors
 //	detect -workers 8               # fan trials out; same table bytes
 //	detect -selftest                # tiny run asserting the acceptance bars
-//	detect -out BENCH_vmem.json     # merge per-cell precision/recall into the baseline file
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	"diehard/internal/exps"
 )
-
-// benchRun and benchFile mirror cmd/vmembench's BENCH_vmem.json schema
-// (Run/File there): the detection campaign merges its per-cell grades
-// into the same baseline file under their own label, so one JSON
-// carries both the perf trajectory and the detection-quality
-// trajectory.
-type benchRun struct {
-	Date    string             `json:"date"`
-	Go      string             `json:"go"`
-	CPUs    int                `json:"cpus,omitempty"`
-	NsPerOp map[string]float64 `json:"ns_per_op"`
-}
-
-type benchFile struct {
-	PageSize int                 `json:"pagesize"`
-	Runs     map[string]benchRun `json:"runs"`
-}
 
 func main() {
 	var (
@@ -54,7 +33,6 @@ func main() {
 		heapSize = flag.Int("heap", 0, "per-trial heap size in bytes (0 = default 2 MB)")
 		seed     = flag.Uint64("seed", 0, "campaign seed (0 = default)")
 		selftest = flag.Bool("selftest", false, "run a tiny campaign and fail unless the acceptance bars hold")
-		out      = flag.String("out", "", "merge per-cell precision/recall into this BENCH_vmem.json-format file under label \"detect\" (default: don't write)")
 	)
 	flag.Parse()
 
@@ -103,13 +81,6 @@ func main() {
 			c.Precision, c.Recall, triage, length, c.OutputHash)
 	}
 
-	if *out != "" {
-		if err := record(*out, table); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("recorded as %q in %s\n", "detect", *out)
-	}
-
 	if *selftest {
 		failed := false
 		report := func(format string, args ...any) {
@@ -155,46 +126,6 @@ func main() {
 		}
 		fmt.Println("selftest ok")
 	}
-}
-
-// record merges the table's per-cell precision/recall (plus the triage
-// localization rate of overflow cells) into the BENCH_vmem.json-format
-// baseline under label "detect". Keys are
-// detect_<policy>_<error>_<metric>_m<multiplier>, so the file carries
-// one scalar per cell metric alongside the perf series.
-func record(path string, table *exps.DetectionTable) error {
-	var file benchFile
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &file); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	vals := map[string]float64{}
-	for _, c := range table.Cells {
-		key := fmt.Sprintf("detect_%s_%s", c.Policy, c.Error)
-		suffix := fmt.Sprintf("_m%g", c.Multiplier)
-		vals[key+"_precision"+suffix] = c.Precision
-		vals[key+"_recall"+suffix] = c.Recall
-		if c.TriageTrials > 0 {
-			vals[key+"_triage"+suffix] = float64(c.TriageLocalized) / float64(c.TriageTrials)
-		}
-	}
-	if file.Runs == nil {
-		file.Runs = map[string]benchRun{}
-	}
-	file.Runs["detect"] = benchRun{
-		Date:    time.Now().UTC().Format("2006-01-02"),
-		Go:      runtime.Version(),
-		CPUs:    runtime.NumCPU(),
-		NsPerOp: vals,
-	}
-	enc, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(enc, '\n'), 0o644)
 }
 
 func fatal(err error) {

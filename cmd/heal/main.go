@@ -1,46 +1,27 @@
 // Command heal runs the self-healing supervisor (internal/heal) under
-// the standard planned fault schedule and records the grade — MTBF with
-// healing off vs on — into the same JSON baseline cmd/serve writes:
+// the standard planned fault schedule and prints the grade — MTBF with
+// healing off vs on:
 //
-//	go run ./cmd/heal -label heal -out BENCH_serve.json
+//	go run ./cmd/heal
 //
-// Two pairs are recorded: the supervisor's own restart-cycle campaign
+// Two pairs are graded: the supervisor's own restart-cycle campaign
 // (cycles between invariant failures, unhealed vs healed) and the
 // serve-embedded fault soak (sessions between token corruptions,
 // unmitigated vs mitigated by the countermeasures a healed supervisor
-// converged to). With -smoke it instead runs a tiny deterministic
-// schedule, asserts the healed MTBF is at least 2x the unhealed
-// baseline with both culprits convicted exactly, and writes nothing —
-// safe for 1-CPU CI hosts, whose numbers must never overwrite a
-// multicore recording (the provenance guard cmd/serve uses).
+// converged to). Both are deterministic. With -smoke it instead runs a
+// tiny schedule and asserts the healed MTBF is at least 2x the unhealed
+// baseline with both culprits convicted exactly.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
 
 	"diehard/internal/heal"
 	"diehard/internal/obs"
 	"diehard/internal/serve"
 )
-
-// Run is one labeled measurement set, schema-compatible with cmd/serve
-// so both commands merge into one BENCH_serve.json.
-type Run struct {
-	Date    string             `json:"date"`
-	Go      string             `json:"go"`
-	CPUs    int                `json:"cpus,omitempty"`
-	Metrics map[string]float64 `json:"metrics"`
-}
-
-// File is the on-disk schema of BENCH_serve.json.
-type File struct {
-	Runs map[string]Run `json:"runs"`
-}
 
 // schedule is the standard planted fault schedule: site 7 overflows 24
 // bytes past its 48-byte object every 3rd cycle, site 29 is freed
@@ -56,10 +37,7 @@ func schedule() heal.Schedule {
 
 func main() {
 	var (
-		label   = flag.String("label", "heal", "label for this measurement set")
-		out     = flag.String("out", "BENCH_serve.json", "output file (merged in place)")
-		force   = flag.Bool("force", false, "allow a 1-CPU rerun to overwrite an entry recorded on a multicore host")
-		smoke   = flag.Bool("smoke", false, "run the tiny CI schedule (healed MTBF >= 2x unhealed, exact culprits) and write nothing")
+		smoke   = flag.Bool("smoke", false, "run the tiny CI schedule (healed MTBF >= 2x unhealed, exact culprits)")
 		cycles  = flag.Int("cycles", 960, "supervisor cycles per run")
 		withObs = flag.Bool("obs", false, "attach the telemetry plane to the healed run and dump its metric tree and trace tail as JSON to stdout")
 	)
@@ -79,15 +57,6 @@ func main() {
 		return
 	}
 
-	file, err := readFile(*out)
-	if err != nil && !os.IsNotExist(err) {
-		fatal(fmt.Errorf("%s: %w", *out, err))
-	}
-	if run, ok := file.Runs[*label]; ok && run.CPUs > 1 && runtime.NumCPU() == 1 && !*force {
-		fatal(fmt.Errorf("label %q in %s was recorded with %d CPUs; rerunning on 1 CPU would overwrite the multicore numbers (pass -force to do it anyway)",
-			*label, *out, run.CPUs))
-	}
-
 	cfg := heal.Config{
 		Seed:        0x4EA1,
 		Schedule:    schedule(),
@@ -103,18 +72,6 @@ func main() {
 	healed, err := heal.Run(cfg)
 	if err != nil {
 		fatal(err)
-	}
-	metrics := map[string]float64{
-		"heal_mtbf_before":          base.MTBF,
-		"heal_mtbf_after":           healed.MTBF,
-		"heal_mtbf_ratio":           healed.MTBF / base.MTBF,
-		"heal_failures_before":      float64(base.Failures),
-		"heal_failures_after":       float64(healed.Failures),
-		"heal_onset_cycle":          float64(healed.OnsetCycle),
-		"heal_mitigated_cycle":      float64(healed.MitigatedCycle),
-		"heal_restarts_to_mitigate": float64(healed.RestartsOnsetToMitigation),
-		"heal_quarantined_frees":    float64(healed.Quarantined),
-		"heal_min_check_cadence":    float64(healed.MinCadence),
 	}
 	fmt.Printf("supervisor MTBF  unhealed %8.1f cycles (%d failures)  healed %8.1f cycles (%d failures)  ratio %.1fx\n",
 		base.MTBF, base.Failures, healed.MTBF, healed.Failures, healed.MTBF/base.MTBF)
@@ -147,53 +104,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	metrics["heal_serve_mtbf_sessions_before"] = sbase.MTBFSessions
-	metrics["heal_serve_mtbf_sessions_after"] = smit.MTBFSessions
-	metrics["heal_serve_corruptions_before"] = float64(sbase.Corruptions)
-	metrics["heal_serve_corruptions_after"] = float64(smit.Corruptions)
-	metrics["heal_serve_quarantined_frees"] = float64(smit.QuarantinedFrees)
 	fmt.Printf("serve MTBF       unmitigated %6.1f sessions (%d corruptions)  mitigated %8.1f sessions (%d corruptions)\n",
 		sbase.MTBFSessions, sbase.Corruptions, smit.MTBFSessions, smit.Corruptions)
 
-	if file.Runs == nil {
-		file.Runs = map[string]Run{}
-	}
-	file.Runs[*label] = Run{
-		Date:    time.Now().UTC().Format("2006-01-02"),
-		Go:      runtime.Version(),
-		CPUs:    runtime.NumCPU(),
-		Metrics: metrics,
-	}
-	enc, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(*out, append(enc, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("recorded as %q in %s\n", *label, *out)
 	if reg != nil {
-		dumpObs(reg, rec)
+		if err := obs.WriteDump(os.Stdout, reg, rec); err != nil {
+			fatal(err)
+		}
 	}
-}
-
-// obsDoc is the -obs stdout dump, the same shape cmd/serve emits: the
-// full metric tree plus the tail of the merged trace timeline.
-type obsDoc struct {
-	Metrics []obs.MetricPoint `json:"metrics"`
-	Trace   []obs.Event       `json:"trace"`
-}
-
-func dumpObs(reg *obs.Registry, rec *obs.Recorder) {
-	doc := obsDoc{Metrics: reg.Snapshot().Metrics, Trace: rec.Tail(256)}
-	if doc.Trace == nil {
-		doc.Trace = []obs.Event{}
-	}
-	enc, err := json.MarshalIndent(&doc, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	os.Stdout.Write(append(enc, '\n'))
 }
 
 // serveMit adapts the supervisor's converged countermeasures to the
@@ -226,7 +144,7 @@ func mitFromHealed(res *heal.Result, plan *serve.FaultPlan) serve.Mitigator {
 
 // runSmoke is the CI gate: a tiny deterministic schedule must convict
 // exactly the planted culprits, apply both countermeasures without a
-// restart in between, and at least double the MTBF. Writes nothing.
+// restart in between, and at least double the MTBF.
 func runSmoke(reg *obs.Registry, rec *obs.Recorder) {
 	cfg := heal.Config{
 		Seed:        0x4EA1,
@@ -285,21 +203,11 @@ func runSmoke(reg *obs.Registry, rec *obs.Recorder) {
 				fatal(fmt.Errorf("smoke obs: no %q events in the supervisor trace", k))
 			}
 		}
-		dumpObs(reg, rec)
+		if err := obs.WriteDump(os.Stdout, reg, rec); err != nil {
+			fatal(err)
+		}
 	}
 	fmt.Println("heal smoke passed")
-}
-
-func readFile(path string) (File, error) {
-	f := File{Runs: map[string]Run{}}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return f, err
-	}
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return f, err
-	}
-	return f, nil
 }
 
 func fatal(err error) {

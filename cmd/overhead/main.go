@@ -6,6 +6,8 @@
 //	overhead -platform linux     # Figure 5(a): malloc vs GC vs DieHard
 //	overhead -platform windows   # Figure 5(b): default heap vs DieHard
 //	overhead -replicas 16 -app espresso   # §7.2.3 scaling
+//
+// Any other -platform exits 1 before a cell runs.
 package main
 
 import (

@@ -1,18 +1,16 @@
 // Command serve runs the allocator-as-a-service soak (internal/serve)
-// and records its grade — sustained sessions/sec and p50/p99/p999
-// session latency — into a JSON baseline keyed by label:
+// and prints its grade — sustained sessions/sec and p50/p99/p999
+// session latency:
 //
-//	go run ./cmd/serve -label serve -out BENCH_serve.json
+//	go run ./cmd/serve
 //
-// Three soaks are recorded: closed-loop saturation with synchronous
-// cross-worker frees, the same with remote-free rings, and an open-loop
-// Poisson+burst run at roughly half the measured saturation throughput
-// (so the tail percentiles grade queueing behavior, not just service
-// time). With -smoke it instead runs a seconds-long deterministic soak
-// in both free modes, asserts zero invariant violations and a generous
-// p99 ceiling, and writes nothing — safe for 1-CPU CI hosts, whose
-// numbers must never overwrite a multicore recording (the same
-// provenance guard cmd/vmembench uses).
+// Three soaks run: closed-loop saturation with synchronous cross-worker
+// frees, the same with remote-free rings, and an open-loop Poisson+burst
+// run at roughly half the measured saturation throughput (so the tail
+// percentiles grade queueing behavior, not just service time). With
+// -smoke it instead runs a seconds-long deterministic soak in both free
+// modes and asserts zero invariant violations and a generous p99
+// ceiling.
 package main
 
 import (
@@ -22,35 +20,16 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"runtime"
 	"time"
 
 	"diehard/internal/obs"
 	"diehard/internal/serve"
 )
 
-// Run is one labeled soak set. CPUs records the host parallelism the
-// numbers were measured under — tail latency on a 1-CPU host grades
-// scheduler queueing, not the allocator.
-type Run struct {
-	Date    string             `json:"date"`
-	Go      string             `json:"go"`
-	CPUs    int                `json:"cpus,omitempty"`
-	Metrics map[string]float64 `json:"metrics"`
-}
-
-// File is the on-disk schema of BENCH_serve.json.
-type File struct {
-	Runs map[string]Run `json:"runs"`
-}
-
 func main() {
 	var (
-		label    = flag.String("label", "serve", "label for this measurement set")
-		out      = flag.String("out", "BENCH_serve.json", "output file (merged in place)")
-		force    = flag.Bool("force", false, "allow a 1-CPU rerun to overwrite an entry recorded on a multicore host")
-		smoke    = flag.Bool("smoke", false, "run the seconds-long CI soak (both free modes, zero-violation + p99 gate) and write nothing")
-		sessions = flag.Int64("sessions", 400_000, "sessions per recorded soak")
+		smoke    = flag.Bool("smoke", false, "run the seconds-long CI soak (both free modes, zero-violation + p99 gate)")
+		sessions = flag.Int64("sessions", 400_000, "sessions per soak")
 		shards   = flag.Int("shards", 8, "heap shards")
 		workers  = flag.Int("workers", 8, "worker goroutines")
 		withObs  = flag.Bool("obs", false, "attach the telemetry plane (metrics registry + flight recorder) and dump a JSON snapshot to stdout; with -smoke, also gate the acceptance shape")
@@ -75,15 +54,6 @@ func main() {
 		return
 	}
 
-	file, err := readFile(*out)
-	if err != nil && !os.IsNotExist(err) {
-		fatal(fmt.Errorf("%s: %w", *out, err))
-	}
-	if run, ok := file.Runs[*label]; ok && run.CPUs > 1 && runtime.NumCPU() == 1 && !*force {
-		fatal(fmt.Errorf("label %q in %s was recorded with %d CPUs; rerunning on 1 CPU would overwrite the multicore numbers (pass -force to do it anyway)",
-			*label, *out, run.CPUs))
-	}
-
 	base := serve.Config{
 		Shards:   *shards,
 		Workers:  *workers,
@@ -92,14 +62,7 @@ func main() {
 		Obs:      reg,
 		Trace:    rec,
 	}
-	metrics := map[string]float64{}
-	record := func(name string, res *serve.Result) {
-		metrics[name+"_sessions_per_sec"] = res.SessionsPerSec
-		metrics[name+"_p50_ns"] = float64(res.P50)
-		metrics[name+"_p99_ns"] = float64(res.P99)
-		metrics[name+"_p999_ns"] = float64(res.P999)
-		metrics[name+"_fullness_drift"] = res.FullnessEnd
-		metrics[name+"_cas_retries"] = float64(res.Stats.CASRetries)
+	report := func(name string, res *serve.Result) {
 		fmt.Printf("%-22s %10.0f sessions/s  p50 %8dns  p99 %8dns  p999 %8dns\n",
 			name, res.SessionsPerSec, res.P50, res.P99, res.P999)
 	}
@@ -110,7 +73,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	record("serve_soak_sat_sync", sync)
+	report("serve_soak_sat_sync", sync)
 
 	cfg = base
 	cfg.FreeMode = serve.FreeRemote
@@ -118,9 +81,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	record("serve_soak_sat_remote", remote)
-	metrics["serve_soak_remote_frees"] = float64(remote.Stats.RemoteFrees)
-	metrics["serve_soak_remote_drains"] = float64(remote.Stats.RemoteDrains)
+	report("serve_soak_sat_remote", remote)
 
 	// Open loop at ~50% of the just-measured saturation throughput,
 	// with bursts: the percentiles now include queueing delay from the
@@ -134,27 +95,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	record("serve_soak_open_burst", open)
+	report("serve_soak_open_burst", open)
 
-	if file.Runs == nil {
-		file.Runs = map[string]Run{}
-	}
-	file.Runs[*label] = Run{
-		Date:    time.Now().UTC().Format("2006-01-02"),
-		Go:      runtime.Version(),
-		CPUs:    runtime.NumCPU(),
-		Metrics: metrics,
-	}
-	enc, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(*out, append(enc, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("recorded as %q in %s\n", *label, *out)
 	if reg != nil {
-		dumpObs(reg, rec)
+		if err := obs.WriteDump(os.Stdout, reg, rec); err != nil {
+			fatal(err)
+		}
 	}
 }
 
@@ -162,7 +108,7 @@ func main() {
 // /metrics and /trace render the registry and the merged flight-
 // recorder timeline as JSON, /debug/pprof the usual Go profiles. The
 // process exits with the soaks; point a scraper at it during long
-// recorded runs.
+// runs.
 func serveHTTP(addr string, reg *obs.Registry, rec *obs.Recorder) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -191,25 +137,6 @@ func serveHTTP(addr string, reg *obs.Registry, rec *obs.Recorder) {
 	if err := http.ListenAndServe(addr, mux); err != nil {
 		fmt.Fprintf(os.Stderr, "serve: http: %v\n", err)
 	}
-}
-
-// obsDoc is the -obs stdout dump: the full metric tree plus the tail
-// of the merged trace timeline.
-type obsDoc struct {
-	Metrics []obs.MetricPoint `json:"metrics"`
-	Trace   []obs.Event       `json:"trace"`
-}
-
-func dumpObs(reg *obs.Registry, rec *obs.Recorder) {
-	doc := obsDoc{Metrics: reg.Snapshot().Metrics, Trace: rec.Tail(256)}
-	if doc.Trace == nil {
-		doc.Trace = []obs.Event{}
-	}
-	enc, err := json.MarshalIndent(&doc, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	os.Stdout.Write(append(enc, '\n'))
 }
 
 // runSmoke is the CI gate: a deterministic seconds-long soak in each
@@ -300,21 +227,11 @@ func smokeObs(reg *obs.Registry, rec *obs.Recorder) {
 			fatal(fmt.Errorf("smoke obs: merged trace out of order at %d", i))
 		}
 	}
-	dumpObs(reg, rec)
+	if err := obs.WriteDump(os.Stdout, reg, rec); err != nil {
+		fatal(err)
+	}
 	fmt.Printf("smoke obs    %d metrics, %d trace events, timeline ordered\n",
 		len(reg.Snapshot().Metrics), len(evs))
-}
-
-func readFile(path string) (File, error) {
-	f := File{Runs: map[string]Run{}}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return f, err
-	}
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return f, err
-	}
-	return f, nil
 }
 
 func fatal(err error) {

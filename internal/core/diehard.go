@@ -123,7 +123,7 @@ type Options struct {
 	// retained as the semantic reference the lock-free path is
 	// differenced against — with the same seed and one goroutine the two
 	// engines place every object at the same address (DESIGN.md §10) —
-	// and as the baseline vmembench compares malloc latency to.
+	// and as the base arm of the CI gate BenchmarkGate/lockfree_vs_locked.
 	// RandomFill heaps always use it: the object fill draws from the
 	// same per-class stream the probes do, which only stays cheap under
 	// the class lock, and replicated-mode heaps are per-replica

@@ -12,7 +12,7 @@ import (
 // TestObsTracePlacementUnchanged pins the flight recorder's zero-cost
 // contract on the allocation protocol: tracing draws nothing from the
 // placement RNG, so a traced heap and an untraced heap with the same
-// seed produce byte-identical layouts.
+// seed produce byte-identical layouts, and it allocates nothing.
 func TestObsTracePlacementUnchanged(t *testing.T) {
 	rec := obs.NewRecorder(1 << 12)
 	traced := testHeap(t, Options{Seed: 0xD1FF, Trace: rec.Ring(7)})
@@ -51,6 +51,29 @@ func TestObsTracePlacementUnchanged(t *testing.T) {
 	}
 	if uint64(kinds["free"]) != st.Frees {
 		t.Errorf("traced %d frees, stats say %d", kinds["free"], st.Frees)
+	}
+
+	// Nor does tracing, on or off, put anything on the Go heap: the
+	// 64 B threshold pair of BenchmarkGate allocates nothing, unbatched
+	// or through a magazine, on a sequential or a concurrent heap.
+	for _, magazine := range []bool{false, true} {
+		for _, ring := range []*obs.Ring{nil, rec.Ring(0)} {
+			for _, concurrent := range []bool{false, true} {
+				pairs, err := thresholdPairs(Options{HeapSize: 48 << 20, Seed: 1, Concurrent: concurrent, Trace: ring}, magazine)
+				if err != nil {
+					t.Fatal(err)
+				}
+				allocs := testing.AllocsPerRun(1000, func() {
+					if err := pairs(1); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("magazine=%v traced=%v concurrent=%v: %v allocs per pair, want 0",
+						magazine, ring != nil, concurrent, allocs)
+				}
+			}
+		}
 	}
 }
 

@@ -1,12 +1,14 @@
 package detect
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"diehard/internal/core"
 	"diehard/internal/fault"
 	"diehard/internal/heap"
+	"diehard/internal/rng"
 	"diehard/internal/vmem"
 )
 
@@ -581,5 +583,61 @@ func TestEvidenceCap(t *testing.T) {
 	r := h.Detector().Report()
 	if len(r.Evidence) != 3 || r.Dropped != 5 {
 		t.Fatalf("cap: %d records, %d dropped; want 3 and 5", len(r.Evidence), r.Dropped)
+	}
+}
+
+// BenchmarkDetectPair prices the generation tier over the canary tier:
+// one steady-state free+malloc pair of 48 B requests on a detection
+// heap whose 64 B class is filled to its 1/M threshold, so each free
+// audits 16 bytes of slack. canary runs Free/Malloc: a slack audit and
+// a canary re-arm per free, an audit on reuse per malloc. gentag runs
+// the same churn through FreeFat/MallocFat on a GenTags heap, which
+// adds the generation CAS on free, the tag bump on claim and the
+// side-array read that validates the fat pointer. CI's perf canary
+// prints both, ungated.
+func BenchmarkDetectPair(b *testing.B) {
+	for _, gen := range []bool{false, true} {
+		name := "canary"
+		if gen {
+			name = "gentag"
+		}
+		b.Run(name, func(b *testing.B) {
+			h, err := New(core.Options{HeapSize: 48 << 20, Seed: 1, GenTags: gen}, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			malloc := func() (heap.FatPtr, error) {
+				p, err := h.Malloc(48)
+				return heap.FatPtr{Addr: p}, err
+			}
+			free := func(fp heap.FatPtr) error { return h.Free(fp.Addr) }
+			if gen {
+				malloc = func() (heap.FatPtr, error) { return h.MallocFat(48) }
+				free = func(fp heap.FatPtr) error {
+					if ok, err := h.FreeFat(fp); err != nil || !ok {
+						return fmt.Errorf("live fat pointer %+v rejected: %v", fp, err)
+					}
+					return nil
+				}
+			}
+			_, maxInUse := h.ClassSlots(core.ClassFor(48))
+			live := make([]heap.FatPtr, maxInUse)
+			for i := range live {
+				if live[i], err = malloc(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			r := rng.NewSeeded(2)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := r.Intn(len(live))
+				if err := free(live[j]); err != nil {
+					b.Fatal(err)
+				}
+				if live[j], err = malloc(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

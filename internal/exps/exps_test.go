@@ -1,6 +1,7 @@
 package exps
 
 import (
+	"errors"
 	"math"
 	"runtime"
 	"testing"
@@ -336,6 +337,10 @@ func TestNewAllocatorKinds(t *testing.T) {
 	}
 	if _, err := NewAllocator(AllocConfig{Kind: "bogus"}); err == nil {
 		t.Fatal("bogus allocator kind accepted")
+	}
+	// An unknown Figure 5 platform is refused before any cell runs.
+	if _, err := RunOverhead("solaris", 1, 0, 1, 1); !errors.Is(err, ErrUnknownPlatform) {
+		t.Fatalf("platform solaris: err = %v, want ErrUnknownPlatform", err)
 	}
 }
 

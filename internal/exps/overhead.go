@@ -2,6 +2,7 @@ package exps
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"time"
@@ -23,13 +24,20 @@ const (
 	PlatformWindows Platform = "windows"
 )
 
-// Allocators returns the allocator kinds of a platform; index 0 is the
-// normalization baseline.
+// ErrUnknownPlatform is returned by RunOverhead for a Platform other
+// than PlatformLinux and PlatformWindows.
+var ErrUnknownPlatform = errors.New("exps: unknown Figure 5 platform")
+
+// Allocators returns the allocator kinds of a platform, nil for an
+// unknown one; index 0 is the normalization baseline.
 func (p Platform) Allocators() []string {
-	if p == PlatformWindows {
+	switch p {
+	case PlatformLinux:
+		return []string{KindMalloc, KindGC, KindDieHard}
+	case PlatformWindows:
 		return []string{KindWin, KindDieHard}
 	}
-	return []string{KindMalloc, KindGC, KindDieHard}
+	return nil
 }
 
 // OverheadRow is one benchmark's result across allocators.
@@ -63,11 +71,14 @@ type OverheadReport struct {
 // count. Wall times remain what they are: host measurements, noisy under
 // co-scheduling.
 func RunOverhead(platform Platform, scale, heapSize int, seed uint64, workers int) (*OverheadReport, error) {
+	kinds := platform.Allocators()
+	if kinds == nil {
+		return nil, fmt.Errorf("%w %q (want %q or %q)", ErrUnknownPlatform, platform, PlatformLinux, PlatformWindows)
+	}
 	if heapSize == 0 {
 		heapSize = 384 << 20
 	}
 	report := &OverheadReport{Platform: platform, GeoMean: make(map[string]float64)}
-	kinds := platform.Allocators()
 	baseline := kinds[0]
 	registry := apps.Registry()
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,8 +46,9 @@ import (
 // The zero value of every handle is off. Emit on a nil *Ring returns
 // immediately; instrumented call sites additionally guard with their
 // own nil check so the disabled hot path is exactly one predictable
-// branch — the same discipline as the vmem TLB hook, benchmarked by
-// vmembench's obs_malloc_pair_off gate.
+// branch — the same discipline as the vmem TLB hook. The core tests
+// require the 64 B malloc/free pair to allocate nothing with a ring nil
+// or live.
 
 // Kind is the event type, one byte in the packed word.
 type Kind uint8
@@ -252,4 +254,23 @@ func (rec *Recorder) TraceJSON() ([]byte, error) {
 		evs = []Event{}
 	}
 	return json.Marshal(evs)
+}
+
+// WriteDump writes the document a command's -obs flag dumps: the
+// registry's full metric tree and the last 256 events of the merged
+// timeline, as indented JSON.
+func WriteDump(w io.Writer, reg *Registry, rec *Recorder) error {
+	doc := struct {
+		Metrics []MetricPoint `json:"metrics"`
+		Trace   []Event       `json:"trace"`
+	}{reg.Snapshot().Metrics, rec.Tail(256)}
+	if doc.Trace == nil {
+		doc.Trace = []Event{}
+	}
+	enc, err := json.MarshalIndent(&doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(enc, '\n'))
+	return err
 }

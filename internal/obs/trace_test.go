@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
 	"sync"
 	"testing"
 )
@@ -176,5 +178,40 @@ func TestObsTraceDisabledPath(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled Emit allocates %v per op", allocs)
+	}
+}
+
+func TestObsWriteDump(t *testing.T) {
+	// The -obs document: the metric tree plus the last 256 events, and
+	// an empty timeline renders as [], not null.
+	reg := NewRegistry()
+	reg.Counter("core.mallocs").Add(3)
+	rec := NewRecorder(512)
+	for i := 0; i < 300; i++ {
+		rec.Ring(0).Emit(EvMalloc, uint64(i))
+	}
+	for _, tc := range []struct {
+		rec  *Recorder
+		tail int
+	}{{rec, 256}, {nil, 0}} {
+		var buf bytes.Buffer
+		if err := WriteDump(&buf, reg, tc.rec); err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil || len(doc) != 2 {
+			t.Fatalf("dump %q: %v", buf.String(), err)
+		}
+		var metrics []MetricPoint
+		var trace []Event
+		if err := json.Unmarshal(doc["metrics"], &metrics); err != nil || len(metrics) != 1 {
+			t.Fatalf("metrics %s: %v", doc["metrics"], err)
+		}
+		if err := json.Unmarshal(doc["trace"], &trace); err != nil || trace == nil || len(trace) != tc.tail {
+			t.Fatalf("trace of %d events, want %d (%s): %v", len(trace), tc.tail, doc["trace"], err)
+		}
+		if tc.tail > 0 && trace[tc.tail-1].Arg != 299 {
+			t.Fatalf("tail ends at arg %d, want 299", trace[tc.tail-1].Arg)
+		}
 	}
 }
