@@ -64,7 +64,9 @@ type HeapOptions struct {
 	// random seed.
 	Seed uint64
 	// ReplicatedMode fills the heap and every allocation with random
-	// values, as the replicated runtime requires (§4.1).
+	// values, as the replicated runtime requires (§4.1). Each object's
+	// fill continues its class's probe stream, so a replicated heap is
+	// sequential: incompatible with Concurrent.
 	ReplicatedMode bool
 	// Adaptive grows size-class regions on demand (the paper's §9
 	// future-work extension).
@@ -74,19 +76,12 @@ type HeapOptions struct {
 	// atomic updates. Without it, the heap (and data access through
 	// Mem()) must be confined to one goroutine at a time.
 	Concurrent bool
-	// LockedHeap selects the per-class-mutex malloc engine instead of
-	// the default lock-free CAS fast path (DESIGN.md §10). Placement is
-	// byte-identical between the two engines for the same seed when one
-	// goroutine allocates; the locked engine is retained as the
-	// reference the lock-free path is differenced and benchmarked
-	// against. ReplicatedMode heaps always use it.
-	LockedHeap bool
 	// RemoteFreeRing equips the heap with a bounded remote-free ring
 	// (DESIGN.md §12): RemoteFree from a non-owning goroutine enqueues
 	// the address instead of CAS-clearing the shared bitmap, and the
 	// heap applies queued frees in batches at its next malloc miss or
-	// invariant barrier. Requires Concurrent and the lock-free engine;
-	// incompatible with LockedHeap, ReplicatedMode, and DetectCanaries.
+	// invariant barrier. Requires Concurrent, so it is incompatible with
+	// ReplicatedMode; incompatible with DetectCanaries.
 	RemoteFreeRing bool
 	// DetectCanaries layers the probabilistic error detector
 	// (internal/detect) over the heap: free space carries a seeded
@@ -108,9 +103,8 @@ type HeapOptions struct {
 	// ignore semantics are probabilistic. Tags live outside user memory,
 	// so placement and data are byte-identical to an untagged heap with
 	// the same seed; the thin Malloc/Free API keeps working alongside.
-	// Requires the lock-free engine (incompatible with LockedHeap and
-	// ReplicatedMode); composes with DetectCanaries, where GenMemory
-	// adds the generation check to every accessor.
+	// Composes with ReplicatedMode, and with DetectCanaries, where
+	// GenMemory adds the generation check to every accessor.
 	GenTags bool
 	// HeapCheckMin, with HeapCheckEvery, makes the barrier cadence
 	// adaptive (DESIGN.md §13): after a barrier interval in which any
@@ -130,11 +124,11 @@ type HeapOptions struct {
 
 // Heap is a DieHard randomized heap. Built with HeapOptions.Concurrent,
 // it is safe for use by multiple goroutines (lock-free CAS malloc fast
-// path, statistics atomic; or fine-grained per-size-class locks with
-// LockedHeap); without it, the heap must be confined to one goroutine at
-// a time, and each simulated process owns its own Heap, just as each
-// replica owns its own randomized allocator. See core.ShardedHeap for a
-// scalable multi-worker front end with occupancy-aware shard routing.
+// path, statistics atomic); without it, the heap must be confined to one
+// goroutine at a time, and each simulated process owns its own Heap,
+// just as each replica owns its own randomized allocator. See
+// core.ShardedHeap for a scalable multi-worker front end with
+// occupancy-aware shard routing.
 type Heap struct {
 	h   *core.Heap
 	dh  *detect.Heap // non-nil with DetectCanaries
@@ -151,7 +145,6 @@ func NewHeap(opts HeapOptions) (*Heap, error) {
 		RandomFill: opts.ReplicatedMode,
 		Adaptive:   opts.Adaptive,
 		Concurrent: opts.Concurrent,
-		LockedHeap: opts.LockedHeap,
 		RemoteRing: opts.RemoteFreeRing,
 		GenTags:    opts.GenTags,
 		Trace:      opts.Trace,
@@ -305,9 +298,9 @@ func (h *Heap) PublishMetrics(reg *ObsRegistry, labels ...ObsLabel) {
 type Magazine = core.Magazine
 
 // NewMagazine returns a per-worker magazine over this heap. The heap
-// must use the default lock-free engine without canary detection:
-// batching is incompatible with per-operation audit hooks, and the
-// locked engine serializes anyway.
+// must not use canary detection or ReplicatedMode: batching is
+// incompatible with per-operation audit hooks, and a batched refill
+// draws its probes ahead of the fills.
 func (h *Heap) NewMagazine() (*Magazine, error) {
 	if h.det != nil {
 		return nil, errDetectMagazine

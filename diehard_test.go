@@ -238,37 +238,34 @@ func TestSeedReproducesLayout(t *testing.T) {
 	}
 }
 
-// TestLockedHeapEngineMatchesDefault: the facade's LockedHeap option
-// selects the per-class-mutex reference engine, and for the same seed a
-// single goroutine gets byte-identical placement from either engine
-// (DESIGN.md §10).
-func TestLockedHeapEngineMatchesDefault(t *testing.T) {
-	lf, err := NewHeap(HeapOptions{HeapSize: 12 << 20, Seed: 7})
+// TestReplicatedModeComposition pins which options a replicated-mode
+// heap takes: it is sequential, so Concurrent is refused with an error
+// naming both options, and so are magazines (a batched refill draws its
+// probes ahead of the fills); generation tags compose with it.
+func TestReplicatedModeComposition(t *testing.T) {
+	_, err := NewHeap(HeapOptions{HeapSize: 12 << 20, Seed: 7, ReplicatedMode: true, Concurrent: true})
+	if err == nil || !strings.Contains(err.Error(), "RandomFill") || !strings.Contains(err.Error(), "Concurrent") {
+		t.Fatalf("ReplicatedMode + Concurrent: err = %v, want a refusal naming both options", err)
+	}
+	h, err := NewHeap(HeapOptions{HeapSize: 12 << 20, Seed: 7, ReplicatedMode: true, GenTags: true})
+	if err != nil {
+		t.Fatalf("ReplicatedMode + GenTags refused: %v", err)
+	}
+	if _, err := h.NewMagazine(); err == nil {
+		t.Error("NewMagazine on a ReplicatedMode heap succeeded; want error")
+	}
+	fp, err := h.MallocFat(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lk, err := NewHeap(HeapOptions{HeapSize: 12 << 20, Seed: 7, LockedHeap: true})
-	if err != nil {
-		t.Fatal(err)
+	if v, _ := h.Mem().Load64(fp.Addr); v == 0 {
+		t.Error("replicated-mode object not filled")
 	}
-	for i := 0; i < 200; i++ {
-		size := 8 + (i*29)%2000
-		pa, errA := lf.Malloc(size)
-		pb, errB := lk.Malloc(size)
-		if errA != nil || errB != nil {
-			t.Fatal(errA, errB)
-		}
-		if pa != pb {
-			t.Fatalf("alloc %d: lock-free engine placed %#x, locked engine %#x", i, pa, pb)
-		}
-		if i%3 == 0 {
-			if err := lf.Free(pa); err != nil {
-				t.Fatal(err)
-			}
-			if err := lk.Free(pb); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if ok, err := h.FreeFat(fp); !ok || err != nil {
+		t.Fatalf("FreeFat = %v, %v", ok, err)
+	}
+	if ok, _ := h.FreeFat(fp); ok || h.Stats().StaleFrees != 1 {
+		t.Errorf("stale FreeFat accepted (StaleFrees %d)", h.Stats().StaleFrees)
 	}
 }
 
@@ -455,9 +452,9 @@ func TestFacadeRemoteFreeRing(t *testing.T) {
 		t.Fatalf("Frees = %d, RemoteFrees = %d; want both %d (drained exactly once)", st.Frees, st.RemoteFrees, n)
 	}
 	for _, bad := range []HeapOptions{
-		{HeapSize: 12 << 20, Seed: 5, RemoteFreeRing: true},                                     // not Concurrent
-		{HeapSize: 12 << 20, Seed: 5, Concurrent: true, LockedHeap: true, RemoteFreeRing: true}, // locked engine
-		{HeapSize: 12 << 20, Seed: 5, DetectCanaries: true, RemoteFreeRing: true},               // canary hooks
+		{HeapSize: 12 << 20, Seed: 5, RemoteFreeRing: true},                                         // not Concurrent
+		{HeapSize: 12 << 20, Seed: 5, Concurrent: true, ReplicatedMode: true, RemoteFreeRing: true}, // replicated
+		{HeapSize: 12 << 20, Seed: 5, DetectCanaries: true, RemoteFreeRing: true},                   // canary hooks
 	} {
 		if _, err := NewHeap(bad); err == nil {
 			t.Fatalf("options %+v accepted with RemoteFreeRing", bad)

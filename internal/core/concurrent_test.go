@@ -67,8 +67,8 @@ func TestConcurrentHeapStress(t *testing.T) {
 	const workers = 8
 	const rounds = 400
 
-	// Both engines stay raced: the default lock-free CAS path and the
-	// retained LockedHeap reference engine (DESIGN.md §10).
+	// Both engines stay raced: the lock-free CAS path and the locked
+	// reference it is differenced against (lockedHeap, DESIGN.md §10).
 	for _, tc := range []struct {
 		name   string
 		locked bool
@@ -77,9 +77,13 @@ func TestConcurrentHeapStress(t *testing.T) {
 		{"locked", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h, err := New(Options{HeapSize: 48 << 20, Seed: 42, Concurrent: true, LockedHeap: tc.locked})
+			h, err := New(Options{HeapSize: 48 << 20, Seed: 42, Concurrent: true})
 			if err != nil {
 				t.Fatal(err)
+			}
+			var a heap.Allocator = h
+			if tc.locked {
+				a = lockedHeap{h}
 			}
 			var wg sync.WaitGroup
 			errs := make([]error, workers)
@@ -87,7 +91,7 @@ func TestConcurrentHeapStress(t *testing.T) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					errs[w] = stressWorker(h, h.Mem(), w, rounds)
+					errs[w] = stressWorker(a, h.Mem(), w, rounds)
 				}(w)
 			}
 			wg.Wait()

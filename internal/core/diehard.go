@@ -28,16 +28,13 @@
 // seeded sequence) and claims slots by CASing the allocation bitmap
 // word directly; occupancy is an atomic counter reserved with a bounded
 // CAS increment, so the 1/M threshold can never be overshot. The
-// per-class mutex survives only for adaptive region growth — and, with
-// Options.LockedHeap, as the retained lock-per-malloc reference engine
-// the lock-free engine is differenced against (placement is
-// byte-identical between the two at one goroutine). Pointer resolution
-// for Free/SizeOf/ObjectBounds reads the page index lock-free.
-// Concurrent use requires Options.Concurrent, which switches the
-// aggregate Stats and the space's access accounting to atomic updates;
-// heaps built without it keep unsynchronized counters and must be
-// confined to one goroutine at a time, as the sequential experiment
-// trials are.
+// per-class mutex survives only for adaptive region growth. Pointer
+// resolution for Free/SizeOf/ObjectBounds reads the page index
+// lock-free. Concurrent use requires Options.Concurrent, which switches
+// the aggregate Stats and the space's access accounting to atomic
+// updates; heaps built without it keep unsynchronized counters and must
+// be confined to one goroutine at a time, as the sequential experiment
+// trials and replicated-mode replicas are.
 package core
 
 import (
@@ -87,7 +84,10 @@ type Options struct {
 	// seeds so failures are reproducible.
 	Seed uint64
 	// RandomFill enables replicated-mode semantics: the heap and every
-	// allocated object are filled with random values (§4.1, §4.2).
+	// allocated object are filled with random values (§4.1, §4.2). An
+	// object's fill continues its class's probe stream right after the
+	// probes that placed it, which only the sequential commit can order,
+	// so RandomFill cannot be combined with Concurrent.
 	RandomFill bool
 	// Adaptive enables the paper's future-work extension (§9): regions
 	// start small and double on demand up to the per-class cap, trading
@@ -102,10 +102,9 @@ type Options struct {
 	EnableTLB bool
 	// Concurrent prepares the heap for use by multiple goroutines at
 	// once: allocator statistics are maintained atomically and the
-	// underlying space counts accesses atomically (vmem.StatsShared).
-	// Structural metadata is goroutine-safe regardless (lock-free CAS,
-	// or per-class locks with LockedHeap); Concurrent is about the
-	// counters, and sequential heaps skip its atomics.
+	// underlying space counts accesses atomically (vmem.StatsShared),
+	// and the probe stream and bitmap are committed by CAS. Sequential
+	// heaps skip those atomics.
 	Concurrent bool
 	// RemoteRing attaches a bounded multi-producer free ring to the heap
 	// (DESIGN.md §12): RemoteFree enqueues the address with one atomic
@@ -113,22 +112,10 @@ type Options struct {
 	// points (magazine refill, threshold miss, CheckInvariants), so
 	// cross-worker frees stop contending on the owner's bitmap and
 	// occupancy cache lines. Sharded heaps propagate the option to every
-	// shard. Requires Concurrent and the lock-free engine; incompatible
-	// with observation hooks (hooked heaps are confined to one goroutine,
-	// which is exactly what a remote producer is not).
+	// shard. Requires Concurrent; incompatible with observation hooks
+	// (hooked heaps are confined to one goroutine, which is exactly what
+	// a remote producer is not).
 	RemoteRing bool
-	// LockedHeap selects the per-class-mutex malloc engine (the PR-2
-	// design) instead of the default lock-free CAS engine: every probe
-	// and bitmap update runs under the size class's lock. The engine is
-	// retained as the semantic reference the lock-free path is
-	// differenced against — with the same seed and one goroutine the two
-	// engines place every object at the same address (DESIGN.md §10) —
-	// and as the base arm of the CI gate BenchmarkGate/lockfree_vs_locked.
-	// RandomFill heaps always use it: the object fill draws from the
-	// same per-class stream the probes do, which only stays cheap under
-	// the class lock, and replicated-mode heaps are per-replica
-	// sequential anyway.
-	LockedHeap bool
 	// GenTags attaches a generation counter to every small-object slot
 	// (DESIGN.md §15): a per-subregion side array next to the bitmap, so
 	// — like every other piece of DieHard metadata — tags live outside
@@ -144,7 +131,7 @@ type Options struct {
 	// allocator (§12) — into a deterministic Stats.StaleFrees rejection.
 	// A slot reaching the generation ceiling is retired (bit held set
 	// forever, counted in Stats.Retired) so the 32-bit tag can never wrap
-	// into a false "valid". Requires the lock-free engine.
+	// into a false "valid".
 	GenTags bool
 	// OnAlloc, when non-nil, is invoked after every successful
 	// allocation with the object's address, the requested size, and the
@@ -162,9 +149,9 @@ type Options struct {
 	// the guarded mapping is unmapped, so a detection engine can audit
 	// the trailing-page slack that the unmap destroys; the hook can tell
 	// them apart because their OnAlloc reported reqSize > MaxObjectSize.
-	// On the lock-free engine the hooks fire exactly once per CAS
-	// winner: the goroutine that set (or cleared) the slot's bit is the
-	// one that runs the hook, outside any lock.
+	// The hooks fire exactly once per CAS winner: the goroutine that set
+	// (or cleared) the slot's bit is the one that runs the hook, outside
+	// any lock.
 	OnFree func(p heap.Ptr, slotSize int)
 	// OnStaleFree, when non-nil, is invoked whenever a generation-tagged
 	// free (FreeFat) is rejected because the pointer's generation no
@@ -198,12 +185,11 @@ type Options struct {
 	// winner free semantics are preserved: the release's CAS-clear
 	// remains the single arbiter, so racing frees of a quarantined
 	// pointer just enqueue twice and all but one release counts an
-	// IgnoredFree. Requires the lock-free engine. Magazine-buffered and
-	// remote-ring frees bypass the filter (they batch past per-pointer
-	// interception); callers route quarantinable frees through Heap.Free
-	// or ShardedHeap.Free. Like SizeAdjust, the callback itself must be
-	// goroutine-safe on concurrent heaps; nil costs one pointer check per
-	// Free.
+	// IgnoredFree. Magazine-buffered and remote-ring frees bypass the
+	// filter (they batch past per-pointer interception); callers route
+	// quarantinable frees through Heap.Free or ShardedHeap.Free. Like
+	// SizeAdjust, the callback itself must be goroutine-safe on concurrent
+	// heaps; nil costs one pointer check per Free.
 	FreeFilter func(p heap.Ptr, slotSize int) bool
 	// QuarantineCap bounds the quarantine FIFO (default 64): pushing past
 	// the cap releases the oldest held slot. Larger caps hold freed slots
@@ -245,16 +231,13 @@ func (o *Options) withDefaults() Options {
 // subregions as demand grows. The class back-pointer and the shift
 // duplicate (log2 of the class's object size) let a pointer-to-
 // subregion resolved through the page index compute its slot without a
-// second indirection. Bitmap access follows the engine's discipline
-// (DESIGN.md §10): the locked engine uses the plain accessors, always
-// under the class mutex (readers included); a concurrent lock-free heap
-// claims and releases bits by CAS and reads them with atomic loads; a
-// sequential (non-Concurrent) lock-free heap is confined to one
-// goroutine, where the plain accessors are exact without any fence. On
-// amd64 an atomic load is an ordinary MOV, so the read paths use atomic
-// loads wherever an engine might race — the cost shows up only in
-// stores, which Go compiles to XCHG. base, slots, and shift are
-// immutable after construction.
+// second indirection. A concurrent heap claims and releases bits by CAS
+// and reads them with atomic loads (DESIGN.md §10); a sequential
+// (non-Concurrent) heap is confined to one goroutine, where the plain
+// accessors are exact without any fence. On amd64 an atomic load is an
+// ordinary MOV, so the read paths use atomic loads on both — the cost
+// shows up only in stores, which Go compiles to XCHG. base, slots, and
+// shift are immutable after construction.
 type subregion struct {
 	base  uint64
 	slots int
@@ -347,22 +330,18 @@ func (r *classRegions) locate(idx int) (*subregion, int) {
 }
 
 // sizeClass holds the segregated metadata for one power-of-two region.
-// On the default lock-free engine the mutex is touched only by adaptive
-// growth: probing draws from randState (the packed rng.Step stream),
-// slots are claimed by bitmap CAS, and occupancy is reserved with a
-// bounded CAS increment on inUse so the 1/M threshold holds at every
-// instant, not just at quiescence — with the CAS machinery engaged only
-// when Options.Concurrent declares real multi-goroutine use; sequential
-// lock-free heaps run the same protocol fence-free. With
-// Options.LockedHeap the mutex guards the whole malloc/free path, the
-// fine-grained analog of Hoard's per-heap locks that PR 2 shipped; both
-// engines share this storage, differing only in how they serialize
-// access to it (plain fields + sync/atomic function calls, so each
-// engine pays only for the ordering it needs).
+// The mutex is touched only by adaptive growth: probing draws from
+// randState (the packed rng.Step stream), slots are claimed by bitmap
+// CAS, and occupancy is reserved with a bounded CAS increment on inUse
+// so the 1/M threshold holds at every instant, not just at quiescence —
+// with the CAS machinery engaged only when Options.Concurrent declares
+// real multi-goroutine use; sequential heaps run the same protocol
+// fence-free (plain fields + sync/atomic function calls, so each heap
+// pays only for the ordering it needs).
 type sizeClass struct {
-	mu        sync.Mutex // adaptive growth; the whole path under LockedHeap
+	mu        sync.Mutex // adaptive growth
 	randState uint64     // packed MWC probe/fill stream (rng.Step)
-	fillBuf   []byte     // RandomFill staging; under mu (locked engine only)
+	fillBuf   []byte     // RandomFill staging (sequential heaps only)
 
 	size     int
 	shift    uint                         // log2(size), for divisions on the hot path
@@ -450,7 +429,6 @@ type Heap struct {
 	space       *vmem.Space
 	seed        uint64
 	atomicStats bool // Concurrent heaps maintain stats atomically
-	lockfree    bool // CAS malloc engine; false = LockedHeap/RandomFill
 	classes     [NumClasses]sizeClass
 	stats       heap.Stats
 
@@ -529,6 +507,9 @@ func newHeap(opts Options, space *vmem.Space) (*Heap, error) {
 	if o.EnableTLB && o.Concurrent {
 		return nil, fmt.Errorf("diehard: TLB simulation is sequential and cannot be combined with Concurrent")
 	}
+	if o.RandomFill && o.Concurrent {
+		return nil, fmt.Errorf("diehard: RandomFill cannot be combined with Concurrent: the fill draws interleave with the probe draws, which the CAS commit cannot order")
+	}
 	perClass := o.HeapSize / NumClasses
 	perClass -= perClass % vmem.PageSize
 	if perClass < vmem.PageSize {
@@ -538,7 +519,6 @@ func newHeap(opts Options, space *vmem.Space) (*Heap, error) {
 		opts:        o,
 		space:       space,
 		atomicStats: o.Concurrent,
-		lockfree:    !o.LockedHeap && !o.RandomFill,
 		large:       make(map[heap.Ptr]largeObject),
 		trace:       o.Trace,
 	}
@@ -546,19 +526,10 @@ func newHeap(opts Options, space *vmem.Space) (*Heap, error) {
 		if !o.Concurrent {
 			return nil, fmt.Errorf("diehard: RemoteRing is a cross-goroutine free path and requires Concurrent")
 		}
-		if !h.lockfree {
-			return nil, fmt.Errorf("diehard: RemoteRing requires the lock-free engine (not LockedHeap/RandomFill)")
-		}
 		if o.OnAlloc != nil || o.OnFree != nil || o.OnStaleFree != nil {
 			return nil, fmt.Errorf("diehard: RemoteRing cannot batch past per-operation observation hooks")
 		}
 		h.remote = newFreeRing(remoteRingSize)
-	}
-	if o.FreeFilter != nil && !h.lockfree {
-		return nil, fmt.Errorf("diehard: FreeFilter quarantine requires the lock-free engine (not LockedHeap/RandomFill)")
-	}
-	if o.GenTags && !h.lockfree {
-		return nil, fmt.Errorf("diehard: GenTags requires the lock-free engine (not LockedHeap/RandomFill)")
 	}
 	if h.space == nil {
 		h.space = vmem.NewSpace()
@@ -599,7 +570,7 @@ func newHeap(opts Options, space *vmem.Space) (*Heap, error) {
 		// derived from the master seed, so the probe sequence of one
 		// class is independent of activity in the others — the property
 		// that keeps placement deterministic per class allocation
-		// sequence on either engine.
+		// sequence.
 		cl.randState = master.Split().Seed()
 		initial := capSlots
 		if o.Adaptive {
@@ -657,7 +628,7 @@ func (h *Heap) mapSubregion(c, slots int) (*subregion, error) {
 
 // growSubregion maps a new stretch of slots for class c on adaptive
 // growth and publishes it. The caller holds the class mutex. Publication
-// order matters for the lock-free engine's unlocked readers: the page
+// order matters for the unlocked readers: the page
 // index is extended first (so any pointer handed out of the new
 // subregion resolves), then the region list (so probes can land there),
 // and the threshold is raised last (so no occupancy is reserved for
@@ -709,9 +680,8 @@ func ClassSize(c int) int { return MinObjectSize << c }
 
 // Malloc allocates size bytes, placing the object uniformly at random
 // within its size class region (DieHardMalloc, Figure 2 of the paper).
-// Safe for concurrent use; on the default engine the small-object path
-// is lock-free (DESIGN.md §10), and on the LockedHeap reference engine
-// mallocs in different size classes do not contend.
+// Safe for concurrent use; the small-object path is lock-free (DESIGN.md
+// §10).
 func (h *Heap) Malloc(size int) (heap.Ptr, error) {
 	fp, err := h.malloc(size)
 	return fp.Addr, err
@@ -735,15 +705,10 @@ func (h *Heap) malloc(size int) (heap.FatPtr, error) {
 	if size > MaxObjectSize {
 		return h.allocateLargeObject(size)
 	}
-	c := ClassFor(size)
-	if h.lockfree {
-		return h.mallocLockFree(c, size)
-	}
-	p, err := h.mallocLocked(c, size)
-	return heap.FatPtr{Addr: p}, err
+	return h.mallocLockFree(ClassFor(size), size)
 }
 
-// mallocLockFree is the default small-object malloc: a bounded CAS
+// mallocLockFree is the small-object malloc: a bounded CAS
 // increment reserves occupancy below the 1/M threshold, then the probe
 // loop draws slots from the class stream and claims the first free one
 // by CASing its bitmap word (DESIGN.md §10). No mutex is touched unless
@@ -755,9 +720,10 @@ func (h *Heap) malloc(size int) (heap.FatPtr, error) {
 // the consumed draws. If the CAS fails a racing malloc advanced the
 // stream first; the probe sequence replays from the fresh state (its
 // candidate slot was never claimed, so nothing needs undoing). A lone
-// goroutine therefore consumes exactly the draw sequence the locked
-// engine would — the determinism the campaign recordings pin — at one
-// RMW instead of one per draw.
+// goroutine therefore consumes exactly the draw sequence of the
+// per-class-mutex reference engine the tests difference against — the
+// determinism the campaign recordings pin — at one RMW instead of one
+// per draw.
 func (h *Heap) mallocLockFree(c, size int) (heap.FatPtr, error) {
 	cl := &h.classes[c]
 	if err := h.reserve(c); err != nil {
@@ -773,8 +739,8 @@ func (h *Heap) mallocLockFree(c, size int) (heap.FatPtr, error) {
 	// probes accumulates across replays: an abandoned attempt's probes
 	// were work actually performed (and draws actually consumed by the
 	// racing winner's stream advance notwithstanding, ours were real
-	// bitmap examinations), so they are charged to Stats like the locked
-	// engine charges every probe it runs.
+	// bitmap examinations), so they are charged to Stats like every
+	// other probe.
 	var (
 		sub     *subregion
 		local   int
@@ -795,8 +761,8 @@ func (h *Heap) mallocLockFree(c, size int) (heap.FatPtr, error) {
 				return heap.FatPtr{}, &heap.CorruptionError{Detail: "diehard: no free slot found below fill threshold"}
 			}
 			probes++
-			// Lemire multiply-shift with rejection: the identical draw
-			// stream to the locked engine's probe loop.
+			// Lemire multiply-shift with rejection, the reduction of
+			// rng.Uint32n: every probe loop draws the identical stream.
 			var v uint32
 			st, v = rng.Step(st)
 			m := uint64(v) * uint64(n)
@@ -820,6 +786,17 @@ func (h *Heap) mallocLockFree(c, size int) (heap.FatPtr, error) {
 			sub.set(local)
 			gen = h.genClaim(sub, local)
 			cl.mallocs++
+			if h.opts.RandomFill {
+				// RandomFill heaps are sequential: the fill continues the
+				// class stream just committed, right after this malloc's
+				// probes, so each class's fill values are deterministic in
+				// its own allocation order (Figure 2, DieHardMalloc lines
+				// 18-20). Placed after the loop, the call slowed
+				// BenchmarkGate's sequential 64 B pair by ~1%.
+				if err := h.fillClassRandom(cl, sub.base+uint64(local)<<cl.shift, cl.size); err != nil {
+					return heap.FatPtr{}, err
+				}
+			}
 			break
 		}
 		if !atomic.CompareAndSwapUint64(&cl.randState, st0, st) {
@@ -970,122 +947,9 @@ func (h *Heap) growClass(c int) error {
 	return h.growSubregion(c, grow)
 }
 
-// mallocLocked is the retained per-class-mutex reference engine
-// (Options.LockedHeap, and every RandomFill heap): the PR-2 design,
-// byte-identical in placement to the lock-free engine at one goroutine
-// because both consume the same per-class draw stream.
-func (h *Heap) mallocLocked(c, size int) (heap.Ptr, error) {
-	cl := &h.classes[c]
-	cl.mu.Lock()
-	regs := cl.regions.Load()
-	if cl.inUse >= cl.maxInUse.Load() {
-		if h.opts.Adaptive && regs.totalSlots < cl.capSlots {
-			grow := regs.totalSlots
-			if regs.totalSlots+grow > cl.capSlots {
-				grow = cl.capSlots - regs.totalSlots
-			}
-			if err := h.growSubregion(c, grow); err != nil {
-				cl.mu.Unlock()
-				h.addStat(&h.stats.FailedMallocs, 1)
-				return heap.Null, err
-			}
-			regs = cl.regions.Load()
-		} else {
-			// At threshold: no more memory (Figure 2, line 6).
-			cl.mu.Unlock()
-			h.addStat(&h.stats.FailedMallocs, 1)
-			return heap.Null, heap.ErrOutOfMemory
-		}
-	}
-	// Probe for a free slot, consuming exactly the draw stream the
-	// lock-free engine does, with the class mutex held and the stream
-	// state register-resident. The single-subregion case (every
-	// non-adaptive heap) runs a specialized loop; probes are accounted
-	// in bulk afterwards.
-	probeCap := 64*regs.totalSlots + 64
-	n := uint32(regs.totalSlots)
-	sub := regs.subs[0]
-	var local int
-	probes := 0
-	st := cl.randState
-	rejectBelow := -n % n
-	if len(regs.subs) == 1 {
-		// Single-subregion fast loop: generator state in a local so the
-		// probe iterations run register-to-register; the reduction is
-		// the same Lemire multiply-shift-with-rejection as rng.Uint32n,
-		// so the draw stream is identical.
-		for {
-			if probes == probeCap {
-				cl.randState = st
-				cl.mu.Unlock()
-				return heap.Null, &heap.CorruptionError{Detail: "diehard: no free slot found below fill threshold"}
-			}
-			probes++
-			var v uint32
-			st, v = rng.Step(st)
-			m := uint64(v) * uint64(n)
-			for uint32(m) < rejectBelow {
-				st, v = rng.Step(st)
-				m = uint64(v) * uint64(n)
-			}
-			local = int(m >> 32)
-			if sub.bits[local>>6]&(1<<(local&63)) == 0 {
-				break
-			}
-		}
-	} else {
-		for {
-			if probes == probeCap {
-				cl.randState = st
-				cl.mu.Unlock()
-				return heap.Null, &heap.CorruptionError{Detail: "diehard: no free slot found below fill threshold"}
-			}
-			probes++
-			var v uint32
-			st, v = rng.Step(st)
-			m := uint64(v) * uint64(n)
-			for uint32(m) < rejectBelow {
-				st, v = rng.Step(st)
-				m = uint64(v) * uint64(n)
-			}
-			sub, local = regs.locate(int(m >> 32))
-			if sub.bits[local>>6]&(1<<(local&63)) == 0 {
-				break
-			}
-		}
-	}
-	cl.randState = st
-	sub.set(local)
-	cl.inUse++
-	cl.mallocs++
-	ptr := sub.base + uint64(local)<<cl.shift
-	var fillErr error
-	if h.opts.RandomFill {
-		// Fill under the class lock, from the class stream: each
-		// class's sequence of fill values is deterministic in its own
-		// allocation order (Figure 2, DieHardMalloc lines 18-20).
-		fillErr = h.fillClassRandom(cl, ptr, cl.size)
-	}
-	cl.mu.Unlock()
-	if fillErr != nil {
-		return heap.Null, fillErr
-	}
-	h.addStat(&h.stats.Probes, uint64(probes))
-	h.addStat(&h.stats.WorkUnits,
-		heap.WorkSizeClass+uint64(probes)*heap.WorkProbe+heap.WorkBitmap)
-	h.countMalloc(size, cl.size)
-	if h.trace != nil {
-		h.trace.Emit(obs.EvMalloc, ptr)
-	}
-	if h.opts.OnAlloc != nil {
-		h.opts.OnAlloc(ptr, size, cl.size)
-	}
-	return ptr, nil
-}
-
 // fillClassRandom fills an allocated object from the class stream,
-// round-tripping the packed state through an MWC value. The caller holds
-// the class mutex (RandomFill implies the locked engine).
+// round-tripping the packed state through an MWC value. RandomFill heaps
+// are sequential, so the caller owns the stream it has just committed.
 func (h *Heap) fillClassRandom(cl *sizeClass, ptr heap.Ptr, n int) error {
 	r := rng.NewSeeded(cl.randState)
 	err := h.fillRandom(r, &cl.fillBuf, ptr, n)
@@ -1094,8 +958,8 @@ func (h *Heap) fillClassRandom(cl *sizeClass, ptr heap.Ptr, n int) error {
 }
 
 // fillRandom fills an allocated object with random values drawn from the
-// given stream (Figure 2, DieHardMalloc lines 18-20). The caller holds
-// the lock guarding r and buf.
+// given stream (Figure 2, DieHardMalloc lines 18-20). The caller owns r
+// and buf: under largeMu, or on a sequential heap's class.
 func (h *Heap) fillRandom(r *rng.MWC, buf *[]byte, ptr heap.Ptr, n int) error {
 	if cap(*buf) < n {
 		*buf = make([]byte, n)
@@ -1209,18 +1073,11 @@ func (h *Heap) free(fp heap.FatPtr) (accepted bool, err error) {
 	// Untagged, the bit-clear arbitrates: of any set of racing frees of
 	// this pointer, exactly one clears the bit and the rest are double
 	// frees. After a won generation transition it cannot fail.
-	var won bool
-	if h.lockfree {
-		if won = sub.release(local, h.atomicStats); won {
-			h.unreserve(cl, 1)
-		}
-	} else {
-		won = h.freeLocked(cl, sub, local)
-	}
-	if !won {
+	if !sub.release(local, h.atomicStats) {
 		h.addStat(&h.stats.IgnoredFrees, 1) // double free: ignore
 		return false, nil
 	}
+	h.unreserve(cl, 1)
 	h.addStat(&h.stats.WorkUnits, heap.WorkBitmap)
 	h.countFree(cl.size)
 	if h.trace != nil {
@@ -1230,18 +1087,6 @@ func (h *Heap) free(fp heap.FatPtr) (accepted bool, err error) {
 		h.opts.OnFree(p, cl.size)
 	}
 	return true, nil
-}
-
-// freeLocked is free's release on the LockedHeap reference engine, whose
-// bitmap and occupancy the class mutex guards.
-func (h *Heap) freeLocked(cl *sizeClass, sub *subregion, local int) bool {
-	cl.mu.Lock()
-	won := sub.release(local, false)
-	if won {
-		h.unreserve(cl, 1)
-	}
-	cl.mu.Unlock()
-	return won
 }
 
 // rejectFree counts a free that lost: a stale free if it carried a tag,
@@ -1421,24 +1266,10 @@ func (h *Heap) SizeOf(p heap.Ptr) (int, bool) {
 	if cl == nil || (p-sub.base)&cl.mask != 0 {
 		return 0, false
 	}
-	if !h.slotLive(cl, sub, local) {
+	if !sub.getAtomic(local) {
 		return 0, false
 	}
 	return cl.size, true
-}
-
-// slotLive reads slot local's bitmap bit under the engine's discipline:
-// an unlocked atomic load on the lock-free engine, a mutex-guarded plain
-// read on the locked engine (whose writers update words plainly under
-// the same mutex).
-func (h *Heap) slotLive(cl *sizeClass, sub *subregion, local int) bool {
-	if h.lockfree {
-		return sub.getAtomic(local)
-	}
-	cl.mu.Lock()
-	live := sub.get(local)
-	cl.mu.Unlock()
-	return live
 }
 
 // ObjectBounds resolves any pointer into the heap (including interior
@@ -1459,7 +1290,7 @@ func (h *Heap) ObjectBounds(p heap.Ptr) (start heap.Ptr, size int, ok bool) {
 	if cl == nil {
 		return 0, 0, false
 	}
-	if !h.slotLive(cl, sub, local) {
+	if !sub.getAtomic(local) {
 		return 0, 0, false
 	}
 	return sub.base + uint64(local)<<cl.shift, cl.size, true
@@ -1477,7 +1308,7 @@ func (h *Heap) SlotAt(addr heap.Ptr) (base heap.Ptr, size int, live, ok bool) {
 	if cl == nil {
 		return 0, 0, false, false
 	}
-	return sub.base + uint64(local)<<cl.shift, cl.size, h.slotLive(cl, sub, local), true
+	return sub.base + uint64(local)<<cl.shift, cl.size, sub.getAtomic(local), true
 }
 
 // FreeSlots calls fn with the base address of every currently free slot
@@ -1494,11 +1325,10 @@ func (h *Heap) FreeSlots(c int, fn func(p heap.Ptr) bool) {
 		slots int
 		bits  []uint64
 	}
-	// The mutex freezes the region list in both engines and the bitmaps
-	// in the locked engine; on the lock-free engine bitmap words are
-	// copied with atomic loads, so a sweep racing CAS claimants is
-	// consistent per word (the callers that need an exact view — the
-	// detection engine — are sequential anyway).
+	// The mutex freezes the region list; bitmap words are copied with
+	// atomic loads, so a sweep racing CAS claimants is consistent per
+	// word (the callers that need an exact view — the detection engine —
+	// are sequential anyway).
 	regs := cl.regions.Load()
 	snaps := make([]snap, len(regs.subs))
 	for i, sub := range regs.subs {
@@ -1567,30 +1397,18 @@ func (h *Heap) ClassSlots(c int) (total, maxInUse int) {
 	return cl.regions.Load().totalSlots, int(cl.maxInUse.Load())
 }
 
-// ClassInUse returns the number of live objects in class c: on the
-// lock-free engine an atomic read of the class occupancy counter, cheap
-// enough that the sharded front end consults it on every routed malloc.
+// ClassInUse returns the number of live objects in class c: an atomic
+// read of the class occupancy counter, cheap enough that the sharded
+// front end consults it on every routed malloc.
 func (h *Heap) ClassInUse(c int) int {
-	cl := &h.classes[c]
-	if h.lockfree {
-		return int(atomic.LoadInt64(&cl.inUse))
-	}
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return int(cl.inUse)
+	return int(atomic.LoadInt64(&h.classes[c].inUse))
 }
 
 // ClassMallocs returns the cumulative allocation count of class c,
 // exposed for workload-characterization experiments (e.g. verifying the
 // wide size mix of the 300.twolf analog).
 func (h *Heap) ClassMallocs(c int) uint64 {
-	cl := &h.classes[c]
-	if h.lockfree {
-		return atomic.LoadUint64(&cl.mallocs)
-	}
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.mallocs
+	return atomic.LoadUint64(&h.classes[c].mallocs)
 }
 
 // ClassBase returns the base address of the first subregion of class c,
@@ -1610,10 +1428,10 @@ func (h *Heap) LargeObjects() int {
 // class live counts match bitmap population, thresholds are respected,
 // and subregion accounting is consistent. Property tests call this after
 // randomized (including concurrent) workloads; each class is checked
-// under its own lock. On the lock-free engine the bitmap-population ==
-// inUse comparison is exact only at quiescence — every CAS winner pairs
-// its bit with a counter reservation, but the two updates are not one
-// atomic step — which is precisely when the stress tests call it. Every
+// under its own lock. The bitmap-population == inUse comparison is exact
+// only at quiescence — every CAS winner pairs its bit with a counter
+// reservation, but the two updates are not one atomic step — which is
+// precisely when the stress tests call it. Every
 // registered magazine is drained first (the drain barrier of DESIGN.md
 // §11), then the remote-free ring (§12) — queued remote frees hold
 // their bit and occupancy unit until drained, so they never break the

@@ -121,25 +121,34 @@ func median(xs []float64) float64 {
 	return s[len(s)/2]
 }
 
+// A front is what a threshold workload's mallocs and frees go through.
+type front int
+
+const (
+	viaHeap     front = iota // the heap itself
+	viaLocked                // the locked reference engine (lockedHeap)
+	viaMagazine              // a magazine over the heap
+)
+
 // thresholdPairs builds the 64 B threshold workload on a heap built
 // with opts: the class is filled to its 1/M threshold, and the returned
 // function runs n rounds, each freeing a random live object and
-// mallocing its replacement. With magazine set, both go through a
-// magazine carrying opts.Trace, and the fill leaves 2·MagazineMaxCap of
-// headroom: a magazine may hold that many pre-claimed slots and
-// buffered frees beyond its live objects, and a refill at the exact
-// threshold would fail.
-func thresholdPairs(opts Options, magazine bool) (func(n int) error, error) {
+// mallocing its replacement, all through fr. A magazine carries
+// opts.Trace, and its fill leaves 2·MagazineMaxCap of headroom: a
+// magazine may hold that many pre-claimed slots and buffered frees
+// beyond its live objects, and a refill at the exact threshold would
+// fail.
+func thresholdPairs(opts Options, fr front) (func(n int) error, error) {
 	h, err := New(opts)
 	if err != nil {
 		return nil, err
 	}
-	var a interface {
-		Malloc(int) (heap.Ptr, error)
-		Free(heap.Ptr) error
-	} = h
+	var a allocator = h
 	_, live := h.ClassSlots(ClassFor(64))
-	if magazine {
+	switch fr {
+	case viaLocked:
+		a = lockedHeap{h}
+	case viaMagazine:
 		m, err := h.NewMagazine()
 		if err != nil {
 			return nil, err
@@ -171,9 +180,9 @@ func thresholdPairs(opts Options, magazine bool) (func(n int) error, error) {
 }
 
 // thresholdChurn is the threshold workload as a gate arm.
-func thresholdChurn(b *testing.B, opts Options, magazine bool) churn {
+func thresholdChurn(b *testing.B, opts Options, fr front) churn {
 	return rebuilt(b, func() (instance, error) {
-		pairs, err := thresholdPairs(opts, magazine)
+		pairs, err := thresholdPairs(opts, fr)
 		return instance{run: pairs}, err
 	})
 }
@@ -270,8 +279,6 @@ func crossFreeChurn(b *testing.B, remote bool) churn {
 // All four take about 16 s on a 2-vCPU host.
 func BenchmarkGate(b *testing.B) {
 	plain := Options{HeapSize: 48 << 20, Seed: 1}
-	locked := plain
-	locked.LockedHeap = true
 	// The obs-off arm is the magazine arm run a second time with a nil
 	// trace ring. A nil ring is the zero Options value, so both arms run
 	// identical code: this gate bounds the harness's own A/A noise at
@@ -289,14 +296,14 @@ func BenchmarkGate(b *testing.B) {
 		arms       func(b *testing.B) (base, cand churn)
 	}{
 		{"lockfree_vs_locked", "locked", "lockfree", 1.15,
-			"lock-free malloc fast path is %.1f%% slower than the locked baseline (bound: 15%%)", 1,
+			"lock-free malloc fast path is %.1f%% slower than the locked reference (bound: 15%%)", 1,
 			func(b *testing.B) (churn, churn) {
-				return thresholdChurn(b, locked, false), thresholdChurn(b, plain, false)
+				return thresholdChurn(b, plain, viaLocked), thresholdChurn(b, plain, viaHeap)
 			}},
 		{"magazine_vs_lockfree", "lockfree", "magazine", 1.10,
 			"magazine malloc fast path is %.1f%% slower than the raw lock-free path (bound: 10%%)", 1,
 			func(b *testing.B) (churn, churn) {
-				return thresholdChurn(b, plain, false), thresholdChurn(b, plain, true)
+				return thresholdChurn(b, plain, viaHeap), thresholdChurn(b, plain, viaMagazine)
 			}},
 		{"remote_vs_sync_w4", "sync", "remote", 1.05,
 			"remote-free cross-worker churn is %.1f%% slower than synchronous frees (bound: 5%%)", crossWorkers * crossBatch,
@@ -306,7 +313,7 @@ func BenchmarkGate(b *testing.B) {
 		{"obs_off_vs_magazine", "magazine", "obs_off", 1.02,
 			"disabled flight recorder costs %.1f%% on the magazine hot path (bound: 2%%)", 1,
 			func(b *testing.B) (churn, churn) {
-				return thresholdChurn(b, plain, true), thresholdChurn(b, obsOff, true)
+				return thresholdChurn(b, plain, viaMagazine), thresholdChurn(b, obsOff, viaMagazine)
 			}},
 	} {
 		b.Run(g.name, func(b *testing.B) {

@@ -636,14 +636,10 @@ func TestGenTagPlacementUnchanged(t *testing.T) {
 }
 
 // TestGenTagValidation pins the construction contract: the tagged tier
-// needs the lock-free engine (the generation protocol leans on its
-// claim/clear ordering).
+// composes with sequential, replicated-mode and concurrent heaps.
 func TestGenTagValidation(t *testing.T) {
-	if _, err := New(Options{GenTags: true, LockedHeap: true}); err == nil {
-		t.Error("GenTags with LockedHeap accepted")
-	}
-	if _, err := New(Options{GenTags: true, RandomFill: true}); err == nil {
-		t.Error("GenTags with RandomFill accepted")
+	if _, err := New(Options{GenTags: true, RandomFill: true}); err != nil {
+		t.Errorf("GenTags with RandomFill refused: %v", err)
 	}
 	if _, err := New(Options{GenTags: true}); err != nil {
 		t.Errorf("valid sequential GenTags heap refused: %v", err)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"hash/fnv"
 	"math"
 	"math/bits"
 	"sync"
@@ -12,12 +14,14 @@ import (
 	"diehard/internal/analysis"
 	"diehard/internal/heap"
 	"diehard/internal/rng"
+	"diehard/internal/vmem"
 )
 
 // The lock-free malloc engine's test battery (DESIGN.md §10): the CAS
 // probe loop must survive contention with its segregated metadata
-// exactly consistent, place objects byte-identically to the locked
-// reference engine when one goroutine allocates, keep the probe-count
+// exactly consistent, place and fill objects byte-identically to the
+// locked reference engine (lockedHeap) when one goroutine allocates,
+// keep the probe-count
 // distribution the randomized-placement analysis predicts, and never
 // touch a class mutex on the fast path.
 
@@ -52,9 +56,6 @@ func TestLockFreeMallocStress(t *testing.T) {
 	h, err := New(Options{HeapSize: 48 << 20, Seed: 1337, Concurrent: true})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !h.lockfree {
-		t.Fatal("default engine is not lock-free")
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, len(classSizes)*workersPerClass)
@@ -158,66 +159,127 @@ func TestLockFreeDoubleFreeRace(t *testing.T) {
 
 // TestLockFreeMatchesLockedLayout is the engine-differencing regression:
 // with the same seed and one goroutine, the lock-free engine must place
-// every object at exactly the address the locked reference engine does —
-// both consume the same per-class draw stream — across mixed sizes,
-// frees, large objects, and adaptive growth.
+// every object at exactly the address the locked reference engine does,
+// and hand it out holding the same bytes — both consume the same
+// per-class draw stream, for probes and, on RandomFill heaps, for the
+// object fill — across mixed sizes, frees, large objects, and adaptive
+// growth. The two heaps must end with equal stats and snapshots.
+//
+// The reference shares fillClassRandom with the lock-free engine, so the
+// RandomFill runs also hash the bytes each malloc hands out against
+// fillHashes, recorded while RandomFill heaps still ran on the locked
+// engine alone: a change to the fill itself moves both heaps at once.
 func TestLockFreeMatchesLockedLayout(t *testing.T) {
-	for _, adaptive := range []bool{false, true} {
-		run := func(locked bool) []heap.Ptr {
-			h, err := New(Options{
-				HeapSize: 16 << 20, Seed: 0xD1FF, LockedHeap: locked,
+	fillHashes := map[bool]uint64{false: 0x4ee349ddffcdc0b3, true: 0x8e6c4e96e9865746} // by adaptive
+	sizes := []int{8, 24, 64, 300, 2048, MaxObjectSize + 100}
+	got, want := make([]byte, MaxObjectSize+100), make([]byte, MaxObjectSize+100)
+	for _, fill := range []bool{false, true} {
+		for _, adaptive := range []bool{false, true} {
+			opts := Options{
+				HeapSize: 16 << 20, Seed: 0xD1FF, RandomFill: fill,
 				Adaptive: adaptive, AdaptiveInitial: 16 << 10,
-			})
+			}
+			lf, err := New(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if h.lockfree == locked {
-				t.Fatalf("engine selection wrong: lockfree=%v for LockedHeap=%v", h.lockfree, locked)
+			ref, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
 			}
+			locked := lockedHeap{ref}
+			sum := fnv.New64a()
 			r := rng.NewSeeded(99)
-			sizes := []int{8, 24, 64, 300, 2048, MaxObjectSize + 100}
-			var placed []heap.Ptr
 			live := make([]heap.Ptr, 0, 512)
 			for i := 0; i < 3000; i++ {
-				p, err := h.Malloc(sizes[r.Intn(len(sizes))])
+				size := sizes[r.Intn(len(sizes))]
+				p, err := lf.Malloc(size)
 				if err != nil {
 					t.Fatal(err)
 				}
-				placed = append(placed, p)
+				q, err := locked.Malloc(size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p != q {
+					t.Fatalf("fill=%v adaptive=%v alloc %d: lock-free placed %#x, locked reference placed %#x",
+						fill, adaptive, i, p, q)
+				}
+				n, _ := lf.SizeOf(p)
+				if err := lf.Mem().ReadBytes(p, got[:n]); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.Mem().ReadBytes(q, want[:n]); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got[:n], want[:n]) {
+					t.Fatalf("fill=%v adaptive=%v alloc %d at %#x: contents differ from the locked reference",
+						fill, adaptive, i, p)
+				}
+				sum.Write(got[:n])
+				for _, m := range []*vmem.Space{lf.Mem(), ref.Mem()} {
+					if err := m.Store64(p, uint64(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
 				live = append(live, p)
 				if len(live) > 400 {
 					victim := r.Intn(len(live))
-					if err := h.Free(live[victim]); err != nil {
+					if err := lf.Free(live[victim]); err != nil {
+						t.Fatal(err)
+					}
+					if err := locked.Free(live[victim]); err != nil {
 						t.Fatal(err)
 					}
 					live[victim] = live[len(live)-1]
 					live = live[:len(live)-1]
 				}
+				if i%13 == 0 {
+					// A misaligned free: both engines must ignore it.
+					if err := lf.Free(p + 1); err != nil {
+						t.Fatal(err)
+					}
+					if err := locked.Free(p + 1); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-			return placed
-		}
-		lockfree, locked := run(false), run(true)
-		for i := range lockfree {
-			if lockfree[i] != locked[i] {
-				t.Fatalf("adaptive=%v alloc %d: lock-free placed %#x, locked reference placed %#x",
-					adaptive, i, lockfree[i], locked[i])
+			if fill && sum.Sum64() != fillHashes[adaptive] {
+				t.Errorf("adaptive=%v: fill bytes hash to %#x, recorded %#x", adaptive, sum.Sum64(), fillHashes[adaptive])
+			}
+			if a, b := lf.StatsSnapshot(), ref.StatsSnapshot(); a != b {
+				t.Errorf("fill=%v adaptive=%v: stats differ\nlock-free %+v\nlocked    %+v", fill, adaptive, a, b)
+			}
+			if div := DiffSnapshots(snapshot(t, lf), snapshot(t, ref)); len(div) != 0 {
+				t.Errorf("fill=%v adaptive=%v: snapshots diverge: %v", fill, adaptive, div)
+			}
+			for _, h := range []*Heap{lf, ref} {
+				if err := h.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
 }
 
+func snapshot(t *testing.T, h *Heap) []ObjectRecord {
+	t.Helper()
+	snap, err := h.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
 // TestLockFreeSnapshotMatchesLocked runs the same deterministic program
-// on both engines and diffs the full heap snapshots: not just addresses
-// but live contents must be indistinguishable.
+// on the lock-free engine and the locked reference and diffs the full
+// heap snapshots: not just addresses but live contents must be
+// indistinguishable.
 func TestLockFreeSnapshotMatchesLocked(t *testing.T) {
-	run := func(locked bool) []ObjectRecord {
-		h, err := New(Options{HeapSize: 12 << 20, Seed: 0xFEED, LockedHeap: locked})
-		if err != nil {
-			t.Fatal(err)
-		}
+	run := func(a allocator, h *Heap) []ObjectRecord {
 		live := make([]heap.Ptr, 0, 128)
 		for i := 0; i < 600; i++ {
-			p, err := h.Malloc(16 + i%200)
+			p, err := a.Malloc(16 + i%200)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,19 +288,17 @@ func TestLockFreeSnapshotMatchesLocked(t *testing.T) {
 			}
 			live = append(live, p)
 			if i%3 == 0 && len(live) > 1 {
-				if err := h.Free(live[0]); err != nil {
+				if err := a.Free(live[0]); err != nil {
 					t.Fatal(err)
 				}
 				live = live[1:]
 			}
 		}
-		snap, err := h.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return snap
+		return snapshot(t, h)
 	}
-	if div := DiffSnapshots(run(false), run(true)); len(div) != 0 {
+	opts := Options{HeapSize: 12 << 20, Seed: 0xFEED}
+	lf, ref := testHeap(t, opts), testHeap(t, opts)
+	if div := DiffSnapshots(run(lf, lf), run(lockedHeap{ref}, ref)); len(div) != 0 {
 		t.Fatalf("lock-free and locked snapshots diverge: %v", div)
 	}
 }
@@ -257,9 +317,6 @@ func TestLockFreeProbeDistribution(t *testing.T) {
 		h, err := New(Options{HeapSize: 8 << 20, M: m, Seed: 0xAB5})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !h.lockfree {
-			t.Fatal("default engine is not lock-free")
 		}
 		c := ClassFor(64)
 		total, maxInUse := h.ClassSlots(c)

@@ -127,14 +127,14 @@ type Magazine struct {
 func (m *Magazine) SetTrace(r *obs.Ring) { m.trace = r }
 
 // NewMagazine returns a per-worker magazine over this heap. The heap
-// must run the lock-free engine (LockedHeap and RandomFill heaps
-// serialize on the class mutex anyway, so batching would buy nothing)
-// and must not have observation hooks installed: a detection engine
-// audits canaries at every alloc and free boundary, which is exactly
-// the per-operation precision batching gives up.
+// must not fill objects (RandomFill: a batched refill draws its probes
+// ahead of the fills, which must follow each object's own probes) and
+// must not have observation hooks installed: a detection engine audits
+// canaries at every alloc and free boundary, which is exactly the
+// per-operation precision batching gives up.
 func (h *Heap) NewMagazine() (*Magazine, error) {
-	if !h.lockfree {
-		return nil, fmt.Errorf("diehard: magazines require the lock-free engine (not LockedHeap/RandomFill)")
+	if h.opts.RandomFill {
+		return nil, fmt.Errorf("diehard: magazines cannot batch RandomFill: a refill draws its probes ahead of the fills")
 	}
 	if h.opts.OnAlloc != nil || h.opts.OnFree != nil {
 		return nil, fmt.Errorf("diehard: magazines cannot batch past per-operation observation hooks")
@@ -682,8 +682,7 @@ func (h *Heap) magazineRefill(c, want int, cm *classMagazine) (int, error) {
 		if single && !h.atomicStats {
 			// Every non-adaptive sequential heap: one subregion, no
 			// fences — the bitmap words are addressed directly and the
-			// whole claim loop runs register-to-register, mirroring
-			// mallocLocked's specialized inner loop.
+			// whole claim loop runs register-to-register.
 			sub := regs.subs[0]
 			bitsW := sub.bits
 			base, shift := sub.base, cl.shift

@@ -391,14 +391,15 @@ func TestMagazineInvalidFrees(t *testing.T) {
 }
 
 // TestMagazineEngineGates pins the construction gates: magazines refuse
-// the locked engine and hooked (detection) heaps.
+// RandomFill heaps (a batched refill draws its probes ahead of the
+// fills) and hooked (detection) heaps.
 func TestMagazineEngineGates(t *testing.T) {
-	locked, err := New(Options{HeapSize: 48 << 20, Seed: 1, LockedHeap: true})
+	filled, err := New(Options{HeapSize: 48 << 20, Seed: 1, RandomFill: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := locked.NewMagazine(); err == nil {
-		t.Error("NewMagazine on a LockedHeap engine succeeded; want error")
+	if _, err := filled.NewMagazine(); err == nil {
+		t.Error("NewMagazine on a RandomFill heap succeeded; want error")
 	}
 	hooked, err := New(Options{HeapSize: 48 << 20, Seed: 1, OnAlloc: func(heap.Ptr, int, int) {}})
 	if err != nil {

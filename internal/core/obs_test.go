@@ -56,10 +56,10 @@ func TestObsTracePlacementUnchanged(t *testing.T) {
 	// Nor does tracing, on or off, put anything on the Go heap: the
 	// 64 B threshold pair of BenchmarkGate allocates nothing, unbatched
 	// or through a magazine, on a sequential or a concurrent heap.
-	for _, magazine := range []bool{false, true} {
+	for _, fr := range []front{viaHeap, viaMagazine} {
 		for _, ring := range []*obs.Ring{nil, rec.Ring(0)} {
 			for _, concurrent := range []bool{false, true} {
-				pairs, err := thresholdPairs(Options{HeapSize: 48 << 20, Seed: 1, Concurrent: concurrent, Trace: ring}, magazine)
+				pairs, err := thresholdPairs(Options{HeapSize: 48 << 20, Seed: 1, Concurrent: concurrent, Trace: ring}, fr)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -70,7 +70,7 @@ func TestObsTracePlacementUnchanged(t *testing.T) {
 				})
 				if allocs != 0 {
 					t.Errorf("magazine=%v traced=%v concurrent=%v: %v allocs per pair, want 0",
-						magazine, ring != nil, concurrent, allocs)
+						fr == viaMagazine, ring != nil, concurrent, allocs)
 				}
 			}
 		}

@@ -251,16 +251,33 @@ func TestIdleHooksPreserveLayout(t *testing.T) {
 	}
 }
 
-// TestFreeFilterRequiresLockFree: the quarantine's deferred-clear
-// arbitration is written against the CAS engine; the locked/RandomFill
-// engines must refuse the option instead of silently racing.
-func TestFreeFilterRequiresLockFree(t *testing.T) {
-	filter := func(heap.Ptr, int) bool { return true }
-	if _, err := New(Options{HeapSize: 12 << 20, LockedHeap: true, FreeFilter: filter}); err == nil {
-		t.Error("LockedHeap + FreeFilter accepted")
+// TestFreeFilterOnRandomFillHeap: a replicated-mode heap runs the same
+// engine as every other, so the quarantine composes with RandomFill: a
+// filtered free holds the slot live until the flush releases it.
+func TestFreeFilterOnRandomFillHeap(t *testing.T) {
+	h, err := New(Options{HeapSize: 12 << 20, Seed: 4, RandomFill: true,
+		FreeFilter: func(heap.Ptr, int) bool { return true }})
+	if err != nil {
+		t.Fatalf("RandomFill + FreeFilter refused: %v", err)
 	}
-	if _, err := New(Options{HeapSize: 12 << 20, RandomFill: true, FreeFilter: filter}); err == nil {
-		t.Error("RandomFill + FreeFilter accepted")
+	p, err := h.Malloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Free(p); err != nil {
+		t.Fatal(err)
+	}
+	if _, live := h.SizeOf(p); !live || h.QuarantineLen() != 1 {
+		t.Fatalf("filtered free not held: live=%v, quarantine %d", live, h.QuarantineLen())
+	}
+	if n := h.FlushQuarantine(); n != 1 {
+		t.Errorf("FlushQuarantine released %d, want 1", n)
+	}
+	if _, live := h.SizeOf(p); live {
+		t.Error("released slot still live")
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

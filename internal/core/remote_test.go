@@ -246,14 +246,14 @@ func TestRemoteFreeThresholdDrain(t *testing.T) {
 }
 
 // TestRemoteRingValidation pins the construction contract: a remote
-// ring needs real concurrency (atomic counters), the lock-free engine,
-// and no per-operation observation hooks.
+// ring needs real concurrency (atomic counters), so no RandomFill, and
+// no per-operation observation hooks.
 func TestRemoteRingValidation(t *testing.T) {
 	if _, err := New(Options{RemoteRing: true}); err == nil {
 		t.Error("RemoteRing without Concurrent accepted")
 	}
-	if _, err := New(Options{RemoteRing: true, Concurrent: true, LockedHeap: true}); err == nil {
-		t.Error("RemoteRing with LockedHeap accepted")
+	if _, err := New(Options{RemoteRing: true, Concurrent: true, RandomFill: true}); err == nil {
+		t.Error("RemoteRing with RandomFill accepted")
 	}
 	if _, err := New(Options{RemoteRing: true, Concurrent: true,
 		OnFree: func(heap.Ptr, int) {}}); err == nil {

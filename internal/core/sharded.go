@@ -37,9 +37,10 @@ import (
 // the emptiest superblock — and skewed worker load can no longer drive
 // one shard into its 1/M threshold while its siblings sit empty.
 //
-// RandomFill (replicated mode) is not supported: replica voting gives
-// each replica a private space, which is exactly what sharding gives up.
-// TLB simulation is likewise sequential-only.
+// RandomFill (replicated mode) is not supported: every shard is
+// Concurrent, which RandomFill refuses, and replica voting gives each
+// replica a private space, which is exactly what sharding gives up. TLB
+// simulation is likewise sequential-only.
 type ShardedHeap struct {
 	space  *vmem.Space
 	shards []*Heap
@@ -80,9 +81,6 @@ func NewSharded(n int, opts Options) (*ShardedHeap, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("diehard: shard count %d must be positive", n)
 	}
-	if opts.RandomFill {
-		return nil, fmt.Errorf("diehard: RandomFill (replicated mode) requires per-replica spaces, not shards")
-	}
 	if opts.EnableTLB {
 		return nil, fmt.Errorf("diehard: TLB simulation is sequential and cannot be sharded")
 	}
@@ -105,9 +103,6 @@ func NewSharded(n int, opts Options) (*ShardedHeap, error) {
 		so.HeapSize = perShard
 		so.Seed = master.Split().Seed()
 		so.Concurrent = true
-		// Shards always run the lock-free engine: the router's unlocked
-		// occupancy reads are only race-free against atomic writers.
-		so.LockedHeap = false
 		h, err := newHeap(so, sh.space)
 		if err != nil {
 			return nil, fmt.Errorf("diehard: shard %d: %w", i, err)

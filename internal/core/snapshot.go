@@ -42,10 +42,10 @@ func (h *Heap) Snapshot() ([]ObjectRecord, error) {
 		for s := range regs.subs {
 			sub := regs.subs[s]
 			for i := 0; i < sub.slots; i++ {
-				// Atomic bit read: on the lock-free engine the class
-				// mutex no longer excludes CAS claimants, so the scan
-				// must load words atomically (the quiescence the doc
-				// asks for is what makes the result meaningful).
+				// Atomic bit read: the class mutex does not exclude
+				// CAS claimants, so the scan must load words atomically
+				// (the quiescence the doc asks for is what makes the
+				// result meaningful).
 				if !sub.getAtomic(i) {
 					continue
 				}
@@ -109,15 +109,21 @@ func (d Divergence) String() string {
 // DiffSnapshots compares two snapshots taken from identically seeded
 // heaps running the same program and returns the objects that diverge —
 // the §9 crash-dump-without-the-crash. An empty result means the heaps
-// are observably identical.
+// are observably identical. Small objects are matched by (class, slot),
+// large objects, which all share Class -1 and Slot 0, by address.
 func DiffSnapshots(a, b []ObjectRecord) []Divergence {
-	key := func(r ObjectRecord) [2]int { return [2]int{r.Class, r.Slot} }
-	am := make(map[[2]int]ObjectRecord, len(a))
+	key := func(r ObjectRecord) [2]uint64 {
+		if r.Class < 0 {
+			return [2]uint64{^uint64(0), r.Ptr}
+		}
+		return [2]uint64{uint64(r.Class), uint64(r.Slot)}
+	}
+	am := make(map[[2]uint64]ObjectRecord, len(a))
 	for _, r := range a {
 		am[key(r)] = r
 	}
 	var out []Divergence
-	seen := make(map[[2]int]bool, len(b))
+	seen := make(map[[2]uint64]bool, len(b))
 	for _, rb := range b {
 		k := key(rb)
 		seen[k] = true

@@ -37,8 +37,21 @@ func buildWorkload(t *testing.T, h *Heap) []heap.Ptr {
 func TestSnapshotIdenticalRunsAgree(t *testing.T) {
 	a := testHeap(t, Options{Seed: 0xD1FF})
 	b := testHeap(t, Options{Seed: 0xD1FF})
-	buildWorkload(t, a)
-	buildWorkload(t, b)
+	for _, h := range []*Heap{a, b} {
+		buildWorkload(t, h)
+		// Large objects with distinct contents: each must be matched to
+		// its own counterpart, not to whichever large object shares its
+		// (Class -1, Slot 0) identity.
+		for i := 0; i < 3; i++ {
+			p, err := h.Malloc(MaxObjectSize + 1000*(i+1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.Mem().Store64(p, uint64(i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	sa, err := a.Snapshot()
 	if err != nil {
 		t.Fatal(err)

@@ -23,6 +23,20 @@ var goldenDetectHashes = map[DetectError]uint64{
 	DetectUninit:   0xe88b9d83855ef1e5,
 }
 
+// goldenTierHashes pins the tiny table's deterministic-tier cells
+// (workers=1, multiplier 2), recorded while RandomFill heaps still ran
+// the per-class-mutex engine, before they moved to the lock-free one.
+// The replicated hash covers trial outcomes only and equals the
+// probabilistic uninit hash. It does not see the object fill: dropping
+// the fill or changing its values leaves it unchanged, because the page
+// filler alone already makes the replicas' uninitialized reads differ.
+// The byte-level guard is the RandomFill input of core's
+// TestLockFreeMatchesLockedLayout, which also pins a hash of the bytes.
+var goldenTierHashes = map[DetectPolicy]map[DetectError]uint64{
+	PolicyGenTag:     {DetectDangling: 0x6531e2651fbad475},
+	PolicyReplicated: {DetectUninit: 0xe88b9d83855ef1e5},
+}
+
 // goldenErrorTableHash is 64-bit FNV-1a over fmt's rendering of the
 // Table 1 cell map (map printing is key-sorted, so the rendering is
 // deterministic).
@@ -59,6 +73,28 @@ func TestDetectionTableMatchesPR4Recording(t *testing.T) {
 			t.Errorf("cell %s x%v OutputHash = %#x, PR 4 recorded %#x — the engine refactor changed campaign output",
 				c.Error, c.Multiplier, c.OutputHash, want)
 		}
+	}
+}
+
+func TestDetectionTableTiersMatchRecording(t *testing.T) {
+	table, err := RunDetectionTable(tinyDetectParams(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := 0
+	for _, c := range table.Cells {
+		want, ok := goldenTierHashes[c.Policy][c.Error]
+		if !ok {
+			continue
+		}
+		pinned++
+		if c.OutputHash != want {
+			t.Errorf("cell %s/%s x%v OutputHash = %#x, recorded %#x",
+				c.Policy, c.Error, c.Multiplier, c.OutputHash, want)
+		}
+	}
+	if pinned != 2 {
+		t.Fatalf("found %d of the 2 recorded deterministic-tier cells", pinned)
 	}
 }
 
