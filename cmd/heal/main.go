@@ -114,32 +114,22 @@ func main() {
 	}
 }
 
-// serveMit adapts the supervisor's converged countermeasures to the
-// serve soak's object-index site space.
-type serveMit struct {
-	pads map[int]int
-	quar map[int]bool
-}
-
-func (m serveMit) Pad(site int) int          { return m.pads[site] }
-func (m serveMit) Quarantined(site int) bool { return m.quar[site] }
-
 // mitFromHealed translates the healed run's verdict into the fault
 // soak's site space: the supervisor convicted cyclic allocation sites,
 // the soak plants the same bug classes at fixed object indices, so the
 // pad learned for the overflow culprit moves to the soak's overflow
 // object and likewise for the quarantine.
 func mitFromHealed(res *heal.Result, plan *serve.FaultPlan) serve.Mitigator {
-	m := serveMit{pads: map[int]int{}, quar: map[int]bool{}}
+	pads, quar := map[int]int{}, map[int]bool{}
 	if res.Overflow != nil {
 		if pad := res.PadTable[res.Overflow.Culprit]; pad > 0 {
-			m.pads[plan.OverflowObject] = pad
+			pads[plan.OverflowObject] = pad
 		}
 	}
 	if res.Dangling != nil && len(res.QuarantineSites) > 0 {
-		m.quar[plan.DanglingObject] = true
+		quar[plan.DanglingObject] = true
 	}
-	return m
+	return serve.StaticMitigator(pads, quar)
 }
 
 // runSmoke is the CI gate: a tiny deterministic schedule must convict

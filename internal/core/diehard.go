@@ -66,7 +66,7 @@ const (
 	// DefaultM is the default heap expansion factor.
 	DefaultM = 2.0
 	// DefaultQuarantineCap is the quarantine FIFO bound when
-	// Options.FreeFilter is set without an explicit QuarantineCap.
+	// Options.QuarantineCap is not set.
 	DefaultQuarantineCap = 64
 )
 
@@ -112,9 +112,7 @@ type Options struct {
 	// points (magazine refill, threshold miss, CheckInvariants), so
 	// cross-worker frees stop contending on the owner's bitmap and
 	// occupancy cache lines. Sharded heaps propagate the option to every
-	// shard. Requires Concurrent; incompatible with observation hooks
-	// (hooked heaps are confined to one goroutine, which is exactly what
-	// a remote producer is not).
+	// shard. Requires Concurrent, so it excludes observation hooks.
 	RemoteRing bool
 	// GenTags attaches a generation counter to every small-object slot
 	// (DESIGN.md §15): a per-subregion side array next to the bitmap, so
@@ -140,8 +138,9 @@ type Options struct {
 	// allocating goroutine, outside the class locks, before the pointer
 	// is returned — so a detection engine (internal/detect) can audit
 	// and re-arm canaries before the program can touch the object. The
-	// heap does not synchronize hook invocations; heaps with hooks
-	// installed must be confined to one goroutine at a time.
+	// heap does not synchronize hook invocations, so New refuses any
+	// observation hook (OnAlloc, OnFree, OnStaleFree) on a Concurrent
+	// heap: hooked heaps are confined to one goroutine at a time.
 	OnAlloc func(p heap.Ptr, reqSize, slotSize int)
 	// OnFree, when non-nil, is invoked on every successful free (ignored
 	// invalid and double frees do not fire it) with the freed object's
@@ -157,44 +156,14 @@ type Options struct {
 	// free (FreeFat) is rejected because the pointer's generation no
 	// longer matches the slot's — the deterministic temporal-safety
 	// signal a detection engine records as evidence. Like OnAlloc/OnFree
-	// it runs unsynchronized on the freeing goroutine; hooked heaps are
-	// confined to one goroutine and cannot combine with RemoteRing.
+	// it runs unsynchronized on the freeing goroutine, so it cannot be
+	// combined with Concurrent.
 	OnStaleFree func(p heap.Ptr, gen uint64)
-	// SizeAdjust, when non-nil, is consulted at the top of every Malloc
-	// with the (normalized, positive) requested size and may return a
-	// larger size to allocate instead — the per-site overallocation-
-	// padding hook of the self-healing supervisor (internal/heal,
-	// DESIGN.md §13). Returns smaller than the request are ignored: the
-	// program was promised at least what it asked for. The adjusted size
-	// is what the allocator serves, counts, and reports to OnAlloc, so a
-	// padded object's slack is canary-audited like any other. The
-	// callback runs on every allocating goroutine with no synchronization
-	// from the heap; concurrent heaps must install a goroutine-safe
-	// callback (e.g. one reading an atomically published table). Nil
-	// costs one pointer check per Malloc.
-	SizeAdjust func(size int) int
-	// FreeFilter, when non-nil, is consulted on every Free of a live,
-	// correctly aligned small-object slot. Returning true diverts the
-	// free into the heap's quarantine FIFO — the delayed-reuse
-	// countermeasure for dangling-pointer culprits (DESIGN.md §13): the
-	// slot keeps its bitmap bit and its occupancy reservation, so the
-	// probe stream never re-issues it, and stale writes land on memory no
-	// new owner holds. Quarantined slots are actually released — bit
-	// cleared, counters updated, OnFree fired — when the FIFO exceeds
-	// QuarantineCap (oldest first) or at FlushQuarantine. Exactly-one-
-	// winner free semantics are preserved: the release's CAS-clear
-	// remains the single arbiter, so racing frees of a quarantined
-	// pointer just enqueue twice and all but one release counts an
-	// IgnoredFree. Magazine-buffered and remote-ring frees bypass the
-	// filter (they batch past per-pointer interception); callers route
-	// quarantinable frees through Heap.Free or ShardedHeap.Free. Like
-	// SizeAdjust, the callback itself must be goroutine-safe on concurrent
-	// heaps; nil costs one pointer check per Free.
-	FreeFilter func(p heap.Ptr, slotSize int) bool
-	// QuarantineCap bounds the quarantine FIFO (default 64): pushing past
-	// the cap releases the oldest held slot. Larger caps hold freed slots
-	// out of reuse longer at the cost of occupancy — the fullness shift
-	// analysis.QuarantineFullnessShift prices.
+	// QuarantineCap bounds the quarantine FIFO that Heap.Quarantine
+	// fills (default 64): pushing past the cap releases the oldest held
+	// slot. Larger caps hold freed slots out of reuse longer at the cost
+	// of occupancy — the fullness shift analysis.QuarantineFullnessShift
+	// prices.
 	QuarantineCap int
 	// Trace, when non-nil, is the heap's flight-recorder ring
 	// (internal/obs): malloc, free, remote-free tickets, ring drains,
@@ -203,8 +172,8 @@ type Options struct {
 	// it — no RNG draw is consumed and no placement changes, so golden
 	// campaign hashes are byte-identical with tracing on. Nil (the zero
 	// value) costs exactly one pointer check per instrumented site, the
-	// same discipline as the TLB hook; unlike OnAlloc/OnFree, the ring
-	// is lock-free and multi-producer, so traced heaps may stay
+	// same discipline as the TLB hook; unlike the observation hooks, the
+	// ring is lock-free and multi-producer, so traced heaps may be
 	// Concurrent and keep RemoteRing.
 	Trace *obs.Ring
 }
@@ -447,7 +416,7 @@ type Heap struct {
 	remote  *freeRing  // remote-free ring (Options.RemoteRing), nil otherwise
 	drainMu sync.Mutex // serializes ring drains: the single-consumer side
 
-	// Quarantine FIFO (Options.FreeFilter): held slots keep their bitmap
+	// Quarantine FIFO (Heap.Quarantine): held slots keep their bitmap
 	// bit and occupancy reservation until released oldest-first. The
 	// mutex guards only the FIFO bookkeeping — releases run the normal
 	// lock-free clear outside it. quarHead indexes the logical front;
@@ -510,6 +479,9 @@ func newHeap(opts Options, space *vmem.Space) (*Heap, error) {
 	if o.RandomFill && o.Concurrent {
 		return nil, fmt.Errorf("diehard: RandomFill cannot be combined with Concurrent: the fill draws interleave with the probe draws, which the CAS commit cannot order")
 	}
+	if o.Concurrent && (o.OnAlloc != nil || o.OnFree != nil || o.OnStaleFree != nil) {
+		return nil, fmt.Errorf("diehard: observation hooks (OnAlloc, OnFree, OnStaleFree) run unsynchronized and cannot be combined with Concurrent")
+	}
 	perClass := o.HeapSize / NumClasses
 	perClass -= perClass % vmem.PageSize
 	if perClass < vmem.PageSize {
@@ -525,9 +497,6 @@ func newHeap(opts Options, space *vmem.Space) (*Heap, error) {
 	if o.RemoteRing {
 		if !o.Concurrent {
 			return nil, fmt.Errorf("diehard: RemoteRing is a cross-goroutine free path and requires Concurrent")
-		}
-		if o.OnAlloc != nil || o.OnFree != nil || o.OnStaleFree != nil {
-			return nil, fmt.Errorf("diehard: RemoteRing cannot batch past per-operation observation hooks")
 		}
 		h.remote = newFreeRing(remoteRingSize)
 	}
@@ -696,11 +665,6 @@ func (h *Heap) malloc(size int) (heap.FatPtr, error) {
 	}
 	if size == 0 {
 		size = 1 // malloc(0) returns a distinct pointer, as in C
-	}
-	if h.opts.SizeAdjust != nil {
-		if padded := h.opts.SizeAdjust(size); padded > size {
-			size = padded
-		}
 	}
 	if size > MaxObjectSize {
 		return h.allocateLargeObject(size)
@@ -1029,7 +993,7 @@ func (h *Heap) Free(p heap.Ptr) error {
 // free is the one free path. fp.Gen is the tag a checked free carries —
 // already admitted by a fat entry point's gate (fatGate) — or 0 for an
 // unchecked free. accepted reports whether this call won the release
-// (or retired the slot, or diverted it into the quarantine).
+// (or retired the slot).
 func (h *Heap) free(fp heap.FatPtr) (accepted bool, err error) {
 	p := fp.Addr
 	if p == heap.Null {
@@ -1045,12 +1009,8 @@ func (h *Heap) free(fp heap.FatPtr) (accepted bool, err error) {
 	}
 	if sub.gens != nil {
 		// Tagged heap (DESIGN.md §15): the generation word is the free
-		// arbiter. The transition runs *before* the quarantine filter so
-		// that exactly one free per incarnation ever reaches the filter —
-		// held slots sit bit-set with an even generation, and duplicate
-		// frees lose here (so the quarantine FIFO never holds duplicates
-		// on tagged heaps, and a release's bit-clear can never race a
-		// reallocated slot).
+		// arbiter — of racing frees of one incarnation, exactly one wins
+		// the odd→even transition and the rest lose here.
 		switch h.genFree(sub, local, uint32(fp.Gen)) {
 		case genLose:
 			h.rejectFree(p, fp.Gen)
@@ -1059,16 +1019,6 @@ func (h *Heap) free(fp heap.FatPtr) (accepted bool, err error) {
 			h.addStat(&h.stats.Retired, 1)
 			return true, nil
 		}
-	}
-	// The quarantine divert keeps the slot marked allocated (bit set,
-	// occupancy reserved), so the probe stream cannot re-issue it. On an
-	// untagged heap the liveness pre-check only filters obviously dead
-	// pointers cheaply; the release's bit-clear remains the one arbiter
-	// of racing frees, so a stale read here just enqueues a duplicate
-	// that loses (and is counted an IgnoredFree) at release time.
-	if h.opts.FreeFilter != nil && (sub.gens != nil || sub.getAtomic(local)) && h.opts.FreeFilter(p, cl.size) {
-		h.quarantineHold(p)
-		return true, nil
 	}
 	// Untagged, the bit-clear arbitrates: of any set of racing frees of
 	// this pointer, exactly one clears the bit and the rest are double
@@ -1139,10 +1089,49 @@ func (h *Heap) freeLarge(fp heap.FatPtr) (bool, error) {
 	return true, nil
 }
 
-// quarantineHold enqueues a filtered free (Options.FreeFilter) into the
-// FIFO, releasing the oldest held slot first when the cap is reached so
-// the quarantine's occupancy debt stays bounded at QuarantineCap. Only
-// the queue bookkeeping runs under the mutex; the eviction's bit-clear
+// Quarantine frees p into the heap's quarantine FIFO instead of
+// releasing it: the delayed-reuse countermeasure for dangling-pointer
+// culprits (DESIGN.md §13). A held slot keeps its bitmap bit and its
+// occupancy reservation, so the probe stream never re-issues it and a
+// stale write lands on memory no new owner holds. It is released — bit
+// cleared, counters updated, OnFree fired — oldest first when the FIFO
+// passes QuarantineCap, or at FlushQuarantine.
+//
+// Admission is Free's. Null, large, foreign and misaligned pointers
+// take Free's path. On a tagged heap the unchecked generation
+// transition runs first, so a slot is held at most once per
+// incarnation: a lost transition counts as Free counts it, and a slot
+// at the generation ceiling retires instead. On an untagged heap a
+// slot whose bit is already clear counts one IgnoredFree; racing
+// Quarantine calls of one live pointer may both hold it, and the
+// release's bit-clear stays the one arbiter, so all but one release
+// count an IgnoredFree. Safe for concurrent use.
+func (h *Heap) Quarantine(p heap.Ptr) error {
+	cl, sub, local := h.find(p) // null resolves to no class
+	if cl == nil || (p-sub.base)&cl.mask != 0 {
+		return h.Free(p)
+	}
+	if sub.gens != nil {
+		switch h.genFree(sub, local, 0) {
+		case genLose:
+			h.rejectFree(p, 0)
+			return nil
+		case genRetireOut:
+			h.addStat(&h.stats.Retired, 1)
+			return nil
+		}
+	} else if !sub.getAtomic(local) {
+		h.addStat(&h.stats.IgnoredFrees, 1) // double free: ignore
+		return nil
+	}
+	h.quarantineHold(p)
+	return nil
+}
+
+// quarantineHold enqueues an admitted Quarantine into the FIFO,
+// releasing the oldest held slot first when the cap is reached so the
+// quarantine's occupancy debt stays bounded at QuarantineCap. Only the
+// queue bookkeeping runs under the mutex; the eviction's bit-clear
 // happens outside it on the normal lock-free path.
 func (h *Heap) quarantineHold(p heap.Ptr) {
 	h.addStat(&h.stats.Quarantined, 1)
@@ -1172,15 +1161,15 @@ func (h *Heap) quarantineHold(p heap.Ptr) {
 }
 
 // releaseHeld performs the deferred free of a quarantined slot: the
-// normal clear path of Free, minus the filter (a released slot must not
-// re-enter the quarantine it just left). Exactly one release of any set
-// of duplicate enqueues wins the bit-clear; the rest count IgnoredFrees,
-// preserving §4.3's double-free accounting across the deferral. OnFree
-// fires here — not at divert time — so a detection layer re-arms its
-// canary exactly when the slot truly rejoins free space.
+// normal clear path of Free, minus the admission Quarantine already ran
+// (on a tagged heap, the generation transition). Exactly one release of
+// any set of duplicate enqueues wins the bit-clear; the rest count
+// IgnoredFrees, preserving §4.3's double-free accounting across the
+// deferral. OnFree fires here — not at hold time — so a detection layer
+// re-arms its canary exactly when the slot truly rejoins free space.
 func (h *Heap) releaseHeld(p heap.Ptr) bool {
 	cl, sub, local := h.find(p)
-	// A nil class is unreachable for pointers the divert path resolved;
+	// A nil class is unreachable for pointers Quarantine resolved;
 	// the check is kept for defense in depth.
 	if cl == nil || !sub.release(local, h.atomicStats) {
 		h.addStat(&h.stats.IgnoredFrees, 1)
@@ -1201,9 +1190,8 @@ func (h *Heap) releaseHeld(p heap.Ptr) bool {
 
 // FlushQuarantine releases every held slot oldest-first and returns how
 // many actually freed (duplicates of already-released slots are ignored,
-// not counted). Callers flush before retiring a FreeFilter or before
-// occupancy-sensitive audits that expect quarantined slots returned to
-// free space.
+// not counted). Callers flush before occupancy-sensitive audits that
+// expect quarantined slots returned to free space.
 func (h *Heap) FlushQuarantine() int {
 	released := 0
 	for {

@@ -16,9 +16,9 @@ package core
 //   - a free CASes odd→even *before* the bitmap clear. On tagged heaps
 //     this CAS, not the bitmap bit, is the single §4.3 arbiter: of any
 //     set of racing frees of one incarnation — synchronous, magazine-
-//     flushed, quarantine-diverted, or remote-ring-drained — exactly
-//     one wins the transition, and the winner's bit-clear can never
-//     fail or land on a reallocated slot.
+//     flushed, quarantined, or remote-ring-drained — exactly one wins
+//     the transition, and the winner's bit-clear can never fail or
+//     land on a reallocated slot.
 //
 // MallocFat returns a fat pointer (addr, generation); FreeFat rejects
 // any fat pointer whose generation no longer matches the slot — which

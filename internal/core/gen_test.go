@@ -2,7 +2,7 @@ package core
 
 // Unit and race batteries for the generation-tagged tier (DESIGN.md
 // §15): parity bookkeeping across every free route (synchronous,
-// quarantine-diverted, magazine-flushed, remote-ring-drained), the
+// quarantined, magazine-flushed, remote-ring-drained), the
 // deterministic stale-free rejection that closes §12's straddling-
 // reallocation gap, retirement at the tag ceiling, and the
 // placement-identical contract that keeps the probabilistic tier's
@@ -271,16 +271,13 @@ func TestGenTagStaleAcrossRealloc(t *testing.T) {
 	}
 }
 
-// TestGenTagQuarantine pins the unified quarantine contract: the
-// generation transition runs before the FreeFilter consult, so the held
-// slot sits bit-set with an even word — stale frees and stale uses
-// during the hold are detected, the FIFO never holds duplicates, and
-// the release is the slot's sole bit-clearer.
+// TestGenTagQuarantine pins the unified quarantine contract: Quarantine
+// runs the generation transition before the hold, so the held slot sits
+// bit-set with an even word — stale frees and stale uses during the
+// hold are detected, the FIFO never holds duplicates, and the release
+// is the slot's sole bit-clearer.
 func TestGenTagQuarantine(t *testing.T) {
-	h, err := New(Options{
-		HeapSize: 12 << 20, Seed: 17, GenTags: true,
-		FreeFilter: func(heap.Ptr, int) bool { return true },
-	})
+	h, err := New(Options{HeapSize: 12 << 20, Seed: 17, GenTags: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,8 +285,8 @@ func TestGenTagQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := h.FreeFat(fp); !ok || err != nil {
-		t.Fatalf("FreeFat into quarantine = %v, %v; want accepted", ok, err)
+	if err := h.Quarantine(fp.Addr); err != nil {
+		t.Fatal(err)
 	}
 	if n := h.QuarantineLen(); n != 1 {
 		t.Fatalf("QuarantineLen = %d; want 1", n)
@@ -299,16 +296,20 @@ func TestGenTagQuarantine(t *testing.T) {
 	}
 	// A second free during the hold is stale — it must NOT enqueue a
 	// duplicate (the duplicate's release would race the reallocated
-	// slot's bit).
+	// slot's bit). Neither may an unchecked second Quarantine: the lost
+	// transition is a §4.3 ignore.
 	if ok, _ := h.FreeFat(fp); ok {
-		t.Fatal("double free into quarantine accepted")
+		t.Fatal("double free of a quarantined slot accepted")
+	}
+	if err := h.Quarantine(fp.Addr); err != nil {
+		t.Fatal(err)
 	}
 	if n := h.QuarantineLen(); n != 1 {
-		t.Fatalf("QuarantineLen = %d after rejected double; want 1 (no duplicate held)", n)
+		t.Fatalf("QuarantineLen = %d after rejected doubles; want 1 (no duplicate held)", n)
 	}
-	if st := h.Stats(); st.StaleFrees != 1 || st.Frees != 0 {
-		t.Fatalf("StaleFrees, Frees = %d, %d during hold; want 1, 0 (free counted at release)",
-			st.StaleFrees, st.Frees)
+	if st := h.Stats(); st.StaleFrees != 1 || st.IgnoredFrees != 1 || st.Frees != 0 {
+		t.Fatalf("StaleFrees, IgnoredFrees, Frees = %d, %d, %d during hold; want 1, 1, 0 (free counted at release)",
+			st.StaleFrees, st.IgnoredFrees, st.Frees)
 	}
 	if n := h.FlushQuarantine(); n != 1 {
 		t.Fatalf("FlushQuarantine released %d; want 1", n)
@@ -666,9 +667,6 @@ func TestFatPtrLifecycleRace(t *testing.T) {
 	)
 	h, err := New(Options{
 		HeapSize: 96 << 20, Seed: 41, Concurrent: true, RemoteRing: true, GenTags: true,
-		// Quarantine the 16-byte class: its frees divert to the FIFO and
-		// release through the eviction/flush path.
-		FreeFilter:    func(_ heap.Ptr, slotSize int) bool { return slotSize == 16 },
 		QuarantineCap: 32,
 	})
 	if err != nil {
@@ -758,6 +756,7 @@ func TestFatPtrLifecycleRace(t *testing.T) {
 			sizes := []int{16, 64, 256, 1024}
 			for round := 0; round < rounds; round++ {
 				fat := make([]heap.FatPtr, 0, perRound)
+				var small []bool // the object is in the 16-byte class
 				for i := 0; i < perRound; i++ {
 					size := sizes[r.Intn(len(sizes))]
 					if i%8 == 7 {
@@ -786,15 +785,20 @@ func TestFatPtrLifecycleRace(t *testing.T) {
 						return
 					}
 					fat = append(fat, fp)
+					small = append(small, size == 16)
 				}
 				// free routes object i by i%3: the remote ring, the
-				// magazine's buffer, or the synchronous FreeFat.
+				// magazine's buffer, or synchronously — the 16-byte class
+				// into the quarantine, whose holds release through the
+				// eviction and flush path, the rest through FreeFat.
 				free := func(i int, fp heap.FatPtr) (bool, error) {
-					switch i % 3 {
-					case 0:
+					switch {
+					case i%3 == 0:
 						return h.RemoteFreeFat(fp)
-					case 1:
+					case i%3 == 1:
 						return mag.FreeFat(fp)
+					case small[i]:
+						return true, h.Quarantine(fp.Addr)
 					}
 					return h.FreeFat(fp)
 				}
@@ -868,6 +872,10 @@ func TestFatPtrLifecycleRace(t *testing.T) {
 	if st.StaleFrees < uint64(raced)*(goroutines-1) {
 		t.Errorf("StaleFrees = %d; want at least the %d phase-A losers",
 			st.StaleFrees, raced*(goroutines-1))
+	}
+	if st.Quarantined == 0 || st.QuarantineOut != st.Quarantined {
+		t.Errorf("quarantine route: %d held, %d released; want every hold released",
+			st.Quarantined, st.QuarantineOut)
 	}
 	t.Logf("race battery: %d mallocs, %d frees, %d stale rejections (%d replayed), %d quarantined, %d retired",
 		st.Mallocs, st.Frees, st.StaleFrees, staleAttempts.Load(), st.Quarantined, st.Retired)

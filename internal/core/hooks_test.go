@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"diehard/internal/heap"
@@ -59,6 +60,26 @@ func TestAllocFreeHooks(t *testing.T) {
 	for i := range want {
 		if events[i] != want[i] {
 			t.Errorf("event %d = %+v, want %+v", i, events[i], want[i])
+		}
+	}
+}
+
+// TestHooksRefuseConcurrent: the hooks run unsynchronized, so New
+// refuses each of them on a Concurrent heap, naming both.
+func TestHooksRefuseConcurrent(t *testing.T) {
+	for name, o := range map[string]Options{
+		"OnAlloc":     {OnAlloc: func(heap.Ptr, int, int) {}},
+		"OnFree":      {OnFree: func(heap.Ptr, int) {}},
+		"OnStaleFree": {OnStaleFree: func(heap.Ptr, uint64) {}},
+	} {
+		o.HeapSize = 4 << 20
+		if _, err := New(o); err != nil {
+			t.Errorf("%s on a sequential heap refused: %v", name, err)
+		}
+		o.Concurrent = true
+		_, err := New(o)
+		if err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "Concurrent") {
+			t.Errorf("%s with Concurrent: err = %v; want a refusal naming both", name, err)
 		}
 	}
 }

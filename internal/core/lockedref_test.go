@@ -19,8 +19,8 @@ type allocator interface {
 // probe, bitmap update and object fill runs under the size class's
 // lock. With the same seed and one goroutine the two engines place every
 // object at the same address and fill it with the same bytes. It serves
-// untagged heaps without a FreeFilter or SizeAdjust; null, refused sizes
-// and large objects take Heap's own paths, which no engine owns.
+// untagged heaps; null, refused sizes and large objects take Heap's own
+// paths, which no engine owns.
 type lockedHeap struct{ *Heap }
 
 // Malloc allocates a small object through the locked engine.

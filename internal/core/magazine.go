@@ -152,9 +152,6 @@ func (h *Heap) NewMagazine() (*Magazine, error) {
 // so routing reads amortize across a whole magazine instead of every
 // malloc; frees route to the owning shard by page index as always.
 func (sh *ShardedHeap) NewMagazine() (*Magazine, error) {
-	if s := sh.shards[0]; s.opts.OnAlloc != nil || s.opts.OnFree != nil {
-		return nil, fmt.Errorf("diehard: magazines cannot batch past per-operation observation hooks")
-	}
 	m := &Magazine{sh: sh, tagged: sh.shards[0].opts.GenTags}
 	m.init()
 	sh.registerMagazine(m)

@@ -16,7 +16,7 @@ const (
 	optConcurrent
 	optRemoteRing
 	optGenTags
-	optFreeFilter
+	optQuarantine // every third free through Quarantine
 	optAdaptive
 	optTLB
 	optHooks // OnAlloc and OnFree
@@ -28,7 +28,7 @@ func (c combo) has(o combo) bool { return c&o != 0 }
 func (c combo) String() string {
 	var on []string
 	for i, name := range []string{"RandomFill", "Concurrent", "RemoteRing", "GenTags",
-		"FreeFilter", "Adaptive", "EnableTLB", "hooks"} {
+		"Quarantine", "Adaptive", "EnableTLB", "hooks"} {
 		if c.has(1 << i) {
 			on = append(on, name)
 		}
@@ -41,9 +41,8 @@ func (c combo) String() string {
 // built. shardedRefused: those NewSharded refuses; it forces Concurrent
 // on every shard.
 func (c combo) newRefused() bool {
-	return c.has(optTLB) && c.has(optConcurrent) ||
-		c.has(optRandomFill) && c.has(optConcurrent) ||
-		c.has(optRemoteRing) && (!c.has(optConcurrent) || c.has(optHooks))
+	return c.has(optConcurrent) && (c.has(optTLB) || c.has(optRandomFill) || c.has(optHooks)) ||
+		c.has(optRemoteRing) && !c.has(optConcurrent)
 }
 
 func (c combo) magazineRefused() bool {
@@ -51,7 +50,7 @@ func (c combo) magazineRefused() bool {
 }
 
 func (c combo) shardedRefused() bool {
-	return c.has(optRandomFill) || c.has(optTLB) || c.has(optRemoteRing) && c.has(optHooks)
+	return c.has(optRandomFill) || c.has(optTLB) || c.has(optHooks)
 }
 
 func (c combo) options() Options {
@@ -66,10 +65,6 @@ func (c combo) options() Options {
 		AdaptiveInitial: 4 << 10,
 		EnableTLB:       c.has(optTLB),
 	}
-	if c.has(optFreeFilter) {
-		frees := 0
-		o.FreeFilter = func(heap.Ptr, int) bool { frees++; return frees%3 == 0 }
-	}
 	if c.has(optHooks) {
 		o.OnAlloc = func(heap.Ptr, int, int) {}
 		o.OnFree = func(heap.Ptr, int) {}
@@ -77,13 +72,26 @@ func (c combo) options() Options {
 	return o
 }
 
+// quarantiner is the heap a run's quarantined frees go to: the front
+// end itself, or a magazine's backing heap.
+type quarantiner interface {
+	Quarantine(heap.Ptr) error
+	FlushQuarantine() int
+}
+
 // optionsRun is the short sequential run an accepted combination must
 // survive: mixed sizes, a large object, data stores, frees — every
-// other one remote where the front end has a RemoteFree — plus a
-// double and a misaligned free, then everything freed.
-func optionsRun(a allocator, mem *vmem.Space) error {
+// third one through q.Quarantine when q is set, every other one remote
+// where the front end has a RemoteFree — plus a double and a misaligned
+// free, then everything freed and the quarantine flushed.
+func optionsRun(a allocator, q quarantiner, mem *vmem.Space) error {
 	sizes := []int{8, 64, 300, 2048, MaxObjectSize + 100}
+	frees := 0
 	free := func(i int, p heap.Ptr) error {
+		frees++
+		if q != nil && frees%3 == 0 {
+			return q.Quarantine(p)
+		}
 		if rf, ok := a.(interface{ RemoteFree(heap.Ptr) error }); ok && i%2 == 0 {
 			return rf.RemoteFree(p)
 		}
@@ -114,6 +122,9 @@ func optionsRun(a allocator, mem *vmem.Space) error {
 			return err
 		}
 	}
+	if q != nil {
+		q.FlushQuarantine()
+	}
 	return nil
 }
 
@@ -136,6 +147,15 @@ func checkConstruction(t *testing.T, c combo, what string, refused bool, err err
 	}
 }
 
+// quarantine returns q when c sends frees through the quarantine, nil
+// otherwise.
+func (c combo) quarantine(q quarantiner) quarantiner {
+	if c.has(optQuarantine) {
+		return q
+	}
+	return nil
+}
+
 // TestOptionsTable walks all 256 combinations of the boolean options
 // through core.New, NewMagazine and NewSharded(2, …). Each either
 // constructs and survives a short sequential run ending in
@@ -145,7 +165,7 @@ func TestOptionsTable(t *testing.T) {
 	for c := combo(0); c <= optAll; c++ {
 		h, err := New(c.options())
 		checkConstruction(t, c, "New", c.newRefused(), err, func() error {
-			if err := optionsRun(h, h.Mem()); err != nil {
+			if err := optionsRun(h, c.quarantine(h), h.Mem()); err != nil {
 				return err
 			}
 			return h.CheckInvariants()
@@ -157,7 +177,7 @@ func TestOptionsTable(t *testing.T) {
 			}
 			m, err := h.NewMagazine()
 			checkConstruction(t, c, "NewMagazine", c.magazineRefused(), err, func() error {
-				if err := optionsRun(m, h.Mem()); err != nil {
+				if err := optionsRun(m, c.quarantine(h), h.Mem()); err != nil {
 					return err
 				}
 				m.Close()
@@ -166,7 +186,7 @@ func TestOptionsTable(t *testing.T) {
 		}
 		sh, err := NewSharded(2, c.options())
 		checkConstruction(t, c, "NewSharded", c.shardedRefused(), err, func() error {
-			if err := optionsRun(sh, sh.Mem()); err != nil {
+			if err := optionsRun(sh, c.quarantine(sh), sh.Mem()); err != nil {
 				return err
 			}
 			return sh.CheckInvariants()

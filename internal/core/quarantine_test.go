@@ -9,62 +9,12 @@ import (
 	"diehard/internal/rng"
 )
 
-// TestSizeAdjustPadsAllocation: the SizeAdjust hook grows the served
-// request, so a padded allocation lands in a larger class and the
-// overflow reach the pad was sized for stays inside the object's slot.
-func TestSizeAdjustPadsAllocation(t *testing.T) {
-	pad := 0
-	h := testHeap(t, Options{SizeAdjust: func(size int) int { return size + pad }})
-
-	p, err := h.Malloc(48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, size, _ := h.ObjectBounds(p); size != 64 {
-		t.Fatalf("unpadded 48B request served from %dB slot, want 64", size)
-	}
-
-	pad = 24 // 48+24 = 72 rounds to the 128B class
-	q, err := h.Malloc(48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, size, _ := h.ObjectBounds(q); size != 128 {
-		t.Fatalf("padded 48B request served from %dB slot, want 128", size)
-	}
-	// The pad is invisible to the caller but real to the accounting:
-	// Free accepts the pointer and the byte counters saw the padded size.
-	if err := h.Free(q); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Free(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSizeAdjustNeverShrinks: a hook returning less than the request
-// must not shrink the allocation (a countermeasure may only add slack).
-func TestSizeAdjustNeverShrinks(t *testing.T) {
-	h := testHeap(t, Options{SizeAdjust: func(size int) int { return size / 2 }})
-	p, err := h.Malloc(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, size, _ := h.ObjectBounds(p); size != 128 {
-		t.Fatalf("shrinking SizeAdjust honored: 100B request in %dB slot, want 128", size)
-	}
-}
-
-// TestQuarantineLifecycle walks a held slot through divert -> hold ->
-// release: the bit stays set and the occupancy unit stays reserved while
-// held (so the probe stream cannot re-issue the slot), and the normal
-// free accounting fires only at release.
+// TestQuarantineLifecycle walks a held slot through Quarantine -> hold
+// -> release: the bit stays set and the occupancy unit stays reserved
+// while held (so the probe stream cannot re-issue the slot), and the
+// normal free accounting fires only at release.
 func TestQuarantineLifecycle(t *testing.T) {
-	on := false
-	h := testHeap(t, Options{FreeFilter: func(p heap.Ptr, slotSize int) bool { return on }})
+	h := testHeap(t, Options{})
 
 	const n = 10
 	ptrs := make([]heap.Ptr, n)
@@ -75,18 +25,17 @@ func TestQuarantineLifecycle(t *testing.T) {
 		}
 		ptrs[i] = p
 	}
-	on = true
 	for _, p := range ptrs {
-		if err := h.Free(p); err != nil {
+		if err := h.Quarantine(p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := h.Stats()
 	if st.Quarantined != n || h.QuarantineLen() != n {
-		t.Fatalf("held %d/%d after %d filtered frees", st.Quarantined, h.QuarantineLen(), n)
+		t.Fatalf("held %d/%d after %d quarantined frees", st.Quarantined, h.QuarantineLen(), n)
 	}
 	if st.Frees != 0 || st.LiveObjects != n {
-		t.Fatalf("divert leaked into free accounting: frees=%d live=%d", st.Frees, st.LiveObjects)
+		t.Fatalf("hold leaked into free accounting: frees=%d live=%d", st.Frees, st.LiveObjects)
 	}
 	popcountVsInUse(t, h) // bits still set, occupancy still reserved
 
@@ -96,7 +45,6 @@ func TestQuarantineLifecycle(t *testing.T) {
 	for _, p := range ptrs {
 		held[p] = true
 	}
-	on = false
 	fresh := make([]heap.Ptr, 0, 3*n)
 	for i := 0; i < 3*n; i++ {
 		p, err := h.Malloc(64)
@@ -137,16 +85,16 @@ func TestQuarantineLifecycle(t *testing.T) {
 // exactly one release win the clear — §4.3's exactly-one-winner free
 // survives the deferral.
 func TestQuarantineDoubleFreeOneWinner(t *testing.T) {
-	h := testHeap(t, Options{FreeFilter: func(heap.Ptr, int) bool { return true }})
+	h := testHeap(t, Options{})
 	p, err := h.Malloc(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Free(p); err != nil {
+	if err := h.Quarantine(p); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Free(p); err != nil {
-		t.Fatal(err) // bit still set: the filter diverts the duplicate too
+	if err := h.Quarantine(p); err != nil {
+		t.Fatal(err) // bit still set: the duplicate is held too
 	}
 	st := h.Stats()
 	if st.Quarantined != 2 || h.QuarantineLen() != 2 {
@@ -169,17 +117,14 @@ func TestQuarantineDoubleFreeOneWinner(t *testing.T) {
 // bounded. A long churn also exercises the consumed-prefix compaction.
 func TestQuarantineCapEviction(t *testing.T) {
 	const cap = 4
-	h := testHeap(t, Options{
-		QuarantineCap: cap,
-		FreeFilter:    func(heap.Ptr, int) bool { return true },
-	})
+	h := testHeap(t, Options{QuarantineCap: cap})
 	const n = 200
 	for i := 0; i < n; i++ {
 		p, err := h.Malloc(64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := h.Free(p); err != nil {
+		if err := h.Quarantine(p); err != nil {
 			t.Fatal(err)
 		}
 		if got := h.QuarantineLen(); got > cap {
@@ -204,71 +149,23 @@ func TestQuarantineCapEviction(t *testing.T) {
 	}
 }
 
-// TestIdleHooksPreserveLayout is the unit-level half of the golden-hash
-// guard: hooks that are installed but idle (identity SizeAdjust, always-
-// false FreeFilter) must reproduce the hook-free heap's exact allocation
-// sequence, so healing-off runs stay byte-identical to the recordings.
-func TestIdleHooksPreserveLayout(t *testing.T) {
-	plain := testHeap(t, Options{})
-	hooked := testHeap(t, Options{
-		SizeAdjust: func(size int) int { return size },
-		FreeFilter: func(heap.Ptr, int) bool { return false },
-	})
-	r := rng.NewSeeded(99)
-	var livePlain, liveHooked []heap.Ptr
-	for i := 0; i < 2000; i++ {
-		if len(livePlain) > 0 && r.Intn(3) == 0 {
-			j := r.Intn(len(livePlain))
-			if err := plain.Free(livePlain[j]); err != nil {
-				t.Fatal(err)
-			}
-			if err := hooked.Free(liveHooked[j]); err != nil {
-				t.Fatal(err)
-			}
-			livePlain[j] = livePlain[len(livePlain)-1]
-			livePlain = livePlain[:len(livePlain)-1]
-			liveHooked[j] = liveHooked[len(liveHooked)-1]
-			liveHooked = liveHooked[:len(liveHooked)-1]
-			continue
-		}
-		size := 8 << r.Intn(8)
-		p1, err := plain.Malloc(size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p2, err := hooked.Malloc(size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p1 != p2 {
-			t.Fatalf("op %d: idle hooks perturbed placement: %#x vs %#x", i, p1, p2)
-		}
-		livePlain = append(livePlain, p1)
-		liveHooked = append(liveHooked, p2)
-	}
-	if hooked.Stats().Quarantined != 0 {
-		t.Fatalf("idle FreeFilter quarantined %d frees", hooked.Stats().Quarantined)
-	}
-}
-
-// TestFreeFilterOnRandomFillHeap: a replicated-mode heap runs the same
+// TestQuarantineOnRandomFillHeap: a replicated-mode heap runs the same
 // engine as every other, so the quarantine composes with RandomFill: a
-// filtered free holds the slot live until the flush releases it.
-func TestFreeFilterOnRandomFillHeap(t *testing.T) {
-	h, err := New(Options{HeapSize: 12 << 20, Seed: 4, RandomFill: true,
-		FreeFilter: func(heap.Ptr, int) bool { return true }})
+// quarantined free holds the slot live until the flush releases it.
+func TestQuarantineOnRandomFillHeap(t *testing.T) {
+	h, err := New(Options{HeapSize: 12 << 20, Seed: 4, RandomFill: true})
 	if err != nil {
-		t.Fatalf("RandomFill + FreeFilter refused: %v", err)
+		t.Fatal(err)
 	}
 	p, err := h.Malloc(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Free(p); err != nil {
+	if err := h.Quarantine(p); err != nil {
 		t.Fatal(err)
 	}
 	if _, live := h.SizeOf(p); !live || h.QuarantineLen() != 1 {
-		t.Fatalf("filtered free not held: live=%v, quarantine %d", live, h.QuarantineLen())
+		t.Fatalf("quarantined free not held: live=%v, quarantine %d", live, h.QuarantineLen())
 	}
 	if n := h.FlushQuarantine(); n != 1 {
 		t.Errorf("FlushQuarantine released %d, want 1", n)
@@ -292,12 +189,11 @@ func TestQuarantineProbeShiftBracket(t *testing.T) {
 	}
 	const size = 64
 	const trials = 30000
-	mkHeap := func(on *bool) *Heap {
+	mkHeap := func() *Heap {
 		return testHeap(t, Options{
 			HeapSize:      3 << 20,
 			Seed:          4242,
 			QuarantineCap: 1 << 20, // never evict during setup
-			FreeFilter:    func(heap.Ptr, int) bool { return *on },
 		})
 	}
 	measure := func(h *Heap, ptrs []heap.Ptr, r *rng.MWC) float64 {
@@ -316,8 +212,7 @@ func TestQuarantineProbeShiftBracket(t *testing.T) {
 		return float64(h.Stats().Probes-before) / trials
 	}
 
-	var on bool
-	h := mkHeap(&on)
+	h := mkHeap()
 	total, maxInUse := h.ClassSlots(ClassFor(size))
 	q := maxInUse / 4
 	live := maxInUse - q
@@ -331,21 +226,18 @@ func TestQuarantineProbeShiftBracket(t *testing.T) {
 		}
 		ptrs[i] = p
 	}
-	on = true
 	for _, p := range ptrs[live:] {
-		if err := h.Free(p); err != nil {
+		if err := h.Quarantine(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	on = false
 	if h.QuarantineLen() != q {
 		t.Fatalf("held %d, want %d", h.QuarantineLen(), q)
 	}
 	withQ := measure(h, ptrs[:live], rng.NewSeeded(17))
 
 	// Baseline class at the same live load, no quarantine.
-	var off bool
-	h2 := mkHeap(&off)
+	h2 := mkHeap()
 	ptrs2 := make([]heap.Ptr, live)
 	for i := range ptrs2 {
 		p, err := h2.Malloc(size)

@@ -247,7 +247,7 @@ func TestRemoteFreeThresholdDrain(t *testing.T) {
 
 // TestRemoteRingValidation pins the construction contract: a remote
 // ring needs real concurrency (atomic counters), so no RandomFill, and
-// no per-operation observation hooks.
+// no per-operation observation hooks, which Concurrent excludes.
 func TestRemoteRingValidation(t *testing.T) {
 	if _, err := New(Options{RemoteRing: true}); err == nil {
 		t.Error("RemoteRing without Concurrent accepted")

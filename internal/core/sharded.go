@@ -40,7 +40,7 @@ import (
 // RandomFill (replicated mode) is not supported: every shard is
 // Concurrent, which RandomFill refuses, and replica voting gives each
 // replica a private space, which is exactly what sharding gives up. TLB
-// simulation is likewise sequential-only.
+// simulation and the observation hooks are likewise sequential-only.
 type ShardedHeap struct {
 	space  *vmem.Space
 	shards []*Heap
@@ -75,8 +75,8 @@ var _ heap.Allocator = (*ShardedHeap)(nil)
 // NewSharded creates a sharded DieHard heap with n shards. opts
 // configures each shard, except that HeapSize (defaulting to the paper's
 // 384 MB) is the total across shards — each shard manages HeapSize/n —
-// and per-shard seeds are derived from opts.Seed. RandomFill and
-// EnableTLB are rejected.
+// and per-shard seeds are derived from opts.Seed. RandomFill, EnableTLB
+// and observation hooks are rejected.
 func NewSharded(n int, opts Options) (*ShardedHeap, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("diehard: shard count %d must be positive", n)
@@ -277,6 +277,10 @@ func (sh *ShardedHeap) Free(p heap.Ptr) error { return sh.shardOf(p).Free(p) }
 
 // free is the one routed free path, on the owning shard.
 func (sh *ShardedHeap) free(fp heap.FatPtr) (bool, error) { return sh.shardOf(fp.Addr).free(fp) }
+
+// Quarantine routes p to its owning shard's quarantine (Heap.Quarantine),
+// as Free routes plain frees.
+func (sh *ShardedHeap) Quarantine(p heap.Ptr) error { return sh.shardOf(p).Quarantine(p) }
 
 // SizeOf reports the usable size of the allocated object starting
 // exactly at p, whichever shard owns it.

@@ -14,16 +14,21 @@
 // no restart, no pause:
 //
 //   - overflow culprits get a per-site overallocation pad, installed in
-//     the Mitigations table that core.Options.SizeAdjust consults on
-//     every Malloc: the buggy write past the requested end now lands in
-//     the object's own (enlarged) slot, harming no neighbor. Pads are
-//     sized from the evidence (max observed damage extent plus slack)
-//     and max-merged, so an under-estimated pad self-corrects when the
-//     next escape reveals a longer reach;
-//   - dangling culprits get per-site free quarantine, consulted by
-//     core.Options.FreeFilter: the site's frees divert into the heap's
-//     delayed-reuse FIFO, keeping the slot out of the probe stream so a
-//     stale write lands on memory no new owner holds.
+//     the Mitigations table: the session adds the site's pad to the size
+//     it passes to Malloc, so the buggy write past the requested end now
+//     lands in the object's own (enlarged) slot, harming no neighbor.
+//     Pads are sized from the evidence (max observed damage extent plus
+//     slack) and max-merged, so an under-estimated pad self-corrects
+//     when the next escape reveals a longer reach;
+//   - dangling culprits get per-site free quarantine: the session frees
+//     the site's objects through core's Heap.Quarantine instead of Free,
+//     into the heap's delayed-reuse FIFO, keeping the slot out of the
+//     probe stream so a stale write lands on memory no new owner holds.
+//
+// Both countermeasures are calls the session makes, because only the
+// caller knows which site an allocation or a free belongs to; a run
+// with Heal off installs nothing and makes exactly a plain program's
+// calls.
 //
 // Scheduled epoch restarts re-seed the heap (fresh randomized layout)
 // while the Accumulator and Mitigations persist — evidence accumulates
@@ -108,8 +113,6 @@ type Config struct {
 	// PadSlack is added to the max observed damage extent when sizing an
 	// overflow pad (default 8, one canary width).
 	PadSlack int
-	// QuarantineCap bounds the heap's delayed-reuse FIFO (default 8).
-	QuarantineCap int
 	// HeapCheckEvery / HeapCheckMin set the detector's barrier cadence
 	// (defaults 4*Sites and max(1, Sites/2): adaptive, tightening after
 	// evidence).
@@ -135,6 +138,9 @@ type Config struct {
 // (100+).
 const SupervisorRing = 200
 
+// quarantineCap bounds each epoch heap's delayed-reuse FIFO.
+const quarantineCap = 8
+
 func (c *Config) withDefaults() (Config, error) {
 	v := *c
 	if v.HeapSize == 0 {
@@ -148,9 +154,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if v.PadSlack == 0 {
 		v.PadSlack = 8
-	}
-	if v.QuarantineCap == 0 {
-		v.QuarantineCap = 8
 	}
 	s := v.Schedule
 	if s.Sites <= 0 || v.Cycles <= 0 {
@@ -230,12 +233,11 @@ type supervisor struct {
 	acc *detect.Accumulator
 	res *Result
 
-	h       *detect.Heap
-	det     *detect.Detector
-	mem     heap.Memory
-	curSite int
-	ptrs    []heap.Ptr
-	epoch   int
+	h     *detect.Heap
+	det   *detect.Detector
+	mem   heap.Memory
+	ptrs  []heap.Ptr
+	epoch int
 
 	ring    *obs.Ring      // supervisor + detection-heap trace ring
 	cycleNs *obs.Histogram // per-cycle wall latency (Obs runs only)
@@ -304,19 +306,14 @@ func Run(cfg Config) (*Result, error) {
 	return s.res, nil
 }
 
-// startEpoch builds a fresh canary-armed heap for the current epoch,
-// wiring the live Mitigations table into the allocator hooks. The table
-// and the accumulator outlive every epoch.
+// startEpoch builds a fresh canary-armed heap for the current epoch.
+// The Mitigations table and the accumulator outlive every epoch.
 func (s *supervisor) startEpoch() error {
 	copts := core.Options{
 		HeapSize:      s.cfg.HeapSize,
 		M:             s.cfg.M,
 		Seed:          exps.DeriveSeed(s.cfg.Seed, s.epoch),
-		QuarantineCap: s.cfg.QuarantineCap,
-	}
-	if s.cfg.Heal {
-		copts.SizeAdjust = func(size int) int { return size + s.mit.Pad(s.curSite) }
-		copts.FreeFilter = func(p heap.Ptr, slot int) bool { return s.mit.Quarantined(s.curSite) }
+		QuarantineCap: quarantineCap,
 	}
 	h, err := detect.New(copts, detect.Options{
 		HeapCheckEvery: s.cfg.HeapCheckEvery,
@@ -373,8 +370,7 @@ func (s *supervisor) cycle(c int) error {
 	failed := false
 
 	for site := 0; site < sch.Sites; site++ {
-		s.curSite = site
-		p, err := s.h.Malloc(sch.ObjectSize)
+		p, err := s.h.Malloc(sch.ObjectSize + s.mit.Pad(site))
 		if err != nil {
 			// A planned schedule never exhausts the heap; treat refusal
 			// as a failure and keep serving.
@@ -388,8 +384,7 @@ func (s *supervisor) cycle(c int) error {
 			// Premature free: the program will still write through (and
 			// verify) this pointer later in the cycle.
 			stale = p
-			s.curSite = site
-			_ = s.h.Free(p)
+			s.free(site, p)
 			s.ptrs[site] = heap.Null
 		}
 	}
@@ -425,8 +420,7 @@ func (s *supervisor) cycle(c int) error {
 		if s.ptrs[site] == heap.Null {
 			continue
 		}
-		s.curSite = site
-		_ = s.h.Free(s.ptrs[site])
+		s.free(site, s.ptrs[site])
 		s.ptrs[site] = heap.Null
 	}
 
@@ -445,6 +439,17 @@ func (s *supervisor) cycle(c int) error {
 		s.res.MinCadence = cad
 	}
 	return nil
+}
+
+// free releases site's object, into the heap's quarantine when the site
+// is convicted of dangling frees. Both calls ignore what they cannot
+// free, as DieHard's Free does.
+func (s *supervisor) free(site int, p heap.Ptr) {
+	if s.mit.Quarantined(site) {
+		_ = s.h.Quarantine(p)
+		return
+	}
+	_ = s.h.Free(p)
 }
 
 // drainEvidence moves the detector's evidence into the accumulator as

@@ -109,8 +109,21 @@ func TestHealMTBF(t *testing.T) {
 
 // TestHealCampaignDeterministicAcrossWorkers pins the replicated
 // campaign's w=1 vs w=8 byte-identity: same seeds, same replica
-// results, same merged verdicts, same hash.
+// results, same merged verdicts, same hash. The hashes with Heal on and
+// off are also pinned to recorded values, so a change that moves every
+// replica alike — a different pad, hold, or free — fails here too.
 func TestHealCampaignDeterministicAcrossWorkers(t *testing.T) {
+	for healOn, want := range map[bool]uint64{true: 0x21e9bdb61d525cf9, false: 0xe189a40591e9f55d} {
+		cfg := testConfig(healOn)
+		cfg.Cycles = 120
+		got, err := RunCampaign(cfg, 6, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.VerdictHash != want {
+			t.Errorf("Heal=%v: campaign verdict hash %#x, recorded %#x", healOn, got.VerdictHash, want)
+		}
+	}
 	cfg := testConfig(true)
 	cfg.Cycles = 120
 	one, err := RunCampaign(cfg, 6, 1)

@@ -8,15 +8,15 @@ import (
 
 // Mitigations is the live countermeasure table: per-site overallocation
 // pads for convicted overflow culprits and per-site free-quarantine
-// flags for convicted dangling culprits. Readers sit on allocator hot
-// paths (every Malloc consults Pad through core.Options.SizeAdjust,
-// every Free consults Quarantined through FreeFilter, and serve workers
-// consult both inline), so lookups are wait-free: both tables are
-// immutable maps behind atomic pointers, republished copy-on-write by
-// the supervisor's rare writes. Applying a countermeasure is therefore
-// *live* by construction — the next allocation or free anywhere in the
-// service observes it, with no restart, no barrier, and no locking on
-// the read side.
+// flags for convicted dangling culprits. Readers sit on the service's
+// hot paths (every malloc adds Pad to its size, every free asks
+// Quarantined whether to call Quarantine instead of Free, in the
+// supervisor and in serve's workers alike), so lookups are wait-free:
+// both tables are immutable maps behind atomic pointers, republished
+// copy-on-write by the supervisor's rare writes. Applying a
+// countermeasure is therefore *live* by construction — the next
+// allocation or free anywhere in the service observes it, with no
+// restart, no barrier, and no locking on the read side.
 type Mitigations struct {
 	mu   sync.Mutex // serializes writers; readers never take it
 	pads atomic.Pointer[map[int]int]

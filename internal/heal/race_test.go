@@ -11,10 +11,11 @@ import (
 )
 
 // TestHealRaceBattery is the 8-goroutine concurrency battery of the
-// healing machinery (runs under -race in CI): workers churn a shared
-// lock-free heap whose SizeAdjust/FreeFilter hooks consult a live
-// Mitigations table while a supervisor goroutine installs pads and
-// quarantines mid-flight and every worker simultaneously streams
+// healing machinery (runs under -race in CI): workers churn two shared
+// lock-free heaps, reading a live Mitigations table at every malloc
+// (the pad they add to the request) and every free (Quarantine or
+// Free), while a supervisor goroutine installs pads and quarantines
+// mid-flight and every worker simultaneously streams
 // evidence windows into one shared Accumulator (plus a private one that
 // is Merged at the end). The run must end with the quarantine flushed,
 // CheckInvariants clean — which enforces bitmap popcount == inUse, with
@@ -28,26 +29,27 @@ func TestHealRaceBattery(t *testing.T) {
 	mit := NewMitigations()
 	shared := &detect.Accumulator{}
 
-	h, err := core.New(core.Options{
-		HeapSize:      48 << 20,
-		Seed:          0xBA77,
-		Concurrent:    true,
-		QuarantineCap: 64,
-		// Site identity in this battery is the requested size (the hooks
-		// run on every goroutine concurrently, so the table reads race
-		// the supervisor's copy-on-write publishes — the point of the
-		// test).
-		SizeAdjust: func(size int) int { return size + mit.Pad(size) },
-	})
+	// Site identity in this battery is the requested size, which is
+	// also the slot size serving it. Every worker reads the table
+	// concurrently, so the reads race the supervisor's copy-on-write
+	// publishes — the point of the test.
+	h, err := core.New(core.Options{HeapSize: 48 << 20, Seed: 0xBA77, Concurrent: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// FreeFilter keys on the slot size serving the request.
-	hq, err := core.New(core.Options{HeapSize: 48 << 20, Seed: 0xBA78, Concurrent: true,
-		QuarantineCap: 64,
-		FreeFilter:    func(p heap.Ptr, slotSize int) bool { return mit.Quarantined(slotSize) }})
+	hq, err := core.New(core.Options{HeapSize: 48 << 20, Seed: 0xBA78, Concurrent: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	type object struct {
+		p    heap.Ptr
+		size int
+	}
+	freeQ := func(o object) error {
+		if mit.Quarantined(o.size) {
+			return hq.Quarantine(o.p)
+		}
+		return hq.Free(o.p)
 	}
 
 	var wg sync.WaitGroup
@@ -58,10 +60,11 @@ func TestHealRaceBattery(t *testing.T) {
 			defer wg.Done()
 			r := rng.NewSeeded(uint64(id)*0x9E3779B9 + 3)
 			priv := &detect.Accumulator{}
-			var live, liveQ []heap.Ptr
+			var live []heap.Ptr
+			var liveQ []object
 			for i := 0; i < rounds; i++ {
 				size := 8 << r.Intn(3) // classes 0..2, shared across workers
-				p, err := h.Malloc(size)
+				p, err := h.Malloc(size + mit.Pad(size))
 				if err != nil {
 					errs[id] = err
 					return
@@ -72,7 +75,7 @@ func TestHealRaceBattery(t *testing.T) {
 					errs[id] = err
 					return
 				}
-				liveQ = append(liveQ, q)
+				liveQ = append(liveQ, object{q, size})
 				if len(live) > 48 {
 					j := r.Intn(len(live))
 					if err := h.Free(live[j]); err != nil {
@@ -82,7 +85,7 @@ func TestHealRaceBattery(t *testing.T) {
 					live[j] = live[len(live)-1]
 					live = live[:len(live)-1]
 					j = r.Intn(len(liveQ))
-					if err := hq.Free(liveQ[j]); err != nil {
+					if err := freeQ(liveQ[j]); err != nil {
 						errs[id] = err
 						return
 					}
@@ -110,8 +113,8 @@ func TestHealRaceBattery(t *testing.T) {
 					return
 				}
 			}
-			for _, p := range liveQ {
-				if err := hq.Free(p); err != nil {
+			for _, o := range liveQ {
+				if err := freeQ(o); err != nil {
 					errs[id] = err
 					return
 				}
@@ -145,7 +148,7 @@ func TestHealRaceBattery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := hq.Free(p); err != nil {
+		if err := freeQ(object{p, 16}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -104,14 +104,13 @@ type Config struct {
 	// injected double frees would trip the verification.
 	Faults *FaultPlan
 	// Mitigate, when set with Faults, consults the supervisor's live
-	// countermeasure table: per-object-index overallocation pads applied
-	// at malloc and per-index free quarantine holding frees in a
-	// worker-local delayed-reuse FIFO. heal.Mitigations implements it.
+	// countermeasure table: per-object-index overallocation pads added
+	// to the malloc size, and per-index free quarantine, which frees
+	// through ShardedHeap.Quarantine so the owning shard's core
+	// quarantine holds the slot out of reuse. The run flushes every
+	// shard's quarantine after the workers join, so FullnessEnd still
+	// measures drift. heal.Mitigations implements it.
 	Mitigate Mitigator
-	// QuarantineDepth bounds each worker's held-free FIFO (default 32);
-	// pushing past it frees the oldest held object. All held objects are
-	// freed at worker teardown, so FullnessEnd still measures drift.
-	QuarantineDepth int
 	// Obs, when non-nil, receives the soak's slice of the unified
 	// metrics tree: the shard aggregate and per-shard core.* gauges,
 	// the vmem.* gauges of the shared address space, per-worker
@@ -121,11 +120,11 @@ type Config struct {
 	// tree can be scraped live while the soak runs.
 	Obs *obs.Registry
 	// Trace, when non-nil, attaches the flight recorder: worker i
-	// emits on ring i (EvSession latencies, EvQuarantine holds,
-	// EvFault injections) and its magazine traces refills/flushes
-	// there; shard heaps ride rings 100+shard and the steal router
-	// ring 100+Shards (core's malloc/free/drain/steal events). Nil
-	// leaves every hot path at its single disabled-check branch.
+	// emits on ring i (EvSession latencies, EvFault injections) and its
+	// magazine traces refills/flushes there; shard heaps ride rings
+	// 100+shard and the steal router ring 100+Shards (core's malloc/
+	// free/quarantine/drain/steal events). Nil leaves every hot path at
+	// its single disabled-check branch.
 	Trace *obs.Recorder
 }
 
@@ -193,8 +192,8 @@ type Result struct {
 	// Corruptions counts session objects whose token failed verification
 	// at free (Faults runs only); MTBFSessions is sessions per
 	// corruption, the soak's mean-sessions-between-failures grade.
-	// QuarantinedFrees counts frees the workers held in delayed-reuse
-	// FIFOs on the Mitigator's orders.
+	// QuarantinedFrees counts the frees the shards' quarantines held on
+	// the Mitigator's orders (Stats.Quarantined).
 	Corruptions      int64
 	MTBFSessions     float64
 	QuarantinedFrees int64
@@ -231,11 +230,9 @@ type worker struct {
 	wilds   int64              // ErrorRate wild frees injected
 
 	// Fault-schedule state (cfg.Faults runs only).
-	sessionN    int64      // sessions served, the fault schedule's clock
-	stale       heap.Ptr   // prematurely freed pointer awaiting its stale write
-	held        []heap.Ptr // worker-local delayed-reuse FIFO (Mitigator quarantine)
+	sessionN    int64    // sessions served, the fault schedule's clock
+	stale       heap.Ptr // prematurely freed pointer awaiting its stale write
 	corruptions int64
-	quarFrees   int64
 
 	// Telemetry handles; all nil-safe, so the zero worker is silent.
 	ring       *obs.Ring    // flight-recorder ring (worker id = w.id)
@@ -459,26 +456,17 @@ var staleJunk = [8]byte{0xDD, 0xDD, 0xDD, 0xDD, 0xDD, 0xDD, 0xDD, 0xDD}
 // freeFaulted retires one object of a fault-scheduled session: verify
 // its token (a mismatch is a corruption — the invariant failure MTBF
 // counts — never a run failure), then either free it or, when the
-// Mitigator quarantines its index, push it onto the worker's delayed-
-// reuse FIFO so the slot stays out of the probe stream.
+// Mitigator quarantines its index, hold it in the owning shard's
+// quarantine so the slot stays out of the probe stream.
 func (w *worker) freeFaulted(cfg *Config, i int, p heap.Ptr) error {
 	if v, err := w.mem.Load64(uint64(p)); err != nil || v != uint64(p)^0xd1e {
 		w.corruptions++
 		w.ctrCorrupt.Inc()
 	}
 	if cfg.Mitigate != nil && cfg.Mitigate.Quarantined(i) {
-		w.quarFrees++
 		w.ctrQuar.Inc()
-		if w.ring != nil {
-			w.ring.Emit(obs.EvQuarantine, uint64(p))
-		}
-		w.held = append(w.held, p)
-		if len(w.held) > cfg.QuarantineDepth {
-			oldest := w.held[0]
-			w.held = w.held[1:]
-			if err := w.mag.Free(oldest); err != nil {
-				return fmt.Errorf("worker %d quarantine release: %w", w.id, err)
-			}
+		if err := w.sh.Quarantine(p); err != nil {
+			return fmt.Errorf("worker %d quarantine: %w", w.id, err)
 		}
 		return nil
 	}
@@ -551,15 +539,6 @@ func (w *worker) run(cfg *Config, quota int64, sessions *sync.WaitGroup, errOut 
 			fail(err)
 		}
 	}
-	// Release the delayed-reuse FIFO before the magazine closes, so
-	// FullnessEnd measures drift, not quarantine inventory.
-	for _, p := range w.held {
-		if err := w.mag.Free(p); err != nil {
-			fail(fmt.Errorf("worker %d teardown release: %w", w.id, err))
-			break
-		}
-	}
-	w.held = nil
 	w.mag.Close()
 }
 
@@ -590,9 +569,6 @@ func (cfg *Config) setDefaults() error {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.QuarantineDepth <= 0 {
-		cfg.QuarantineDepth = 32
 	}
 	if cfg.Faults != nil {
 		if cfg.ErrorRate > 0 {
@@ -715,6 +691,9 @@ func Run(cfg Config) (*Result, error) {
 	if runErr != nil {
 		return nil, runErr
 	}
+	// Release the quarantined slots, so FullnessEnd measures drift, not
+	// quarantine inventory.
+	sh.FlushQuarantine()
 	var doubles int64
 	for _, w := range workers {
 		doubles += w.doubles
@@ -744,10 +723,10 @@ func Run(cfg Config) (*Result, error) {
 	for _, w := range workers {
 		res.Hist.Merge(&w.hist)
 		res.Corruptions += w.corruptions
-		res.QuarantinedFrees += w.quarFrees
 		res.DoubleFrees += w.doubles
 		res.WildFrees += w.wilds
 	}
+	res.QuarantinedFrees = int64(res.Stats.Quarantined)
 	if cfg.Faults != nil {
 		res.MTBFSessions = float64(cfg.Sessions) / float64(max(int64(1), res.Corruptions))
 	}

@@ -209,16 +209,6 @@ func TestServeConfigValidation(t *testing.T) {
 	}
 }
 
-// staticMit is a fixed Mitigator for tests: the countermeasures a
-// supervisor would have installed, applied from session one.
-type staticMit struct {
-	pads map[int]int
-	quar map[int]bool
-}
-
-func (m staticMit) Pad(site int) int          { return m.pads[site] }
-func (m staticMit) Quarantined(site int) bool { return m.quar[site] }
-
 // TestServeFaultScheduleMTBF embeds the planned fault schedule in the
 // soak and grades the mitigated run against the unmitigated baseline on
 // MTBF-in-sessions. Workers=1: the injected overflow/stale writes are
@@ -249,10 +239,10 @@ func TestServeFaultScheduleMTBF(t *testing.T) {
 		t.Fatalf("no Mitigator, yet %d frees quarantined", base.QuarantinedFrees)
 	}
 
-	cfg.Mitigate = staticMit{
-		pads: map[int]int{plan.OverflowObject: plan.OverflowReach + 8},
-		quar: map[int]bool{plan.DanglingObject: true},
-	}
+	cfg.Mitigate = StaticMitigator(
+		map[int]int{plan.OverflowObject: plan.OverflowReach + 8},
+		map[int]bool{plan.DanglingObject: true},
+	)
 	healed := soak(t, cfg)
 	if healed.Corruptions != 0 {
 		t.Errorf("mitigated run still corrupted %d tokens", healed.Corruptions)
@@ -310,10 +300,10 @@ func TestObsServeSoakTelemetry(t *testing.T) {
 		Seed:     31,
 		FreeMode: FreeRemote,
 		Faults:   plan,
-		Mitigate: staticMit{
-			pads: map[int]int{plan.OverflowObject: plan.OverflowReach + 8},
-			quar: map[int]bool{plan.DanglingObject: true},
-		},
+		Mitigate: StaticMitigator(
+			map[int]int{plan.OverflowObject: plan.OverflowReach + 8},
+			map[int]bool{plan.DanglingObject: true},
+		),
 		Obs:   reg,
 		Trace: rec,
 	}
@@ -332,8 +322,16 @@ func TestObsServeSoakTelemetry(t *testing.T) {
 	if v, _ := reg.Get("serve.sessions"); v != float64(cfg.Sessions) {
 		t.Errorf("serve.sessions = %v, want %d", v, cfg.Sessions)
 	}
-	if v, _ := reg.Get("heal.quarantined_frees"); v != float64(res.QuarantinedFrees) {
-		t.Errorf("heal.quarantined_frees = %v, want %d", v, res.QuarantinedFrees)
+	// One quarantine, one count: every mitigated free the workers made
+	// is a hold in a shard's core quarantine, and the flush after the
+	// workers joined released every hold.
+	if res.QuarantinedFrees == 0 {
+		t.Error("the Mitigator quarantined no free")
+	}
+	for _, m := range []string{"heal.quarantined_frees", "core.quarantined", "core.quarantine_released"} {
+		if v, _ := reg.Get(m); v != float64(res.QuarantinedFrees) {
+			t.Errorf("%s = %v, want Result.QuarantinedFrees = %d", m, v, res.QuarantinedFrees)
+		}
 	}
 	if v, _ := reg.Get("core.mallocs"); v == 0 {
 		t.Error("core.mallocs gauge reads 0 after a soak")
