@@ -119,7 +119,7 @@ type Options struct {
 	// — like every other piece of DieHard metadata — tags live outside
 	// user memory and object placement is byte-identical to an untagged
 	// heap. The counter's parity encodes liveness (odd = allocated, even
-	// = free): every claim bumps even→odd after winning its bitmap CAS,
+	// = free): every claim bumps even→odd once its stream commit wins,
 	// and every free arbitrates by CAS-ing the counter odd→even *before*
 	// clearing the bit, which makes the generation word — not the bitmap
 	// bit — the single §4.3 arbiter of racing frees on tagged heaps.
@@ -213,7 +213,7 @@ type subregion struct {
 	bits  []uint64 // allocation bitmap: one bit per slot, segregated metadata
 	// gens is the per-slot generation word (Options.GenTags, DESIGN.md
 	// §15), nil on untagged heaps. Parity encodes liveness (odd =
-	// allocated): claims bump after winning the bitmap CAS, frees CAS
+	// allocated): claims bump after their stream commit, frees CAS
 	// odd→even before clearing the bit — on tagged heaps this word, not
 	// the bit, arbitrates racing frees. Segregated metadata like the
 	// bitmap: heap writes cannot reach it, and placement is unchanged.
@@ -426,8 +426,10 @@ type Heap struct {
 	quarHead   int
 
 	// trace is the flight-recorder ring (Options.Trace, or installed
-	// later via SetTrace). Nil = disabled; every emit site guards with
-	// its own nil check so the disabled hot path is one branch.
+	// later by ShardedHeap.AttachRecorder). Nil = disabled; every emit
+	// site guards with its own nil check so the disabled hot path is one
+	// branch. The field is not synchronized, by design: install it before
+	// the heap is shared between goroutines, or at a quiescent point.
 	trace *obs.Ring
 }
 
@@ -657,7 +659,10 @@ func (h *Heap) Malloc(size int) (heap.Ptr, error) {
 }
 
 // malloc is the one malloc path: it returns the fat pointer carrying the
-// tag the claim issued, 0 on an untagged heap.
+// tag the claim issued, 0 on an untagged heap. A small object is a
+// one-slot claim (DESIGN.md §10): no mutex is touched unless the class
+// must grow, and exactly one goroutine wins each slot, so the
+// observation hooks fire exactly once per allocation.
 func (h *Heap) malloc(size int) (heap.FatPtr, error) {
 	if size < 0 {
 		h.addStat(&h.stats.FailedMallocs, 1)
@@ -669,128 +674,33 @@ func (h *Heap) malloc(size int) (heap.FatPtr, error) {
 	if size > MaxObjectSize {
 		return h.allocateLargeObject(size)
 	}
-	return h.mallocLockFree(ClassFor(size), size)
-}
-
-// mallocLockFree is the small-object malloc: a bounded CAS
-// increment reserves occupancy below the 1/M threshold, then the probe
-// loop draws slots from the class stream and claims the first free one
-// by CASing its bitmap word (DESIGN.md §10). No mutex is touched unless
-// the class must grow. Exactly one goroutine wins each slot, so the
-// observation hooks fire exactly once per allocation.
-//
-// The stream advance is batched: the whole probe sequence draws against
-// a register-resident copy of the packed state, and one CAS publishes
-// the consumed draws. If the CAS fails a racing malloc advanced the
-// stream first; the probe sequence replays from the fresh state (its
-// candidate slot was never claimed, so nothing needs undoing). A lone
-// goroutine therefore consumes exactly the draw sequence of the
-// per-class-mutex reference engine the tests difference against — the
-// determinism the campaign recordings pin — at one RMW instead of one
-// per draw.
-func (h *Heap) mallocLockFree(c, size int) (heap.FatPtr, error) {
+	c := ClassFor(size)
 	cl := &h.classes[c]
-	if err := h.reserve(c); err != nil {
-		h.addStat(&h.stats.FailedMallocs, 1)
+	var one [1]int32
+	idxs, regs, err := h.claim(c, 1, one[:0])
+	for err == nil && len(idxs) == 0 {
+		// A wild free emptied the claim before its commit: claim again,
+		// as the magazine's pop loop refills again.
+		idxs, regs, err = h.claim(c, 1, one[:0])
+	}
+	if err != nil {
 		return heap.FatPtr{}, err
 	}
-	// Probe for a free slot. The region is at most 1/M full, so the
-	// expected number of probes is 1/(1 - 1/M): two for M = 2 (§4.2).
-	// The cap guards against metadata-accounting bugs, not against bad
-	// luck; it is astronomically unlikely to trigger when invariants
-	// hold. The region list is reloaded every replay so a probe
-	// sequence spanning adaptive growth sees the fresh slots.
-	// probes accumulates across replays: an abandoned attempt's probes
-	// were work actually performed (and draws actually consumed by the
-	// racing winner's stream advance notwithstanding, ours were real
-	// bitmap examinations), so they are charged to Stats like every
-	// other probe.
-	var (
-		sub     *subregion
-		local   int
-		probes  int
-		replays int
-		gen     uint32
-	)
-	for {
-		st0 := atomic.LoadUint64(&cl.randState)
-		st := st0
-		regs := cl.regions.Load()
-		n := uint32(regs.totalSlots)
-		single := len(regs.subs) == 1
-		rejectBelow := -n % n
-		for {
-			if probes >= 64*regs.totalSlots+64 {
-				h.unreserve(cl, 1)
-				return heap.FatPtr{}, &heap.CorruptionError{Detail: "diehard: no free slot found below fill threshold"}
-			}
-			probes++
-			// Lemire multiply-shift with rejection, the reduction of
-			// rng.Uint32n: every probe loop draws the identical stream.
-			var v uint32
-			st, v = rng.Step(st)
-			m := uint64(v) * uint64(n)
-			for uint32(m) < rejectBelow {
-				st, v = rng.Step(st)
-				m = uint64(v) * uint64(n)
-			}
-			if single {
-				sub, local = regs.subs[0], int(m>>32)
-			} else {
-				sub, local = regs.locate(int(m >> 32))
-			}
-			if !sub.getAtomic(local) {
-				break
-			}
-		}
-		if !h.atomicStats {
-			// Single-goroutine contract: no stream racer, no slot racer —
-			// commit plainly and claim without fences.
-			cl.randState = st
-			sub.set(local)
-			gen = h.genClaim(sub, local)
-			cl.mallocs++
-			if h.opts.RandomFill {
-				// RandomFill heaps are sequential: the fill continues the
-				// class stream just committed, right after this malloc's
-				// probes, so each class's fill values are deterministic in
-				// its own allocation order (Figure 2, DieHardMalloc lines
-				// 18-20). Placed after the loop, the call slowed
-				// BenchmarkGate's sequential 64 B pair by ~1%.
-				if err := h.fillClassRandom(cl, sub.base+uint64(local)<<cl.shift, cl.size); err != nil {
-					return heap.FatPtr{}, err
-				}
-			}
-			break
-		}
-		if !atomic.CompareAndSwapUint64(&cl.randState, st0, st) {
-			// Draws consumed by a racing malloc: replay. A class losing
-			// repeatedly is contended — back off (bounded exponential +
-			// jitter from the already-consumed local draw state) so the
-			// losers stop replaying whole probe sequences against each
-			// other; replays surface in Stats.CASRetries.
-			replays++
-			backoffSpin(replays, uint32(st)^uint32(st0>>32))
-			continue
-		}
-		if sub.casSet(local) {
-			// The generation bump needs no CAS: the slot's word is only
-			// ever advanced even→odd by its casSet winner (us), and frees
-			// reject even words, so the word is quiescent until we bump.
-			gen = h.genClaim(sub, local)
-			atomic.AddUint64(&cl.mallocs, 1)
-			break
-		}
-		// The observed-free slot was claimed between the stream commit
-		// and the bitmap CAS; draw again from the advanced stream.
-	}
+	sub, local := regs.locate(int(idxs[0]))
 	ptr := sub.base + uint64(local)<<cl.shift
-	h.addStat(&h.stats.Probes, uint64(probes))
-	if replays > 0 {
-		h.addStat(&h.stats.CASRetries, uint64(replays))
+	// The generation bump needs no CAS: the slot's word is only ever
+	// advanced even→odd by its claimant (us), and frees reject even
+	// words, so the word is quiescent until we bump.
+	gen := h.genClaim(sub, local)
+	if h.opts.RandomFill {
+		// RandomFill heaps are sequential: the fill continues the class
+		// stream the claim just committed, right after this malloc's
+		// probes, so each class's fill values are deterministic in its
+		// own allocation order (Figure 2, DieHardMalloc lines 18-20).
+		if err := h.fillClassRandom(cl, ptr, cl.size); err != nil {
+			return heap.FatPtr{}, err
+		}
 	}
-	h.addStat(&h.stats.WorkUnits,
-		heap.WorkSizeClass+uint64(probes)*heap.WorkProbe+heap.WorkBitmap)
 	h.countMalloc(size, cl.size)
 	if h.trace != nil {
 		h.trace.Emit(obs.EvMalloc, ptr)
@@ -799,6 +709,153 @@ func (h *Heap) mallocLockFree(c, size int) (heap.FatPtr, error) {
 		h.opts.OnAlloc(ptr, size, cl.size)
 	}
 	return heap.FatPtr{Addr: ptr, Gen: uint64(gen)}, nil
+}
+
+// claim is the one claim protocol (DESIGN.md §10, §11): malloc runs it
+// for one slot, a magazine refill for a batch. A bounded CAS increment
+// reserves up to want units of class c's occupancy (reserveBatch); then
+// slots are drawn from the class stream against a register-resident
+// copy of its packed state, and each free slot is claimed as it is
+// drawn, so every draw probes the bitmap its predecessors left, exactly
+// as that many back-to-back one-slot claims would. One CAS commits the
+// whole stream advance, a plain store on a sequential heap. If the CAS
+// loses, a racing claimant advanced the stream first: the claims are
+// undone and the draws replay from the fresh state (with backoff;
+// losses surface in Stats.CASRetries), so a committed claim is always a
+// contiguous prefix of the class stream. At one goroutine the commit
+// never loses, which is what keeps placement seed-deterministic.
+//
+// claim returns the class-wide indexes of the committed claims,
+// appended to idxs[:0] in draw order, and the region list that
+// resolves them; the caller bumps their generations. A replay shrinks
+// the claim by the units undoClaims reports gone, so it can commit
+// fewer slots than it reserved, or none: on an untagged Concurrent
+// heap a claimed bit is set from its CAS until the commit, and an
+// aligned wild free in that window clears it and hands its unit back
+// (the pre-claim straddle of DESIGN.md §11).
+func (h *Heap) claim(c, want int, idxs []int32) ([]int32, *classRegions, error) {
+	cl := &h.classes[c]
+	got, err := h.reserveBatch(c, want)
+	if err != nil {
+		h.addStat(&h.stats.FailedMallocs, 1)
+		return idxs, nil, err
+	}
+	// Probe for free slots. The region is at most 1/M full, so the
+	// expected number of probes per slot is 1/(1 - 1/M): two for M = 2
+	// (§4.2). The cap guards against metadata-accounting bugs, not
+	// against bad luck; it is astronomically unlikely to trigger when
+	// invariants hold. The region list is reloaded every replay so a
+	// claim spanning adaptive growth sees the fresh slots. probes
+	// accumulates across replays: an abandoned attempt's probes were
+	// real bitmap examinations, so they are charged like every other.
+	var regs *classRegions
+	probes, replays := 0, 0
+	for {
+		regs = cl.regions.Load()
+		n := uint32(regs.totalSlots)
+		probeCap := 64*regs.totalSlots + 64
+		st0 := atomic.LoadUint64(&cl.randState)
+		st := st0
+		idxs = idxs[:0]
+		if len(regs.subs) == 1 && !h.atomicStats {
+			// Every non-adaptive sequential heap: one subregion, no
+			// fences — the bitmap words are addressed directly and the
+			// whole claim loop runs register-to-register.
+			bitsW := regs.subs[0].bits
+			for len(idxs) < got && probes < probeCap {
+				probes++
+				// Lemire multiply-shift with rejection, the reduction of
+				// rng.Uint32n: every claim draws the identical stream, and
+				// only a low product below n pays the division.
+				var v uint32
+				st, v = rng.Step(st)
+				m := uint64(v) * uint64(n)
+				if uint32(m) < n {
+					for t := -n % n; uint32(m) < t; m = uint64(v) * uint64(n) {
+						st, v = rng.Step(st)
+					}
+				}
+				local := int(m >> 32)
+				w, bit := local>>6, uint64(1)<<(local&63)
+				if bitsW[w]&bit == 0 {
+					bitsW[w] |= bit
+					idxs = append(idxs, int32(local))
+				}
+			}
+		} else {
+			for len(idxs) < got && probes < probeCap {
+				probes++
+				var v uint32
+				st, v = rng.Step(st)
+				m := uint64(v) * uint64(n)
+				if uint32(m) < n {
+					for t := -n % n; uint32(m) < t; m = uint64(v) * uint64(n) {
+						st, v = rng.Step(st)
+					}
+				}
+				idx := int(m >> 32)
+				sub, local := regs.locate(idx)
+				if h.atomicStats {
+					if !sub.casSet(local) {
+						continue
+					}
+				} else if sub.get(local) {
+					continue
+				} else {
+					sub.set(local)
+				}
+				idxs = append(idxs, int32(idx))
+			}
+		}
+		if len(idxs) < got {
+			// Probe cap reached: undo and release everything this claim
+			// still holds.
+			h.unreserve(cl, got-h.undoClaims(regs, idxs))
+			return idxs[:0], nil, &heap.CorruptionError{Detail: "diehard: no free slot found below fill threshold"}
+		}
+		if !h.atomicStats {
+			cl.randState = st
+			cl.mallocs += uint64(got)
+			break
+		}
+		if atomic.CompareAndSwapUint64(&cl.randState, st0, st) {
+			atomic.AddUint64(&cl.mallocs, uint64(got))
+			break
+		}
+		// A racing claimant advanced the stream: these draws are no
+		// longer the stream prefix, so un-claim and replay, shrunk by the
+		// units the undo reports gone so the replay's claims still
+		// balance the reservation. A class losing repeatedly is
+		// contended; the backoff jitter comes from the consumed local
+		// draw state, never a fresh draw.
+		got -= h.undoClaims(regs, idxs)
+		replays++
+		backoffSpin(replays, uint32(st)^uint32(st0>>32))
+	}
+	h.addStat(&h.stats.Probes, uint64(probes))
+	if replays > 0 {
+		h.addStat(&h.stats.CASRetries, uint64(replays))
+	}
+	h.addStat(&h.stats.WorkUnits,
+		uint64(got)*(heap.WorkSizeClass+heap.WorkBitmap)+uint64(probes)*heap.WorkProbe)
+	return idxs, regs, nil
+}
+
+// undoClaims releases the bitmap bits of an abandoned claim attempt,
+// resolving each class-wide index against the region list the claims
+// were made under, and returns how many of their occupancy units the
+// claim no longer holds. The claims are untagged yet (callers tag only
+// committed claims), so on a tagged heap no free can have touched them;
+// on an untagged heap a wild free may have cleared one, and that free
+// already gave its unit back.
+func (h *Heap) undoClaims(regs *classRegions, idxs []int32) int {
+	lost := 0
+	for _, idx := range idxs {
+		if sub, local := regs.locate(int(idx)); !sub.release(local, h.atomicStats) {
+			lost++
+		}
+	}
+	return lost
 }
 
 // backoffSink absorbs the spin loop below so the compiler cannot
@@ -835,46 +892,49 @@ func backoffSpin(attempt int, jitter uint32) {
 	}
 }
 
-// reserve claims one unit of class occupancy with a bounded CAS
-// increment: the threshold test and the increment are one atomic step,
-// so inUse can never overshoot maxInUse even mid-race. At the threshold
-// it falls into the growth engine (the one surviving use of the class
-// mutex) and retries; non-adaptive heaps fail immediately (Figure 2,
-// line 6). Sequential (non-Concurrent) heaps run the same bounded
-// increment without the RMW, which their one-goroutine contract makes
-// exact.
-func (h *Heap) reserve(c int) error {
+// reserveBatch reserves up to want units of class occupancy (at least
+// one) with one bounded CAS increment: the threshold test and the whole
+// increment are one atomic step, so inUse can never overshoot maxInUse
+// even mid-race. At the threshold it takes whatever partial batch
+// remains, falls into the growth engine (the one surviving use of the
+// class mutex) and retries, or, on a non-adaptive heap, reports out of
+// memory (Figure 2, line 6). Sequential (non-Concurrent) heaps run the
+// same bounded increment without the RMW, which their one-goroutine
+// contract makes exact.
+func (h *Heap) reserveBatch(c, want int) (int, error) {
 	cl := &h.classes[c]
 	replays := 0
 	for {
 		cur := atomic.LoadInt64(&cl.inUse)
-		if cur < cl.maxInUse.Load() {
-			if !h.atomicStats {
-				cl.inUse = cur + 1
-				return nil
+		if avail := cl.maxInUse.Load() - cur; avail > 0 {
+			take := int64(want)
+			if take > avail {
+				take = avail
 			}
-			if atomic.CompareAndSwapInt64(&cl.inUse, cur, cur+1) {
+			if !h.atomicStats {
+				cl.inUse = cur + take
+				return int(take), nil
+			}
+			if atomic.CompareAndSwapInt64(&cl.inUse, cur, cur+take) {
 				if replays > 0 {
 					h.addStat(&h.stats.CASRetries, uint64(replays))
 				}
-				return nil
+				return int(take), nil
 			}
 			replays++
 			backoffSpin(replays, uint32(cur))
 			continue
 		}
-		// At threshold: the queued remote frees may be exactly the room
-		// this class needs — drain them before growing or failing (the
-		// mandatory malloc-miss drain of DESIGN.md §12). Retrying is
-		// productive only if the drain won frees for *this* class.
+		// At threshold: absorb queued remote frees before growing or
+		// failing, exactly as reserve does (DESIGN.md §12).
 		if h.remote != nil && h.drainRemote(c) > 0 {
 			continue
 		}
 		if !h.opts.Adaptive {
-			return heap.ErrOutOfMemory
+			return 0, heap.ErrOutOfMemory
 		}
 		if err := h.growClass(c); err != nil {
-			return err
+			return 0, err
 		}
 	}
 }
@@ -1435,7 +1495,11 @@ func (h *Heap) CheckInvariants() error { return h.checkInvariants(0) }
 // or magazine-pre-claimed is indistinguishable from a valid free in any
 // bitmap allocator, so each such straddle can skew the Mallocs/Frees/
 // LiveObjects ledger by one against the (always exact) bitmap
-// population. The structural invariants — per-class popcount == inUse,
+// population. So can an aligned wild free on a Concurrent heap that
+// lands in a claim's window, between the slot's bitmap CAS and the
+// stream commit, when the commit then loses (DESIGN.md §10): the free
+// is counted, the claim shrinks by the slot, and no malloc stands
+// behind the count. The structural invariants — per-class popcount == inUse,
 // bitmap/metadata consistency — take NO slack; only the two aggregate
 // stats cross-checks tolerate an absolute skew of at most `slack`
 // (callers pass their injected double-free count). Generation-tagged
@@ -1488,12 +1552,6 @@ func absSkew(d int64) uint64 {
 	}
 	return uint64(d)
 }
-
-// SetTrace installs (or removes, with nil) the flight-recorder ring.
-// Install before the heap is shared between goroutines, or at a
-// quiescent point: the field itself is not synchronized, by design —
-// the disabled path must stay one plain nil check.
-func (h *Heap) SetTrace(r *obs.Ring) { h.trace = r }
 
 // StatsSnapshot returns a consistent-at-quiescence copy of the
 // counters: atomically loaded for Concurrent heaps (a direct

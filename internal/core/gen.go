@@ -9,10 +9,10 @@ package core
 // heap. The word's parity encodes liveness: odd = allocated, even =
 // free. Every transition bumps the word by one:
 //
-//   - a claim (malloc probe win, magazine refill) bumps even→odd
-//     *after* winning its bitmap CAS — no CAS needed, because frees
-//     reject even words and claims only follow a cleared bit, so the
-//     word is quiescent between the bitmap win and the bump;
+//   - a claim (one slot for malloc, a batch for a magazine refill)
+//     bumps even→odd *after* its stream commit — no CAS needed, because
+//     frees reject even words and claims only follow a cleared bit, so
+//     the word is quiescent between the bitmap win and the bump;
 //   - a free CASes odd→even *before* the bitmap clear. On tagged heaps
 //     this CAS, not the bitmap bit, is the single §4.3 arbiter: of any
 //     set of racing frees of one incarnation — synchronous, magazine-

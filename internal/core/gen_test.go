@@ -226,7 +226,7 @@ func TestGenTagStaleAcrossRealloc(t *testing.T) {
 					cur.Gen, old.Gen+2, old.Gen)
 			}
 			rec := obs.NewRecorder(64)
-			h.SetTrace(rec.Ring(0))
+			h.trace = rec.Ring(0)
 			// The straddling double free: same address, dead generation.
 			if route == "magazine" {
 				mag, err := h.NewMagazine()

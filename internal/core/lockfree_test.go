@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -155,6 +156,108 @@ func TestLockFreeDoubleFreeRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	popcountVsInUse(t, h)
+}
+
+// TestLockFreeClaimWildFreeRace races unbatched mallocs against aligned
+// wild frees on an untagged Concurrent heap near its 1/M threshold. A
+// claimed bit is set from its CAS until the stream commit, so a wild
+// free can clear it in between; if the commit then loses, the undo
+// finds the bit gone and the claim shrinks, possibly to nothing, and
+// malloc claims again (DESIGN.md §10). The bitmap population must still
+// equal inUse exactly, and the ledger may skew by at most one per
+// accepted wild free (CheckInvariantsSlack). The window is a few
+// instructions wide: under -race a run reaches the emptied claim a few
+// times, without it rarely. Runs under -race in CI.
+func TestLockFreeClaimWildFreeRace(t *testing.T) {
+	const (
+		workers   = 4
+		perWorker = 7 // 28 live objects against the class's 32-slot threshold
+		rounds    = 20000
+	)
+	// One page per class: the 64 B class has 64 slots, so a wild free
+	// lands on an in-flight claim often enough to matter.
+	h, err := New(Options{HeapSize: NumClasses * vmem.PageSize, Seed: 41, Concurrent: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := ClassFor(64)
+	slots, _ := h.ClassSlots(c)
+	base := h.ClassBase(c)
+	var (
+		mallocers, freer sync.WaitGroup
+		done             atomic.Bool
+		wild             atomic.Uint64 // accepted wild frees
+	)
+	freer.Add(1)
+	go func() {
+		defer freer.Done()
+		r := rng.NewSeeded(99)
+		for !done.Load() {
+			if ok, _ := h.free(heap.FatPtr{Addr: base + uint64(r.Intn(slots))*64}); ok {
+				wild.Add(1)
+			}
+		}
+	}()
+	// Past rounds, the workers keep churning until some commit has lost,
+	// up to a deadline: on a loaded host they can run one after another,
+	// and only overlapping claims replay. With one P the claims seldom
+	// overlap at all (none did in 10 s of churn on a 2-vCPU host), so
+	// there the contention check is skipped.
+	parallel := runtime.GOMAXPROCS(0) > 1
+	deadline := time.Now().Add(10 * time.Second)
+	contended := func() bool {
+		return !parallel || atomic.LoadUint64(&h.stats.CASRetries) > 0 || time.Now().After(deadline)
+	}
+	errs := make([]error, workers)
+	for w := 0; w < workers; w++ {
+		mallocers.Add(1)
+		go func(w int) {
+			defer mallocers.Done()
+			r := rng.NewSeeded(uint64(w)*0x9E3779B9 + 1)
+			live := make([]heap.Ptr, 0, perWorker+1)
+			for i := 0; i < rounds || !contended(); i++ {
+				p, err := h.Malloc(64)
+				if errors.Is(err, heap.ErrOutOfMemory) {
+					// At the threshold: make room from this worker's own
+					// objects (a wild free may already have taken them).
+					if len(live) > 0 {
+						_ = h.Free(live[len(live)-1])
+						live = live[:len(live)-1]
+					}
+					continue
+				}
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				live = append(live, p)
+				if len(live) > perWorker {
+					v := r.Intn(len(live))
+					_ = h.Free(live[v])
+					live[v] = live[len(live)-1]
+					live = live[:len(live)-1]
+				}
+			}
+			for _, p := range live {
+				_ = h.Free(p)
+			}
+		}(w)
+	}
+	mallocers.Wait()
+	done.Store(true)
+	freer.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", w, err)
+		}
+	}
+	popcountVsInUse(t, h)
+	if err := h.CheckInvariantsSlack(wild.Load()); err != nil {
+		t.Fatalf("after %d accepted wild frees: %v", wild.Load(), err)
+	}
+	if st := h.StatsSnapshot(); st.CASRetries == 0 && parallel {
+		t.Errorf("CASRetries = 0: %d workers never contended one class", workers)
+	}
 }
 
 // TestLockFreeMatchesLockedLayout is the engine-differencing regression:

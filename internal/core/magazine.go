@@ -7,8 +7,8 @@ package core
 // bitmap CAS) and every free two more; under contention the losers
 // replay whole probe sequences. A Magazine amortizes all of that: it
 // holds a small store of pre-claimed slots per hot size class, refilled
-// by ONE batched CAS occupancy reservation plus a batched draw of the
-// class probe stream (a contiguous prefix of the per-class MWC
+// by one claim of a whole batch (DESIGN.md §10: ONE batched CAS
+// occupancy reservation, then a contiguous prefix of the per-class MWC
 // sequence, published with a single CAS), and a local free buffer whose
 // bitmap clears, occupancy decrements, and statistics publish in
 // batches. A malloc on the fast path pops a pre-claimed slot and a free
@@ -19,7 +19,7 @@ package core
 // draw stream that the same number of back-to-back unbatched mallocs
 // would have consumed, against the same bitmap state (claims are made
 // slot-by-slot as drawn, so each draw sees its predecessors exactly as
-// the unbatched probe loop does). At one goroutine the publication CAS
+// back-to-back one-slot claims do). At one goroutine the publication CAS
 // never loses, so a magazine-fed sequential workload places every
 // object at the address the unbatched engine places it — the prefix
 // property TestMagazinePrefixPlacement pins, which is what keeps the
@@ -28,11 +28,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"diehard/internal/heap"
 	"diehard/internal/obs"
-	"diehard/internal/rng"
 )
 
 const (
@@ -308,11 +306,10 @@ func (m *Magazine) free(fp heap.FatPtr) (bool, error) {
 // outgoing owner, buffered frees are recycled first (their occupancy
 // must be visible before reserving more, or a heap at its 1/M threshold
 // would refuse a refill its own buffer has already paid for), and then
-// one batched reservation plus one batched stream draw claims the next
-// stretch of slots. In sharded mode the refill lands on the emptiest
-// shard for the class, falling over to the others at its threshold —
-// the same steal order ShardedHeap.Malloc uses, amortized to once per
-// magazine.
+// one claim takes the next stretch of slots. In sharded mode the refill
+// lands on the emptiest shard for the class, falling over to the others
+// at its threshold — the same steal order ShardedHeap.Malloc uses,
+// amortized to once per magazine.
 func (m *Magazine) refill(c int, cm *classMagazine) error {
 	m.publishMallocs(c, cm)
 	m.flushFrees(c, cm, false)
@@ -588,225 +585,37 @@ func (h *Heap) finishBatchedFrees(c int, t flushTally) {
 	}
 }
 
-// reserveBatch claims up to want units of class occupancy (at least
-// one) with one bounded CAS increment — the batched analog of reserve:
-// the threshold test and the whole batch increment are one atomic step,
-// so the 1/M invariant holds at every instant. At the threshold it
-// takes whatever partial batch remains, grows (adaptive heaps), or
-// reports out of memory.
-func (h *Heap) reserveBatch(c, want int) (int, error) {
-	cl := &h.classes[c]
-	replays := 0
-	for {
-		cur := atomic.LoadInt64(&cl.inUse)
-		if avail := cl.maxInUse.Load() - cur; avail > 0 {
-			take := int64(want)
-			if take > avail {
-				take = avail
-			}
-			if !h.atomicStats {
-				cl.inUse = cur + take
-				return int(take), nil
-			}
-			if atomic.CompareAndSwapInt64(&cl.inUse, cur, cur+take) {
-				if replays > 0 {
-					h.addStat(&h.stats.CASRetries, uint64(replays))
-				}
-				return int(take), nil
-			}
-			replays++
-			backoffSpin(replays, uint32(cur))
-			continue
-		}
-		// At threshold: absorb queued remote frees before growing or
-		// failing, exactly as reserve does (DESIGN.md §12).
-		if h.remote != nil && h.drainRemote(c) > 0 {
-			continue
-		}
-		if !h.opts.Adaptive {
-			return 0, heap.ErrOutOfMemory
-		}
-		if err := h.growClass(c); err != nil {
-			return 0, err
-		}
-	}
-}
-
-// magazineRefill claims up to want slots of class c for a magazine:
-// one batched occupancy reservation, then slots drawn and claimed
-// one-by-one against a register-resident copy of the class stream
-// (rng.Batch) — each draw seeing its batch predecessors' bits exactly
-// as the unbatched probe loop would — and the whole advance published
-// with a single CAS. If that CAS loses, a racing consumer advanced the
-// stream first: the claims are undone and the refill replays from the
-// fresh state (with backoff; losses surface in Stats.CASRetries), so a
-// committed refill is always a contiguous prefix of the class stream.
-// At one goroutine the CAS never loses, which makes the sequence of
-// claimed slots bit-identical to want back-to-back unbatched mallocs.
-// The claims land in cm.slots; on a tagged heap the committed claims are
-// then bumped odd, and cm.tags records the tag each bump issued.
+// magazineRefill restocks cm with up to want slots of class c. Refill
+// is the owner's natural housekeeping point, so it first applies
+// whatever the remote-free ring has accumulated (opportunistically — if
+// another goroutine is mid-drain, skip), which keeps queued frees
+// feeding the classes being refilled. Then one claim takes the batch,
+// and one pass turns the committed slot indexes into addresses in
+// cm.slots and, on a tagged heap, bumps each claim even→odd and records
+// the tag it issued in cm.tags. At one goroutine the claimed slots are
+// exactly those of want back-to-back unbatched mallocs.
 func (h *Heap) magazineRefill(c, want int, cm *classMagazine) (int, error) {
-	// Refill is the owner's natural housekeeping point: apply whatever
-	// the remote-free ring has accumulated (opportunistically — if
-	// another goroutine is mid-drain, skip) before reserving occupancy,
-	// so queued frees keep feeding the classes being refilled.
 	h.tryDrainRemote()
-	cl := &h.classes[c]
-	got, err := h.reserveBatch(c, want)
+	idxs, regs, err := h.claim(c, want, cm.scratch)
 	if err != nil {
-		h.addStat(&h.stats.FailedMallocs, 1)
 		return 0, err
 	}
-	// idxs remembers each claim's class-wide slot index for undo on a
-	// lost publication CAS; slots accumulates the handed-out addresses
-	// in draw order. Both reuse the magazine's buffers (idxs holds no
-	// pointers), so a steady-state refill allocates nothing.
-	idxs := cm.scratch[:0]
-	slots := cm.slots[:0]
-	probes := 0
-	replays := 0
-	var regs *classRegions
-	for {
-		regs = cl.regions.Load()
-		n := uint32(regs.totalSlots)
-		single := len(regs.subs) == 1
-		rejectBelow := -n % n
-		b := rng.StartBatch(atomic.LoadUint64(&cl.randState))
-		idxs = idxs[:0]
-		slots = slots[:0]
-		overflowed := false
-		probeCap := 64*regs.totalSlots + 64
-		if single && !h.atomicStats {
-			// Every non-adaptive sequential heap: one subregion, no
-			// fences — the bitmap words are addressed directly and the
-			// whole claim loop runs register-to-register.
-			sub := regs.subs[0]
-			bitsW := sub.bits
-			base, shift := sub.base, cl.shift
-			for len(idxs) < got {
-				if probes >= probeCap {
-					overflowed = true
-					break
-				}
-				probes++
-				// Lemire multiply-shift with rejection on the batch
-				// cursor: the identical draw stream to the unbatched
-				// probe loops (b.Next inlines to rng.Step).
-				m := uint64(b.Next()) * uint64(n)
-				for uint32(m) < rejectBelow {
-					m = uint64(b.Next()) * uint64(n)
-				}
-				local := int(m >> 32)
-				w, bit := local>>6, uint64(1)<<(local&63)
-				if bitsW[w]&bit != 0 {
-					continue
-				}
-				// Claim as drawn, so each draw probes the bitmap state
-				// its unbatched twin would see.
-				bitsW[w] |= bit
-				idxs = append(idxs, int32(local))
-				slots = append(slots, base+uint64(local)<<shift)
-			}
-		} else {
-			for len(idxs) < got {
-				if probes >= probeCap {
-					overflowed = true
-					break
-				}
-				probes++
-				m := uint64(b.Next()) * uint64(n)
-				for uint32(m) < rejectBelow {
-					m = uint64(b.Next()) * uint64(n)
-				}
-				idx := int(m >> 32)
-				sub, local := regs.subs[0], idx
-				if !single {
-					sub, local = regs.locate(idx)
-				}
-				if h.atomicStats {
-					if !sub.casSet(local) {
-						continue
-					}
-				} else {
-					if sub.get(local) {
-						continue
-					}
-					sub.set(local)
-				}
-				idxs = append(idxs, int32(idx))
-				slots = append(slots, sub.base+uint64(local)<<cl.shift)
-			}
-		}
-		if overflowed {
-			// Metadata-accounting failure (the same astronomically
-			// unlikely guard the unbatched loop carries): undo and
-			// release everything this refill still holds.
-			h.unreserve(cl, got-h.undoClaims(regs, idxs))
-			return 0, &heap.CorruptionError{Detail: "diehard: no free slot found below fill threshold"}
-		}
-		if !h.atomicStats {
-			cl.randState = b.State()
-			cl.mallocs += uint64(got)
-			break
-		}
-		if atomic.CompareAndSwapUint64(&cl.randState, b.Start(), b.State()) {
-			atomic.AddUint64(&cl.mallocs, uint64(got))
-			break
-		}
-		// A racing consumer advanced the stream: this batch's draws are
-		// no longer the stream prefix, so un-claim and replay, shrunk by
-		// the units the undo reports gone so the replay's claims still
-		// balance the reservation. (A replay shrunk to nothing commits an
-		// empty refill; the magazine's pop loop simply refills again.)
-		got -= h.undoClaims(regs, idxs)
-		replays++
-		backoffSpin(replays, uint32(b.State()))
-	}
-	if h.opts.GenTags {
-		// Tag the committed claims. Deferring the even→odd bump past the
-		// publication is safe: until it, a claimed slot's bit is set, so
-		// no claim competes for it, and its word is even, so every free's
-		// generation transition rejects it — nothing can steal a claim
-		// before it is tagged, which is what keeps undoClaims tag-free.
-		tags := cm.tags[:0]
-		for _, idx := range idxs {
-			sub, local := regs.subs[0], int(idx)
-			if len(regs.subs) > 1 {
-				sub, local = regs.locate(int(idx))
-			}
+	// Both buffers are the magazine's own (idxs holds no pointers), so
+	// a steady-state refill allocates nothing.
+	cm.scratch = idxs
+	slots, tags := cm.slots[:0], cm.tags[:0]
+	for _, idx := range idxs {
+		sub, local := regs.locate(int(idx))
+		slots = append(slots, sub.base+uint64(local)<<sub.shift)
+		if sub.gens != nil {
+			// Deferring the bump past the commit is safe: until it, the
+			// slot's bit is set, so no claim competes for it, and its word
+			// is even, so every free's generation transition rejects it —
+			// nothing can steal a claim before it is tagged, which is what
+			// keeps undoClaims tag-free.
 			tags = append(tags, h.genClaim(sub, local))
 		}
-		cm.tags = tags
 	}
-	if replays > 0 {
-		h.addStat(&h.stats.CASRetries, uint64(replays))
-	}
-	cm.slots = slots
-	cm.scratch = idxs
-	h.addStat(&h.stats.Probes, uint64(probes))
-	h.addStat(&h.stats.WorkUnits,
-		uint64(got)*(heap.WorkSizeClass+heap.WorkBitmap)+uint64(probes)*heap.WorkProbe)
-	return got, nil
-}
-
-// undoClaims releases the bitmap bits of an abandoned refill attempt,
-// resolving each claim's class-wide index against the region list the
-// claims were made under, and returns how many of their occupancy units
-// the refill no longer holds. The claims are untagged yet (the refill
-// tags only committed claims), so on a tagged heap no free can have
-// touched them; on an untagged heap a wild free may have cleared one,
-// and that free already gave its unit back.
-func (h *Heap) undoClaims(regs *classRegions, idxs []int32) int {
-	single := len(regs.subs) == 1
-	lost := 0
-	for _, idx := range idxs {
-		sub, local := regs.subs[0], int(idx)
-		if !single {
-			sub, local = regs.locate(int(idx))
-		}
-		if !sub.release(local, h.atomicStats) {
-			lost++
-		}
-	}
-	return lost
+	cm.slots, cm.tags = slots, tags
+	return len(idxs), nil
 }

@@ -194,13 +194,14 @@ func TestRemoteFreeFullRingFallsBack(t *testing.T) {
 
 // TestRemoteFreeThresholdDrain pins the malloc-miss drain: a class at
 // its 1/M threshold whose room is sitting in the ring must serve the
-// next malloc by draining, not fail it — on both the unbatched reserve
-// path and the magazine's batched reserve.
+// next malloc by draining, not fail it — on both routes into the one
+// reservation, an unbatched malloc's one-slot claim and a magazine
+// refill.
 func TestRemoteFreeThresholdDrain(t *testing.T) {
 	for _, batched := range []bool{false, true} {
-		name := "reserve"
+		name := "unbatched_malloc"
 		if batched {
-			name = "reserveBatch"
+			name = "magazine_refill"
 		}
 		t.Run(name, func(t *testing.T) {
 			h, err := New(Options{HeapSize: 12 << 20, Seed: 23, Concurrent: true, RemoteRing: true})

@@ -358,9 +358,9 @@ func (sh *ShardedHeap) StatsSnapshot() heap.Stats { return *sh.Stats() }
 func (sh *ShardedHeap) AttachRecorder(rec *obs.Recorder, base int) {
 	for i, s := range sh.shards {
 		if rec == nil {
-			s.SetTrace(nil)
+			s.trace = nil
 		} else {
-			s.SetTrace(rec.Ring(base + i))
+			s.trace = rec.Ring(base + i)
 		}
 	}
 	if rec == nil {

@@ -48,14 +48,14 @@ func DeriveSeed(base uint64, trial int) uint64 {
 	return z
 }
 
-// mapTrials runs fn(i) for every i in [0, n) on `workers` goroutines and
+// MapTrials runs fn(i) for every i in [0, n) on `workers` goroutines and
 // returns the results in index order. Trials are claimed from a shared
 // counter (work stealing), so uneven trial costs balance across workers.
 // The first error cancels the remaining unclaimed trials and is returned;
 // with workers <= 1 the trials run inline, sequentially, on the caller's
 // goroutine — the reference ordering the determinism tests compare
 // against.
-func mapTrials[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
+func MapTrials[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	if n == 0 {
 		return results, nil

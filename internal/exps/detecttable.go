@@ -18,7 +18,7 @@ import (
 // clean, and the cell reports trial-level precision and recall plus —
 // for overflows — how often the cross-layout triage localized the
 // culprit allocation site. Like every campaign in this package, the
-// trials fan out over mapTrials with per-trial derived seeds, so the
+// trials fan out over MapTrials with per-trial derived seeds, so the
 // table is byte-identical for any worker count.
 
 // DetectError names a detection-campaign error type.
@@ -374,26 +374,9 @@ func (m *recordingMem) Load64(addr uint64) (uint64, error) {
 // fill and the position diverges — Theorem 3's voting mechanism,
 // realized sequentially.
 func runReplicatedTrial(p DetectParams, mult float64, trialSeed uint64, victim int) (detectTrialOut, error) {
-	streams := make([][]uint64, detectReplicas)
-	for k := 0; k < detectReplicas; k++ {
-		h, err := core.New(core.Options{
-			HeapSize:   p.HeapSize,
-			M:          mult,
-			Seed:       DeriveSeed(trialSeed, 0x5E0+k),
-			RandomFill: true,
-		})
-		if err != nil {
-			return detectTrialOut{}, err
-		}
-		rm := &recordingMem{Memory: h.Mem()}
-		if err := runDetectWorkload(h, rm, p.Allocs, p.Live, victim); err != nil {
-			return detectTrialOut{}, err
-		}
-		if k > 0 && len(rm.vals) != len(streams[0]) {
-			return detectTrialOut{}, fmt.Errorf("exps: replica read streams diverged in length (%d vs %d)",
-				len(rm.vals), len(streams[0]))
-		}
-		streams[k] = rm.vals
+	streams, err := replicaReadStreams(p, mult, trialSeed, victim)
+	if err != nil {
+		return detectTrialOut{}, err
 	}
 	diverged := 0
 	for i := range streams[0] {
@@ -409,6 +392,33 @@ func runReplicatedTrial(p DetectParams, mult float64, trialSeed uint64, victim i
 		detected: diverged > 0,
 		evidence: diverged,
 	}, nil
+}
+
+// replicaReadStreams runs the campaign program on each replica's
+// random-fill heap and returns the replicas' Load64 read streams.
+func replicaReadStreams(p DetectParams, mult float64, trialSeed uint64, victim int) ([][]uint64, error) {
+	streams := make([][]uint64, detectReplicas)
+	for k := 0; k < detectReplicas; k++ {
+		h, err := core.New(core.Options{
+			HeapSize:   p.HeapSize,
+			M:          mult,
+			Seed:       DeriveSeed(trialSeed, 0x5E0+k),
+			RandomFill: true,
+		})
+		if err != nil {
+			return nil, err
+		}
+		rm := &recordingMem{Memory: h.Mem()}
+		if err := runDetectWorkload(h, rm, p.Allocs, p.Live, victim); err != nil {
+			return nil, err
+		}
+		if k > 0 && len(rm.vals) != len(streams[0]) {
+			return nil, fmt.Errorf("exps: replica read streams diverged in length (%d vs %d)",
+				len(rm.vals), len(streams[0]))
+		}
+		streams[k] = rm.vals
+	}
+	return streams, nil
 }
 
 // RunDetectionTable grades the canary detection engine against planned
@@ -458,7 +468,7 @@ func RunDetectionTable(params DetectParams, workers int) (*DetectionTable, error
 	for _, m := range p.Multipliers {
 		specs = append(specs, cellSpec{policy: PolicyReplicated, kind: DetectUninit, mult: m})
 	}
-	outs, err := mapTrials(len(specs)*p.Trials, workers, func(g int) (detectTrialOut, error) {
+	outs, err := MapTrials(len(specs)*p.Trials, workers, func(g int) (detectTrialOut, error) {
 		spec := specs[g/p.Trials]
 		t := g % p.Trials
 		trialSeed := DeriveSeed(p.Seed, g)

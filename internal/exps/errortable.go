@@ -334,7 +334,7 @@ func RunErrorTable(workers int) (*ErrorTable, error) {
 			cells = append(cells, cell{s, system})
 		}
 	}
-	outcomes, err := mapTrials(len(cells), workers, func(i int) (Outcome, error) {
+	outcomes, err := MapTrials(len(cells), workers, func(i int) (Outcome, error) {
 		o, err := runScenario(cells[i].system, cells[i].s)
 		if err != nil {
 			return o, fmt.Errorf("%s / %s: %w", cells[i].s.class, cells[i].system, err)

@@ -9,7 +9,7 @@
 // over this package.
 //
 // Every campaign is a fixed list of independent trials fanned across a
-// deterministic work-stealing pool (mapTrials): each trial's randomness
+// deterministic work-stealing pool (MapTrials): each trial's randomness
 // derives from the campaign seed and its trial index alone (DeriveSeed),
 // each trial owns its allocator and space, and results are reduced in
 // trial-index order — so every Run* function takes a workers parameter

@@ -1,6 +1,7 @@
 package exps
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -30,12 +31,21 @@ var goldenDetectHashes = map[DetectError]uint64{
 // probabilistic uninit hash. It does not see the object fill: dropping
 // the fill or changing its values leaves it unchanged, because the page
 // filler alone already makes the replicas' uninitialized reads differ.
-// The byte-level guard is the RandomFill input of core's
-// TestLockFreeMatchesLockedLayout, which also pins a hash of the bytes.
+// goldenReplicaStreamHash is the campaign-level guard on the fill, and
+// core's TestLockFreeMatchesLockedLayout pins a hash of the filled
+// bytes themselves.
 var goldenTierHashes = map[DetectPolicy]map[DetectError]uint64{
 	PolicyGenTag:     {DetectDangling: 0x6531e2651fbad475},
 	PolicyReplicated: {DetectUninit: 0xe88b9d83855ef1e5},
 }
+
+// goldenReplicaStreamHash is 64-bit FNV-1a over the three replicas'
+// Load64 read streams (little-endian words, replica 0 first) of one
+// injected replicated-tier trial of the tiny table (trial index 1,
+// multiplier 2), recorded before unbatched mallocs moved onto the
+// one-slot claim. The victim's first read returns its object fill, so
+// dropping the fill, or drawing it from anywhere else, moves the hash.
+const goldenReplicaStreamHash = 0x190689a7e5a6a767
 
 // goldenErrorTableHash is 64-bit FNV-1a over fmt's rendering of the
 // Table 1 cell map (map printing is key-sorted, so the rendering is
@@ -95,6 +105,29 @@ func TestDetectionTableTiersMatchRecording(t *testing.T) {
 	}
 	if pinned != 2 {
 		t.Fatalf("found %d of the 2 recorded deterministic-tier cells", pinned)
+	}
+}
+
+func TestReplicatedTrialReadStreamsMatchRecording(t *testing.T) {
+	p := tinyDetectParams()
+	p.defaults()
+	trialSeed := DeriveSeed(p.Seed, 1)
+	victim := int(DeriveSeed(trialSeed, 0xBEEF) % uint64(p.Allocs-p.Live))
+	streams, err := replicaReadStreams(p, 2, trialSeed, victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var word [8]byte
+	for _, s := range streams {
+		for _, v := range s {
+			binary.LittleEndian.PutUint64(word[:], v)
+			h.Write(word[:])
+		}
+	}
+	if got := h.Sum64(); got != goldenReplicaStreamHash {
+		t.Errorf("replica read-stream hash = %#x, recorded %#x — the replicated heaps' object fill or placement changed",
+			got, goldenReplicaStreamHash)
 	}
 }
 

@@ -127,7 +127,7 @@ func RunFaultInjection(appName, allocKind string, params InjectionParams, trials
 		outcome  trialOutcome
 		injected int
 	}
-	results, err := mapTrials(trials, workers, func(trial int) (trialResult, error) {
+	results, err := MapTrials(trials, workers, func(trial int) (trialResult, error) {
 		seed := DeriveSeed(injectionSeedBase, trial)
 		base, err := newAlloc(seed)
 		if err != nil {
@@ -197,7 +197,7 @@ type SquidResult struct {
 // across the campaign worker pool with per-trial derived seeds.
 func RunSquidExperiment(allocKinds []string, trials, requests, heapSize, workers int) ([]SquidResult, error) {
 	input := squid.IllFormedInput(requests)
-	survived, err := mapTrials(len(allocKinds)*trials, workers, func(i int) (bool, error) {
+	survived, err := MapTrials(len(allocKinds)*trials, workers, func(i int) (bool, error) {
 		kind := allocKinds[i/trials]
 		trial := i % trials
 		alloc, err := NewAllocator(AllocConfig{

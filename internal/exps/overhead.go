@@ -93,7 +93,7 @@ func RunOverhead(platform Platform, scale, heapSize int, seed uint64, workers in
 		wall      time.Duration
 		tlbMisses uint64
 	}
-	cells, err := mapTrials(len(registry)*len(kinds), workers, func(i int) (cellResult, error) {
+	cells, err := MapTrials(len(registry)*len(kinds), workers, func(i int) (cellResult, error) {
 		app := registry[i/len(kinds)]
 		kind := kinds[i%len(kinds)]
 		alloc, err := NewAllocator(AllocConfig{
@@ -202,7 +202,7 @@ func RunReplicatedScaling(appName string, replicaCounts []int, scale, heapSize i
 		rt := &apps.Runtime{Alloc: ctx.Alloc, Mem: ctx.Mem, Input: ctx.Input, Out: ctx.Out}
 		return app.Run(rt)
 	}
-	points, err := mapTrials(len(replicaCounts), workers, func(i int) (ScalingPoint, error) {
+	points, err := MapTrials(len(replicaCounts), workers, func(i int) (ScalingPoint, error) {
 		pointSeed := DeriveSeed(seed, i)
 		start := time.Now()
 		res, err := replicate.Run(prog, input, replicate.Options{

@@ -106,7 +106,7 @@ func TestDeriveSeed(t *testing.T) {
 
 func TestMapTrialsOrderAndErrors(t *testing.T) {
 	// Results land by index regardless of claim order.
-	got, err := mapTrials(100, 8, func(i int) (int, error) { return i * i, nil })
+	got, err := MapTrials(100, 8, func(i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestMapTrialsOrderAndErrors(t *testing.T) {
 	// First error wins and cancels the rest.
 	boom := errors.New("boom")
 	var ran atomic.Int64
-	_, err = mapTrials(1000, 4, func(i int) (int, error) {
+	_, err = MapTrials(1000, 4, func(i int) (int, error) {
 		ran.Add(1)
 		if i == 3 {
 			return 0, boom
@@ -132,7 +132,7 @@ func TestMapTrialsOrderAndErrors(t *testing.T) {
 		t.Error("error did not cancel remaining trials")
 	}
 	// Degenerate inputs.
-	if r, err := mapTrials(0, 4, func(i int) (int, error) { return 0, nil }); err != nil || len(r) != 0 {
+	if r, err := MapTrials(0, 4, func(i int) (int, error) { return 0, nil }); err != nil || len(r) != 0 {
 		t.Fatalf("empty campaign: %v %v", r, err)
 	}
 	if w := Workers(0); w < 1 {

@@ -50,7 +50,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"sync"
 	"time"
 
 	"diehard/internal/core"
@@ -339,9 +338,6 @@ func (s *supervisor) restart(c int) error {
 	s.h.FlushQuarantine()
 	s.det.HeapCheck()
 	s.drainEvidence(c)
-	st := s.h.Stats()
-	s.res.Quarantined += st.Quarantined
-	s.res.QuarantineOut += st.QuarantineOut
 	s.res.Restarts++
 	s.log(Event{Cycle: c, Kind: "restart", Site: -1,
 		Note: fmt.Sprintf("epoch %d: re-seeded layout", s.epoch)})
@@ -521,45 +517,24 @@ type CampaignResult struct {
 }
 
 // RunCampaign replicates the supervisor over `replicas` independently
-// seeded layouts (seeds derived SplitMix64-style from cfg.Seed) on a
-// pool of `workers` goroutines. Each replica is fully sequential and
-// self-contained — its own heap, accumulator, and mitigation table — so
-// scheduling cannot perturb it; merging is order-independent sums, so
-// the campaign result is byte-identical at any worker count.
+// seeded layouts (seeds derived SplitMix64-style from cfg.Seed) on
+// exps.MapTrials' pool of `workers` goroutines (at least one). Each
+// replica is fully sequential and self-contained — its own heap,
+// accumulator, and mitigation table — so scheduling cannot perturb it;
+// merging is order-independent sums, so the campaign result is
+// byte-identical at any worker count.
 func RunCampaign(cfg Config, replicas, workers int) (*CampaignResult, error) {
 	if replicas <= 0 {
 		return nil, fmt.Errorf("heal: replicas must be positive")
 	}
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > replicas {
-		workers = replicas
-	}
-	results := make([]*Result, replicas)
-	errs := make([]error, replicas)
-	idx := make(chan int, replicas)
-	for i := 0; i < replicas; i++ {
-		idx <- i
-	}
-	close(idx)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				rcfg := cfg
-				rcfg.Seed = exps.DeriveSeed(cfg.Seed, i)
-				results[i], errs[i] = Run(rcfg)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	// Clamped first: MapTrials reads workers <= 0 as one per CPU.
+	results, err := exps.MapTrials(replicas, max(workers, 1), func(i int) (*Result, error) {
+		rcfg := cfg
+		rcfg.Seed = exps.DeriveSeed(cfg.Seed, i)
+		return Run(rcfg)
+	})
+	if err != nil {
+		return nil, err
 	}
 	cfgd, err := cfg.withDefaults()
 	if err != nil {

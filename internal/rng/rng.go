@@ -71,9 +71,10 @@ func (r *MWC) Next64() uint64 {
 // and NewSeeded consumes (z in the high half, w in the low half), and the
 // recurrence is exactly Next's, so a stream advanced through Step is
 // bit-identical to one advanced through the method. The DieHard
-// allocator's lock-free malloc path keeps each size class's stream in an
-// atomic word and advances it by compare-and-swap of (state, Step(state));
-// nonzero halves are preserved by the recurrence, so packed states
+// allocator keeps each size class's stream in an atomic word: a claim
+// draws any number of values through Step in registers and publishes the
+// whole advance with one compare-and-swap of (start state, final state).
+// Nonzero halves are preserved by the recurrence, so packed states
 // round-trip exactly.
 func Step(state uint64) (next uint64, value uint32) {
 	z := uint32(state >> 32)
@@ -82,61 +83,6 @@ func Step(state uint64) (next uint64, value uint32) {
 	w = 18000*(w&65535) + (w >> 16)
 	return uint64(z)<<32 | uint64(w), z<<16 + w
 }
-
-// Batch is a register-resident draw cursor over a packed MWC stream:
-// the batched-draw API behind the allocator's magazine refills
-// (DESIGN.md §11). A batch starts from a published packed state, draws
-// any number of values locally (no shared memory is touched), and the
-// caller publishes the whole advance at once — for the lock-free heap,
-// one CAS of (Start, State). The draw recurrence is exactly Step's, so
-// a batch of k draws consumes precisely the k-value prefix of the
-// stream an unbatched consumer would have drawn one CAS at a time;
-// Reset rewinds to the starting state so a caller whose publication
-// CAS lost can replay the identical protocol from the fresh state.
-type Batch struct {
-	start uint64
-	cur   uint64
-}
-
-// StartBatch opens a batch at the given packed state.
-func StartBatch(state uint64) Batch { return Batch{start: state, cur: state} }
-
-// Next draws the next 32-bit value, advancing only the local cursor.
-func (b *Batch) Next() uint32 {
-	next, v := Step(b.cur)
-	b.cur = next
-	return v
-}
-
-// Uint32n draws a uniform value in [0, n) using the same Lemire
-// multiply-shift-with-rejection reduction as MWC.Uint32n, so a batched
-// consumer sees the identical value sequence for identical requests.
-func (b *Batch) Uint32n(n uint32) uint32 {
-	if n == 0 {
-		panic("rng: Uint32n with n == 0")
-	}
-	m := uint64(b.Next()) * uint64(n)
-	if l := uint32(m); l < n {
-		t := -n % n
-		for l < t {
-			m = uint64(b.Next()) * uint64(n)
-			l = uint32(m)
-		}
-	}
-	return uint32(m >> 32)
-}
-
-// Start reports the packed state the batch opened at: the expected
-// "old" value of the caller's publication CAS.
-func (b *Batch) Start() uint64 { return b.start }
-
-// State reports the current packed state after the draws so far: the
-// "new" value of the caller's publication CAS.
-func (b *Batch) State() uint64 { return b.cur }
-
-// Reset rewinds the cursor to the starting state for a replay after a
-// lost publication CAS.
-func (b *Batch) Reset() { b.cur = b.start }
 
 // Uintn returns a uniform value in [0, n). n must be positive.
 // DieHard's slot probing only needs modulo-style uniformity; we use

@@ -336,30 +336,6 @@ func TestConcurrentMapUnmapChurn(t *testing.T) {
 	}
 }
 
-// TestStatsOff checks the opt-out mode: accesses are uncounted, mapping
-// counters still maintained.
-func TestStatsOff(t *testing.T) {
-	s := NewSpace()
-	s.SetStatsMode(StatsOff)
-	base, err := s.Map(2*PageSize, ProtRW)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Store64(base, 7); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Load64(base); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Loads != 0 || st.Stores != 0 {
-		t.Errorf("StatsOff counted accesses: loads=%d stores=%d", st.Loads, st.Stores)
-	}
-	if st.PagesMapped != 2 || st.PagesDirty != 1 {
-		t.Errorf("mapping counters wrong under StatsOff: %+v", *st)
-	}
-}
-
 // TestStatsSharedDrain checks the striped shared-mode counters: counts
 // accumulate in per-page cells and are folded into Stats on read, so
 // interleaved Stats calls must never lose or double-count accesses.

@@ -29,8 +29,8 @@
 // as a kernel serializes address-space mutation while leaving the TLB
 // fill path unlocked. Per-access statistics default to unsynchronized
 // counters (single-goroutine accessors, the experiment trials); spaces
-// accessed from several goroutines opt into atomic or disabled counting
-// via SetStatsMode.
+// accessed from several goroutines opt into atomic counting via
+// SetStatsMode.
 //
 // The Space also models two performance-relevant mechanisms the paper
 // discusses: lazy page instantiation (reserved but untouched DieHard
@@ -38,8 +38,8 @@
 // 300.twolf outlier in Figure 5(a), §7.2.1). Map records only an extent;
 // a page's leaf, PTE, and backing frame (carved out of slab-allocated
 // arenas) come into being on its first access, so a 384 MB DieHard heap
-// costs what its touched pages cost. The TLB model hangs off an optional
-// per-access accounting hook; runs that do not enable it pay nothing.
+// costs what its touched pages cost. The TLB model is an optional direct
+// call on each translation; runs that do not enable it pay one nil check.
 package vmem
 
 import (
@@ -188,10 +188,6 @@ const (
 	// different cells, so shared-mode accounting no longer serializes
 	// every access on one contended cacheline.
 	StatsShared
-	// StatsOff disables per-access counting entirely: the fastest mode
-	// for concurrent throughput work where counts are not needed.
-	// Mapping counters (PagesMapped, PagesDirty, Faults) still update.
-	StatsOff
 )
 
 // statsCells is the number of striped counter cells in StatsShared mode.
@@ -278,8 +274,8 @@ func (t *tlbState) slot(pn uint64) *uint8 {
 // operations are safe for concurrent use by multiple goroutines (choose a
 // stats mode accordingly); Map, Unmap, and Protect serialize internally
 // and their effects are visible to accesses that happen after them.
-// Configuration calls (EnableTLB, SetPageFiller, AddAccessHook,
-// SetStatsMode) must precede concurrent use.
+// Configuration calls (EnableTLB, SetPageFiller, SetStatsMode) must
+// precede concurrent use.
 type Space struct {
 	// mu serializes address-space mutation: Map/Unmap/Protect, extent
 	// bookkeeping, directory growth, slab carving, and first-touch PTE
@@ -299,11 +295,9 @@ type Space struct {
 	arenaOff   int
 	freeFrames []*frame
 
-	// accessHook, when non-nil, is invoked with the page number of every
-	// successful translation, after TLB accounting. Runs without a hook
-	// and without the TLB pay two predictable nil checks.
-	accessHook func(pn uint64)
-	tlb        *tlbState
+	// tlb, when non-nil, accounts every successful translation (EnableTLB).
+	// Runs without the TLB pay one predictable nil check.
+	tlb *tlbState
 
 	// dir is the first radix level, covering at least [0, next): Map
 	// grows it under mu by publishing a longer copy, and leaf pointers
@@ -332,25 +326,12 @@ func NewSpace() *Space {
 // default, StatsPrecise, is exact and free of synchronization but assumes
 // accesses are not concurrent with each other; spaces accessed by several
 // goroutines at once use StatsShared (striped atomic cells, exact,
-// aggregated by Stats) or StatsOff (uncounted). Must be called before the
-// space is shared. TLB accounting only runs under StatsPrecise.
+// aggregated by Stats). Must be called before the space is shared. TLB
+// accounting only runs under StatsPrecise.
 func (s *Space) SetStatsMode(m StatsMode) {
 	s.mode = m
 	if m == StatsShared && s.cells == nil {
 		s.cells = new([statsCells]counterCell)
-	}
-}
-
-// AddAccessHook chains an accounting function invoked with the page
-// number of every successful translation, after any hooks installed
-// earlier (and after TLB accounting, which uses a direct call). Runs
-// that install no hook pay nothing on the access path. Hooks run on the
-// accessing goroutine, outside the space mutex.
-func (s *Space) AddAccessHook(fn func(pageNumber uint64)) {
-	if prev := s.accessHook; prev != nil {
-		s.accessHook = func(pn uint64) { prev(pn); fn(pn) }
-	} else {
-		s.accessHook = fn
 	}
 }
 
@@ -468,7 +449,7 @@ func (s *Space) PageGranularBulk() {}
 func (s *Space) countLoads(addr, n uint64) {
 	if s.mode == StatsPrecise {
 		s.stats.Loads += n
-	} else if s.mode == StatsShared {
+	} else {
 		s.cells[(addr>>pageShift)&(statsCells-1)].loads.Add(n)
 	}
 }
@@ -476,7 +457,7 @@ func (s *Space) countLoads(addr, n uint64) {
 func (s *Space) countStores(addr, n uint64) {
 	if s.mode == StatsPrecise {
 		s.stats.Stores += n
-	} else if s.mode == StatsShared {
+	} else {
 		s.cells[(addr>>pageShift)&(statsCells-1)].stores.Add(n)
 	}
 }
@@ -728,9 +709,6 @@ func (s *Space) translate(addr uint64, kind AccessKind) ([]byte, uint64, error) 
 					if s.tlb != nil && s.mode == StatsPrecise {
 						s.tlbTouch(pn)
 					}
-					if s.accessHook != nil {
-						s.accessHook(pn)
-					}
 					return f[:], addr & offMask, nil
 				}
 			}
@@ -777,9 +755,6 @@ func (s *Space) translateSlow(addr uint64, kind AccessKind) ([]byte, uint64, err
 	s.mu.Unlock()
 	if s.tlb != nil && s.mode == StatsPrecise {
 		s.tlbTouch(pn)
-	}
-	if s.accessHook != nil {
-		s.accessHook(pn)
 	}
 	return f[:], addr & offMask, nil
 }
