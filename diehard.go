@@ -238,6 +238,13 @@ func (h *Heap) Realloc(p Ptr, size int) (Ptr, error) { return heap.Realloc(h.h, 
 // Mem returns the heap's simulated memory, used for all data access.
 func (h *Heap) Mem() *vmem.Space { return h.h.Mem() }
 
+// Close ends the heap's lifetime after its last access: its simulated
+// memory's page frames go to a bounded process-wide pool that later
+// heaps draw from, and every later access faults. Like closing a file,
+// it must not run concurrently with an access; a second Close does
+// nothing.
+func (h *Heap) Close() { h.h.Close() }
+
 // Memory returns the data-access view of the heap: with DetectCanaries
 // it is the canary-checking wrapper whose 32/64-bit loads audit for
 // uninitialized reads; otherwise it is the raw address space. Programs

@@ -110,6 +110,7 @@ func main() {
 			}
 		}
 		reports = append(reports, hh.DetectionReport())
+		hh.Close()
 	}
 	tri := diehard.Triage(diehard.KindOverflow, reports)
 	fmt.Printf("detected in %d/%d layouts; culprit allocation site %d "+

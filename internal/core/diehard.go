@@ -396,6 +396,7 @@ func (s *subregion) endPn() uint64 {
 type Heap struct {
 	opts        Options
 	space       *vmem.Space
+	ownsSpace   bool // built its space, so Close closes it (not a shard)
 	seed        uint64
 	atomicStats bool // Concurrent heaps maintain stats atomically
 	classes     [NumClasses]sizeClass
@@ -503,7 +504,7 @@ func newHeap(opts Options, space *vmem.Space) (*Heap, error) {
 		h.remote = newFreeRing(remoteRingSize)
 	}
 	if h.space == nil {
-		h.space = vmem.NewSpace()
+		h.space, h.ownsSpace = vmem.NewSpace(), true
 		if o.Concurrent {
 			h.space.SetStatsMode(vmem.StatsShared)
 		}
@@ -1161,11 +1162,17 @@ func (h *Heap) freeLarge(fp heap.FatPtr) (bool, error) {
 // take Free's path. On a tagged heap the unchecked generation
 // transition runs first, so a slot is held at most once per
 // incarnation: a lost transition counts as Free counts it, and a slot
-// at the generation ceiling retires instead. On an untagged heap a
-// slot whose bit is already clear counts one IgnoredFree; racing
-// Quarantine calls of one live pointer may both hold it, and the
-// release's bit-clear stays the one arbiter, so all but one release
-// count an IgnoredFree. Safe for concurrent use.
+// at the generation ceiling retires instead. This is the exact mode.
+//
+// On an untagged heap a slot whose bit is already clear counts one
+// IgnoredFree, but a held slot's bit is set, so a second Quarantine of
+// it holds it again and a Free of it clears the bit at once. Either way
+// Malloc can re-issue the slot while an entry for it is still in the
+// FIFO, and that entry's release then frees the new occupant: the
+// bit-clear cannot tell one incarnation from the next. Only when no
+// malloc re-issues the slot between the releases does the bit-clear
+// arbitrate, all but one release counting an IgnoredFree. GenTags
+// closes the hole. Safe for concurrent use.
 func (h *Heap) Quarantine(p heap.Ptr) error {
 	cl, sub, local := h.find(p) // null resolves to no class
 	if cl == nil || (p-sub.base)&cl.mask != 0 {
@@ -1417,6 +1424,19 @@ func (h *Heap) ownsLarge(p heap.Ptr) bool {
 
 // Mem returns the simulated address space backing this heap.
 func (h *Heap) Mem() *vmem.Space { return h.space }
+
+// Close ends the heap's lifetime: it closes the heap's address space
+// (vmem Space.Close), whose page frames go to a process-wide pool for
+// later heaps. Afterwards every access through Mem faults with the
+// closed-space reason. A ShardedHeap's shard leaves the shared space
+// open: only a heap that built its space closes it. Close needs that no
+// access runs concurrently with it (DESIGN.md §7); a second Close does
+// nothing.
+func (h *Heap) Close() {
+	if h.ownsSpace {
+		h.space.Close()
+	}
+}
 
 // Stats returns the allocator counters, updated in place (atomically
 // when the heap is Concurrent); under concurrent use, read them only at

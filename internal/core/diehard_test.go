@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"runtime"
@@ -313,6 +314,27 @@ func TestSameSeedSameLayout(t *testing.T) {
 		pb, _ := b.Malloc(32)
 		if pa != pb {
 			t.Fatalf("same seed diverged at allocation %d", i)
+		}
+	}
+}
+
+// TestRandomFillFillerWritesEveryByte holds RandomFill's page filler to
+// the vmem contract (vmem Space.SetPageFiller): it writes every byte of
+// its page, so a pooled frame it fills needs no clearing first. Two
+// identically seeded fillers run over pages poisoned 0x00 and 0xFF must
+// produce equal bytes.
+func TestRandomFillFillerWritesEveryByte(t *testing.T) {
+	zeros := testHeap(t, Options{Seed: 7, RandomFill: true}).Mem().PageFiller()
+	ones := testHeap(t, Options{Seed: 7, RandomFill: true}).Mem().PageFiller()
+	for page := 0; page < 3; page++ {
+		a := make([]byte, vmem.PageSize)
+		b := bytes.Repeat([]byte{0xFF}, vmem.PageSize)
+		zeros(a)
+		ones(b)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("page %d byte %d: %#x over 0x00, %#x over 0xFF: the filler skipped it", page, i, a[i], b[i])
+			}
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -83,8 +85,9 @@ type quarantiner interface {
 // survive: mixed sizes, a large object, data stores, frees — every
 // third one through q.Quarantine when q is set, every other one remote
 // where the front end has a RemoteFree — plus a double and a misaligned
-// free, then everything freed and the quarantine flushed.
-func optionsRun(a allocator, q quarantiner, mem *vmem.Space) error {
+// free, then everything freed and the quarantine flushed. It returns
+// the first object it allocated, for the Close check.
+func optionsRun(a allocator, q quarantiner, mem *vmem.Space) (first heap.Ptr, err error) {
 	sizes := []int{8, 64, 300, 2048, MaxObjectSize + 100}
 	frees := 0
 	free := func(i int, p heap.Ptr) error {
@@ -101,10 +104,13 @@ func optionsRun(a allocator, q quarantiner, mem *vmem.Space) error {
 	for i := 0; i < 100; i++ {
 		p, err := a.Malloc(sizes[i%len(sizes)])
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if err := mem.Store64(p, uint64(i)); err != nil {
-			return err
+			return 0, err
+		}
+		if i == 0 {
+			first = p
 		}
 		live = append(live, p)
 		if i%3 == 2 {
@@ -112,18 +118,32 @@ func optionsRun(a allocator, q quarantiner, mem *vmem.Space) error {
 			live = live[1:]
 			for _, q := range []heap.Ptr{victim, victim, victim + 1} {
 				if err := free(i, q); err != nil {
-					return err
+					return 0, err
 				}
 			}
 		}
 	}
 	for i, p := range live {
 		if err := free(i, p); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	if q != nil {
 		q.FlushQuarantine()
+	}
+	return first, nil
+}
+
+// checkClose closes a front end twice and holds Close to its contract:
+// a Load64 of p, an object the run allocated, faults with the closed
+// reason after the first Close and still after the second, which does
+// nothing else.
+func checkClose(close func(), mem *vmem.Space, p heap.Ptr) error {
+	for i := 1; i <= 2; i++ {
+		close()
+		if _, err := mem.Load64(p); !errors.Is(err, vmem.ErrClosed) {
+			return fmt.Errorf("Load64 after Close #%d: %v, want the closed-space fault", i, err)
+		}
 	}
 	return nil
 }
@@ -159,16 +179,20 @@ func (c combo) quarantine(q quarantiner) quarantiner {
 // TestOptionsTable walks all 256 combinations of the boolean options
 // through core.New, NewMagazine and NewSharded(2, …). Each either
 // constructs and survives a short sequential run ending in
-// CheckInvariants, or returns an error, exactly as the refusal rules
-// above say.
+// CheckInvariants and Close, or returns an error, exactly as the
+// refusal rules above say.
 func TestOptionsTable(t *testing.T) {
 	for c := combo(0); c <= optAll; c++ {
 		h, err := New(c.options())
 		checkConstruction(t, c, "New", c.newRefused(), err, func() error {
-			if err := optionsRun(h, c.quarantine(h), h.Mem()); err != nil {
+			p, err := optionsRun(h, c.quarantine(h), h.Mem())
+			if err != nil {
 				return err
 			}
-			return h.CheckInvariants()
+			if err := h.CheckInvariants(); err != nil {
+				return err
+			}
+			return checkClose(h.Close, h.Mem(), p)
 		})
 		if !c.newRefused() {
 			h, err := New(c.options())
@@ -177,19 +201,33 @@ func TestOptionsTable(t *testing.T) {
 			}
 			m, err := h.NewMagazine()
 			checkConstruction(t, c, "NewMagazine", c.magazineRefused(), err, func() error {
-				if err := optionsRun(m, c.quarantine(h), h.Mem()); err != nil {
+				p, err := optionsRun(m, c.quarantine(h), h.Mem())
+				if err != nil {
 					return err
 				}
 				m.Close()
-				return h.CheckInvariants()
+				if err := h.CheckInvariants(); err != nil {
+					return err
+				}
+				return checkClose(h.Close, h.Mem(), p)
 			})
 		}
 		sh, err := NewSharded(2, c.options())
 		checkConstruction(t, c, "NewSharded", c.shardedRefused(), err, func() error {
-			if err := optionsRun(sh, c.quarantine(sh), sh.Mem()); err != nil {
+			p, err := optionsRun(sh, c.quarantine(sh), sh.Mem())
+			if err != nil {
 				return err
 			}
-			return sh.CheckInvariants()
+			if err := sh.CheckInvariants(); err != nil {
+				return err
+			}
+			// A shard did not build the shared space, so closing it
+			// leaves the space serving the other shard.
+			sh.Shard(0).Close()
+			if _, err := sh.Mem().Load64(p); err != nil {
+				return fmt.Errorf("Load64 after Shard(0).Close: %v", err)
+			}
+			return checkClose(sh.Close, sh.Mem(), p)
 		})
 	}
 }

@@ -315,6 +315,10 @@ func (sh *ShardedHeap) InHeap(p heap.Ptr) bool {
 // Mem returns the shared simulated address space all shards allocate in.
 func (sh *ShardedHeap) Mem() *vmem.Space { return sh.space }
 
+// Close closes the shared address space (Heap.Close); no shard, magazine
+// or worker may access it concurrently or afterwards.
+func (sh *ShardedHeap) Close() { sh.space.Close() }
+
 // Stats returns an aggregate snapshot of all shard counters. Unlike the
 // single-heap allocators, the returned struct is a fresh snapshot, not a
 // live view; PeakLiveBytes is the sum of per-shard peaks, an upper bound

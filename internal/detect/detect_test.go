@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -551,6 +552,27 @@ func TestDetectorDeterministicForSeed(t *testing.T) {
 	}
 	if len(a.Evidence) == 0 {
 		t.Fatal("workload with injected errors produced no evidence")
+	}
+}
+
+// TestCanaryFillerWritesEveryByte holds the canary page filler to the
+// vmem contract (vmem Space.SetPageFiller): it writes every byte of its
+// page, so a pooled frame it fills needs no clearing first. Two
+// identically seeded fillers run over pages poisoned 0x00 and 0xFF must
+// produce equal bytes.
+func TestCanaryFillerWritesEveryByte(t *testing.T) {
+	zeros := newDetectHeap(t, 7).Mem().PageFiller()
+	ones := newDetectHeap(t, 7).Mem().PageFiller()
+	for page := 0; page < 3; page++ {
+		a := make([]byte, vmem.PageSize)
+		b := bytes.Repeat([]byte{0xFF}, vmem.PageSize)
+		zeros(a)
+		ones(b)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("page %d byte %d: %#x over 0x00, %#x over 0xFF: the filler skipped it", page, i, a[i], b[i])
+			}
+		}
 	}
 }
 

@@ -230,6 +230,7 @@ func detectTrace(p DetectParams) (*fault.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer h.Close()
 	tracer := fault.NewTracer(h)
 	if err := runDetectWorkload(tracer, h.Mem(), p.Allocs, p.Live, -1); err != nil {
 		return nil, fmt.Errorf("exps: detection trace run failed: %w", err)
@@ -251,6 +252,7 @@ func runDetectLayout(p DetectParams, mult float64, layoutSeed uint64,
 	if err != nil {
 		return nil, false, err
 	}
+	defer dh.Close()
 	var alloc heap.Allocator = dh
 	switch {
 	case oplan != nil:
@@ -304,6 +306,7 @@ func runGenTagTrial(p DetectParams, mult float64, layoutSeed uint64, victim int)
 	if err != nil {
 		return detectTrialOut{}, err
 	}
+	defer dh.Close()
 	gm := dh.GenMemory()
 	ring := make([]heap.FatPtr, p.Live)
 	reqs := make([]int, p.Live)
@@ -409,7 +412,9 @@ func replicaReadStreams(p DetectParams, mult float64, trialSeed uint64, victim i
 			return nil, err
 		}
 		rm := &recordingMem{Memory: h.Mem()}
-		if err := runDetectWorkload(h, rm, p.Allocs, p.Live, victim); err != nil {
+		err = runDetectWorkload(h, rm, p.Allocs, p.Live, victim)
+		h.Close()
+		if err != nil {
 			return nil, err
 		}
 		if k > 0 && len(rm.vals) != len(streams[0]) {
@@ -666,6 +671,7 @@ func EmpiricalOverflowDetect(fullness float64, objects, trials, heapSize int, se
 		if dh.Detector().HeapCheckFull() > 0 {
 			detected++
 		}
+		dh.Close()
 	}
 	return float64(detected) / float64(trials), nil
 }

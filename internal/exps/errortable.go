@@ -419,6 +419,7 @@ func runScenario(system string, s scenario) (Outcome, error) {
 				return "", err
 			}
 			out, runErr := s.run(h, h.Mem())
+			h.Close()
 			if classify(out, runErr, s.expected) == OutcomeCorrect {
 				correct++
 			}

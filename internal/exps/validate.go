@@ -69,6 +69,9 @@ func EmpiricalOverflowMask(fullness float64, k, trials int, heapSize int, seed u
 			}
 			done++
 		}
+		for _, h := range heaps {
+			h.Close()
+		}
 	}
 	return float64(masked) / float64(trials), nil
 }
@@ -109,6 +112,7 @@ func EmpiricalDanglingMask(size, allocs, trials, heapSize int, seed uint64) (flo
 			}
 		}
 		v, err := h.Mem().Load64(victim)
+		h.Close()
 		if err != nil {
 			return 0, err
 		}
@@ -130,6 +134,7 @@ func EmpiricalProbeCount(m float64, heapSize int, seed uint64) (float64, error) 
 	if err != nil {
 		return 0, err
 	}
+	defer h.Close()
 	const size = 64
 	class := core.ClassFor(size)
 	_, maxInUse := h.ClassSlots(class)

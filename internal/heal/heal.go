@@ -244,6 +244,21 @@ type supervisor struct {
 
 // Run executes one supervisor under cfg and returns its Result.
 func Run(cfg Config) (*Result, error) {
+	s, err := newSupervisor(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for c := 0; c < s.cfg.Cycles; c++ {
+		if err := s.step(c); err != nil {
+			return nil, err
+		}
+	}
+	return s.finish()
+}
+
+// newSupervisor wires a supervisor's telemetry and builds its first
+// epoch.
+func newSupervisor(cfg Config) (*supervisor, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -273,29 +288,40 @@ func Run(cfg Config) (*Result, error) {
 	if err := s.startEpoch(); err != nil {
 		return nil, err
 	}
-	for c := 0; c < cfg.Cycles; c++ {
-		if cfg.EpochCycles > 0 && c > 0 && c%cfg.EpochCycles == 0 {
-			if err := s.restart(c); err != nil {
-				return nil, err
-			}
-		}
-		var t0 time.Time
-		if s.cycleNs != nil {
-			t0 = time.Now()
-		}
-		if err := s.cycle(c); err != nil {
-			return nil, err
-		}
-		if s.cycleNs != nil {
-			s.cycleNs.Record(time.Since(t0).Nanoseconds())
+	return s, nil
+}
+
+// step runs cycle c, after the scheduled epoch restart when one is due.
+func (s *supervisor) step(c int) error {
+	if s.cfg.EpochCycles > 0 && c > 0 && c%s.cfg.EpochCycles == 0 {
+		if err := s.restart(c); err != nil {
+			return err
 		}
 	}
+	var t0 time.Time
+	if s.cycleNs != nil {
+		t0 = time.Now()
+	}
+	if err := s.cycle(c); err != nil {
+		return err
+	}
+	if s.cycleNs != nil {
+		s.cycleNs.Record(time.Since(t0).Nanoseconds())
+	}
+	return nil
+}
+
+// finish checks the final epoch's heap, records its quarantine
+// counters, closes it, and completes the Result.
+func (s *supervisor) finish() (*Result, error) {
 	if err := s.h.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("heal: final invariant check: %w", err)
 	}
 	st := s.h.Stats()
 	s.res.Quarantined = st.Quarantined
 	s.res.QuarantineOut = st.QuarantineOut
+	s.h.Close()
+	cfg := &s.cfg
 	s.res.Cycles = cfg.Cycles
 	s.res.MTBF = float64(cfg.Cycles) / float64(max(1, s.res.Failures))
 	s.res.Overflow = s.acc.Verdict(detect.KindOverflow, cfg.ConfidenceBar)
@@ -333,11 +359,13 @@ func (s *supervisor) startEpoch() error {
 
 // restart is the scheduled epoch restart: drain what the dying layout
 // still knows (flush the quarantine so its releases get their reuse
-// audits, run a final barrier, bank the evidence), then re-seed.
+// audits, run a final barrier, bank the evidence), close its heap, then
+// re-seed.
 func (s *supervisor) restart(c int) error {
 	s.h.FlushQuarantine()
 	s.det.HeapCheck()
 	s.drainEvidence(c)
+	s.h.Close()
 	s.res.Restarts++
 	s.log(Event{Cycle: c, Kind: "restart", Site: -1,
 		Note: fmt.Sprintf("epoch %d: re-seeded layout", s.epoch)})

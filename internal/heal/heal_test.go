@@ -1,6 +1,13 @@
 package heal
 
-import "testing"
+import (
+	"errors"
+	"reflect"
+	"testing"
+
+	"diehard/internal/obs"
+	"diehard/internal/vmem"
+)
 
 // testSchedule is the planned fault schedule the regression battery
 // pins: site 7 overflows 24 bytes past its 48-byte object every 3rd
@@ -152,6 +159,67 @@ func TestHealCampaignDeterministicAcrossWorkers(t *testing.T) {
 		if r.Failures != eight.Replicas[i].Failures || r.MitigatedCycle != eight.Replicas[i].MitigatedCycle {
 			t.Errorf("replica %d diverges across worker counts", i)
 		}
+	}
+}
+
+// TestHealEpochRestartRebinds drives a supervisor through Run's steps.
+// At each scheduled restart the dying epoch's space must be closed — an
+// access through its Mem faults with the closed reason — and every
+// detect.* gauge must read the live epoch's Detector, not the dead one.
+// The Result's quarantine counters must come from the final epoch, and
+// the whole Result must equal Run's.
+func TestHealEpochRestartRebinds(t *testing.T) {
+	cfg := testConfig(true)
+	cfg.Obs = obs.NewRegistry()
+	s, err := newSupervisor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarts := 0
+	for c := 0; c < s.cfg.Cycles; c++ {
+		dying, dyingDet := s.h, s.det
+		if err := s.step(c); err != nil {
+			t.Fatal(err)
+		}
+		if s.h == dying {
+			continue
+		}
+		restarts++
+		if _, err := dying.Mem().Load64(uint64(dying.ClassBase(0))); !errors.Is(err, vmem.ErrClosed) {
+			t.Fatalf("cycle %d: the dying epoch's space answers %v, want the closed-space fault", c, err)
+		}
+		live, dead := obs.NewRegistry(), obs.NewRegistry()
+		s.det.PublishMetrics(live)
+		dyingDet.PublishMetrics(dead)
+		for _, m := range live.Snapshot().Metrics {
+			if got, ok := cfg.Obs.Get(m.Name); !ok || got != *m.Value {
+				t.Errorf("cycle %d: %s reads %v, the live detector %v", c, m.Name, got, *m.Value)
+			}
+		}
+		l, _ := live.Get("detect.allocs")
+		if d, _ := dead.Get("detect.allocs"); l == d {
+			t.Fatalf("cycle %d: live and dying detectors both count %v allocs; the gauge check cannot tell them apart", c, l)
+		}
+	}
+	if want := (cfg.Cycles - 1) / cfg.EpochCycles; restarts != want {
+		t.Fatalf("%d restarts, want %d", restarts, want)
+	}
+	final := s.h
+	res, err := s.finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := final.Stats()
+	if res.Quarantined != st.Quarantined || res.QuarantineOut != st.QuarantineOut || res.Quarantined == 0 {
+		t.Errorf("Result quarantine %d/%d, final epoch's %d/%d", res.Quarantined, res.QuarantineOut,
+			st.Quarantined, st.QuarantineOut)
+	}
+	want, err := Run(testConfig(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, want) {
+		t.Errorf("stepped supervisor's Result differs from Run's:\n%+v\n%+v", res, want)
 	}
 }
 

@@ -303,10 +303,12 @@ func spawnReplicas(prog Program, input []byte, opts Options, seeds []uint64, wri
 // final partial-buffer handshake with the voter. After the program has
 // unwound — however it unwound — a detection replica runs a final heap
 // check and stashes its evidence in rep, which is what feeds the triage
-// of killed replicas.
+// of killed replicas; then the replica closes its heap, on its own
+// goroutine, after its last access.
 func runReplica(i int, prog Program, input []byte, opts Options, seed uint64, w replicaWriter, rep *ReplicaReport) {
 	var progErr error
 	var det *detect.Detector
+	var h interface{ Close() }
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -329,9 +331,9 @@ func runReplica(i int, prog Program, input []byte, opts Options, seed uint64, w 
 				return
 			}
 			det = dh.Detector()
-			alloc, mem, bounds = dh, dh.Memory(), dh
+			h, alloc, mem, bounds = dh, dh, dh.Memory(), dh
 		} else {
-			h, err := core.New(core.Options{
+			ch, err := core.New(core.Options{
 				HeapSize:   opts.HeapSize,
 				M:          opts.M,
 				Seed:       seed,
@@ -341,7 +343,7 @@ func runReplica(i int, prog Program, input []byte, opts Options, seed uint64, w 
 				progErr = err
 				return
 			}
-			alloc, mem, bounds = h, h.Mem(), h
+			h, alloc, mem, bounds = ch, ch, ch.Mem(), ch
 		}
 		in := make([]byte, len(input))
 		copy(in, input)
@@ -363,6 +365,9 @@ func runReplica(i int, prog Program, input []byte, opts Options, seed uint64, w 
 	if det != nil {
 		det.HeapCheck()
 		rep.Evidence = det.Report().Evidence
+	}
+	if h != nil {
+		h.Close()
 	}
 	if errors.Is(progErr, ErrKilled) {
 		return // voter already knows

@@ -720,6 +720,9 @@ func Run(cfg Config) (*Result, error) {
 		Hist:     &obs.Histogram{},
 		Stats:    sh.StatsSnapshot(),
 	}
+	// The soak is over: the space's frames go back to the pool. Its
+	// vmem.* gauges keep reading the final counts.
+	sh.Close()
 	for _, w := range workers {
 		res.Hist.Merge(&w.hist)
 		res.Corruptions += w.corruptions

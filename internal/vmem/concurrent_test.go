@@ -336,6 +336,64 @@ func TestConcurrentMapUnmapChurn(t *testing.T) {
 	}
 }
 
+// TestConcurrentSpaceCloseHandoff has goroutines build, write, verify
+// and close spaces at once, so slabs pass through the pool between
+// spaces built and closed on different goroutines. A frame must read
+// zero where its own space has not written (no space here has a
+// filler), and every frame must read back its own space's values.
+func TestConcurrentSpaceCloseHandoff(t *testing.T) {
+	const workers = 4
+	const rounds = 25
+	const pages = 40 // the 32 KB and 64 KB slabs and part of a 128 KB one
+
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				s := NewSpace()
+				base, err := s.Map(pages*PageSize, ProtRW)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				tag := uint64(w)<<32 | uint64(r)<<16
+				for p := uint64(0); p < pages; p++ {
+					page := base + p*PageSize
+					if v, err := s.Load64(page + 16); err != nil || v != 0 {
+						errs[w] = fmt.Errorf("round %d page %d: fresh frame reads %#x (%v)", r, p, v, err)
+						return
+					}
+					// Leave every byte dirty for the frame's next owner.
+					if err := s.Memset(page, byte(w+1), PageSize); err != nil {
+						errs[w] = err
+						return
+					}
+					if err := s.Store64(page+8, tag|p); err != nil {
+						errs[w] = err
+						return
+					}
+				}
+				for p := uint64(0); p < pages; p++ {
+					if v, err := s.Load64(base + p*PageSize + 8); err != nil || v != tag|p {
+						errs[w] = fmt.Errorf("round %d page %d reads %#x (%v), want %#x", r, p, v, err, tag|p)
+						return
+					}
+				}
+				s.Close()
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", w, err)
+		}
+	}
+}
+
 // TestStatsSharedDrain checks the striped shared-mode counters: counts
 // accumulate in per-page cells and are folded into Stats on read, so
 // interleaved Stats calls must never lose or double-count accesses.

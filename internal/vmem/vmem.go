@@ -38,14 +38,19 @@
 // 300.twolf outlier in Figure 5(a), §7.2.1). Map records only an extent;
 // a page's leaf, PTE, and backing frame (carved out of slab-allocated
 // arenas) come into being on its first access, so a 384 MB DieHard heap
-// costs what its touched pages cost. The TLB model is an optional direct
-// call on each translation; runs that do not enable it pay one nil check.
+// costs what its touched pages cost. A space's owner closes it when done
+// (Close): its slabs go to a process-wide pool of bounded size, and later
+// spaces carve frames from them instead of making and zeroing new ones.
+// The TLB model is an optional direct call on each translation; runs
+// that do not enable it pay one nil check.
 package vmem
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -80,6 +85,13 @@ const (
 	// frames; each later chunk doubles the last, up to slabPages (1 MB).
 	firstSlabPages = 8
 	slabPages      = 256
+
+	// slabSizes is the number of slab sizes that schedule produces,
+	// 32 KB to 1 MB: one pool free list each.
+	slabSizes = 6
+
+	// slabPoolCap bounds the bytes of slabs the process-wide pool holds.
+	slabPoolCap = 8 << 20
 )
 
 // frame is a page's backing store. Frames are published into PTEs via
@@ -151,6 +163,17 @@ type Fault struct {
 func (f *Fault) Error() string {
 	return fmt.Sprintf("segmentation fault: %s at %#x (%s)", f.Kind, f.Addr, f.Reason)
 }
+
+// ErrClosed is the error Map, MapGuarded, Unmap and Protect return on a
+// closed space. A load or store on a closed space returns a *Fault with
+// the reason "closed space", which errors.Is also matches to ErrClosed.
+var ErrClosed = errors.New("vmem: space is closed")
+
+const closedReason = "closed space"
+
+// Is reports whether the fault is an access to a closed space when
+// target is ErrClosed.
+func (f *Fault) Is(target error) bool { return target == ErrClosed && f.Reason == closedReason }
 
 // Stats counts memory-system events. Loads and Stores count accesses
 // (word-granularity for bulk operations); TLB counters are only meaningful
@@ -275,25 +298,29 @@ func (t *tlbState) slot(pn uint64) *uint8 {
 // stats mode accordingly); Map, Unmap, and Protect serialize internally
 // and their effects are visible to accesses that happen after them.
 // Configuration calls (EnableTLB, SetPageFiller, SetStatsMode) must
-// precede concurrent use.
+// precede concurrent use, and Close must follow it.
 type Space struct {
 	// mu serializes address-space mutation: Map/Unmap/Protect, extent
-	// bookkeeping, directory growth, slab carving, and first-touch PTE
-	// fills.
+	// bookkeeping, directory growth, slab carving, first-touch PTE
+	// fills, and Close.
 	mu      sync.Mutex
 	extents []extent // sorted by start, non-overlapping; under mu
 	next    uint64   // next free virtual address for Map; under mu
+	closed  bool     // Close has run; under mu
 	stats   Stats
 	mode    StatsMode
 	cells   *[statsCells]counterCell // striped access counters; StatsShared only
 	filler  func([]byte)             // optional initializer for fresh page contents; under mu
 
-	// Slab allocation of page frames: fresh frames are carved from
-	// arena; frames released by Unmap are recycled through freeFrames.
-	// All under mu.
+	// Slab allocation of page frames: frames are carved from arena, a
+	// slab taken from the pool (dirty) or freshly made (zero); frames
+	// released by Unmap are recycled through freeFrames. slabs lists
+	// every slab the space took, for Close to pool. All under mu.
 	arena      []byte
+	arenaDirty bool
 	arenaOff   int
 	freeFrames []*frame
+	slabs      [][]byte
 
 	// tlb, when non-nil, accounts every successful translation (EnableTLB).
 	// Runs without the TLB pay one predictable nil check.
@@ -354,7 +381,15 @@ func (s *Space) EnableTLB() {
 // mutex, so invocations never overlap, but their order across pages
 // follows first-touch order, which is scheduling-dependent when several
 // goroutines share the space.
+//
+// A filler must write every byte of the page it is given. The frame it
+// fills may be recycled, from this space's Unmap or from a closed
+// space's slab, and is not cleared first when a filler is installed: a
+// byte the filler skips would show a previous page's contents.
 func (s *Space) SetPageFiller(fill func([]byte)) { s.filler = fill }
+
+// PageFiller returns the filler SetPageFiller installed, or nil.
+func (s *Space) PageFiller() func([]byte) { return s.filler }
 
 // Stats returns a pointer to the space's counters. In StatsShared mode
 // the striped access cells are drained into the struct first (so read
@@ -514,24 +549,106 @@ func (s *Space) eachFilled(lo, hi uint64, fn func(*pte)) {
 	}
 }
 
-// allocFrame returns a zeroed page frame, recycling frames released by
-// Unmap and otherwise carving them from slab arenas that double from
-// firstSlabPages to slabPages frames, so a space that touches a few
-// pages zeroes a few pages. Caller holds mu.
+// allocFrame returns a page frame for a first touch, recycling frames
+// released by Unmap and otherwise carving them from slab arenas that
+// double from firstSlabPages to slabPages frames, so a space that
+// touches a few pages zeroes a few pages. A recycled frame, or one
+// carved from a pooled slab, holds old bytes: it is cleared here only
+// when the space has no filler, since a filler writes every byte of the
+// page (SetPageFiller). Caller holds mu.
 func (s *Space) allocFrame() *frame {
 	if n := len(s.freeFrames); n > 0 {
 		f := s.freeFrames[n-1]
 		s.freeFrames = s.freeFrames[:n-1]
-		clear(f[:])
+		if s.filler == nil {
+			clear(f[:])
+		}
 		return f
 	}
 	if s.arenaOff == len(s.arena) {
-		s.arena = make([]byte, min(max(2*len(s.arena), firstSlabPages*PageSize), slabPages*PageSize))
+		s.arena, s.arenaDirty = takeSlab(min(max(2*len(s.arena), firstSlabPages*PageSize), slabPages*PageSize))
 		s.arenaOff = 0
+		s.slabs = append(s.slabs, s.arena)
 	}
 	f := (*frame)(s.arena[s.arenaOff : s.arenaOff+PageSize])
 	s.arenaOff += PageSize
+	if s.arenaDirty && s.filler == nil {
+		clear(f[:])
+	}
 	return f
+}
+
+// slabPool holds the slabs of closed spaces, one LIFO free list per slab
+// size, up to slabPoolCap bytes in all. held mirrors the pooled bytes so
+// that takeSlab finds an empty pool with one atomic load and no lock.
+var slabPool struct {
+	mu   sync.Mutex
+	held atomic.Int64
+	free [slabSizes][][]byte
+}
+
+// slabClass is the pool free list for slabs of size bytes.
+func slabClass(size int) int { return bits.TrailingZeros(uint(size / (firstSlabPages * PageSize))) }
+
+// takeSlab returns a slab of size bytes: a pooled one, dirty with a
+// closed space's bytes, or a freshly made one, zero.
+func takeSlab(size int) (slab []byte, dirty bool) {
+	if slabPool.held.Load() > 0 {
+		slabPool.mu.Lock()
+		free := &slabPool.free[slabClass(size)]
+		if n := len(*free); n > 0 {
+			slab = (*free)[n-1]
+			(*free)[n-1] = nil
+			*free = (*free)[:n-1]
+			slabPool.held.Add(-int64(size))
+		}
+		slabPool.mu.Unlock()
+		if slab != nil {
+			return slab, true
+		}
+	}
+	return make([]byte, size), false
+}
+
+// putSlabs pools slabs while the pool stays within slabPoolCap and
+// leaves the rest to the garbage collector.
+func putSlabs(slabs [][]byte) {
+	slabPool.mu.Lock()
+	defer slabPool.mu.Unlock()
+	for _, slab := range slabs {
+		if slabPool.held.Load()+int64(len(slab)) > slabPoolCap {
+			continue
+		}
+		free := &slabPool.free[slabClass(len(slab))]
+		*free = append(*free, slab)
+		slabPool.held.Add(int64(len(slab)))
+	}
+}
+
+// Close releases the space: it drops every mapping and hands the space's
+// frame slabs to a process-wide pool (bounded at 8 MB), from which later
+// spaces carve their frames. Afterwards every load and store returns a
+// *Fault whose reason is "closed space", and Map, MapGuarded, Unmap and
+// Protect return ErrClosed; no access reaches the frames, which now
+// belong to other spaces. The counters in Stats and StatsSnapshot keep
+// their values. A second Close does nothing.
+//
+// Like closing a file, Close requires that no access or mapping call
+// runs concurrently with it: an access racing Close may reach a frame
+// another space already owns. The owner closes the space after its last
+// access, and other goroutines' accesses must happen before it.
+func (s *Space) Close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	// Revoke every translation before the frames change owner.
+	s.extents = nil
+	s.dir.Store(&emptyDir)
+	// Hand the slabs over once: a second Close finds none left, for a
+	// slab pooled twice would give two spaces the same frames.
+	slabs := s.slabs
+	s.slabs, s.arena, s.arenaOff, s.freeFrames = nil, nil, 0, nil
+	putSlabs(slabs)
 }
 
 // Map reserves n bytes (rounded up to whole pages) with the given
@@ -547,6 +664,9 @@ func (s *Space) Map(n int, prot Prot) (uint64, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return 0, ErrClosed
+	}
 	npages := uint64((n + PageSize - 1) / PageSize)
 	base := s.next
 	if base+(npages+1)*PageSize > maxAddr {
@@ -640,6 +760,9 @@ func (s *Space) Unmap(addr uint64, n int) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
 	bytes := uint64((n+PageSize-1)/PageSize) * PageSize
 	lo, hi, err := s.carve(addr, bytes)
 	if err != nil {
@@ -668,6 +791,9 @@ func (s *Space) Protect(addr uint64, n int, prot Prot) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
 	bytes := uint64((n+PageSize-1)/PageSize) * PageSize
 	lo, hi, err := s.carve(addr, bytes)
 	if err != nil {
@@ -727,9 +853,13 @@ func (s *Space) translateSlow(addr uint64, kind AccessKind) ([]byte, uint64, err
 	s.mu.Lock()
 	i := s.findExtent(addr)
 	if i < 0 {
+		reason := "unmapped address"
+		if s.closed {
+			reason = closedReason
+		}
 		s.mu.Unlock()
 		s.countFault()
-		return nil, 0, &Fault{Addr: addr, Kind: kind, Reason: "unmapped address"}
+		return nil, 0, &Fault{Addr: addr, Kind: kind, Reason: reason}
 	}
 	prot := s.extents[i].prot
 	if prot&(ProtRead<<kind) == 0 {

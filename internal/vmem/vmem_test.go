@@ -442,21 +442,35 @@ func TestMapRejectsBadSizes(t *testing.T) {
 }
 
 // BenchmarkNewSpaceFirstTouch is the space shape of a detection campaign
-// trial: a fresh space maps 1 MB and touches 32 scattered pages.
+// trial: a fresh space maps 1 MB and touches 32 scattered pages. In
+// /fresh each space is dropped unclosed, so every slab is made new; in
+// /closed each space is closed, so the next one carves its frames from
+// pooled slabs.
 func BenchmarkNewSpaceFirstTouch(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := NewSpace()
-		base, err := s.Map(1<<20, ProtRW)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for p := uint64(0); p < 32; p++ {
-			// 37 is odd, so the 32 pages are distinct among the 256.
-			if err := s.Store64(base+(p*37%256)*PageSize, p); err != nil {
-				b.Fatal(err)
+	for _, arm := range []struct {
+		name  string
+		close bool
+	}{{"fresh", false}, {"closed", true}} {
+		b.Run(arm.name, func(b *testing.B) {
+			drainSlabPool()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := NewSpace()
+				base, err := s.Map(1<<20, ProtRW)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for p := uint64(0); p < 32; p++ {
+					// 37 is odd, so the 32 pages are distinct among the 256.
+					if err := s.Store64(base+(p*37%256)*PageSize, p); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if arm.close {
+					s.Close()
+				}
 			}
-		}
+		})
 	}
 }
 
