@@ -38,7 +38,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -310,7 +309,6 @@ func (r *classRegions) locate(idx int) (*subregion, int) {
 type sizeClass struct {
 	mu        sync.Mutex // adaptive growth
 	randState uint64     // packed MWC probe/fill stream (rng.Step)
-	fillBuf   []byte     // RandomFill staging (sequential heaps only)
 
 	size     int
 	shift    uint                         // log2(size), for divisions on the hot path
@@ -405,7 +403,6 @@ type Heap struct {
 	largeMu   sync.Mutex
 	large     map[heap.Ptr]largeObject
 	largeRand rng.MWC // fill stream for large objects; under largeMu
-	largeBuf  []byte  // under largeMu
 	largeGen  uint64  // GenTags issue counter for large objects; under largeMu
 
 	idxMu   sync.Mutex // serializes pageIdx publication on adaptive growth
@@ -521,12 +518,7 @@ func newHeap(opts Options, space *vmem.Space) (*Heap, error) {
 		// Realize "fill the heap with random values" (§4.1) lazily:
 		// every page instantiated in this replica's address space is
 		// pre-filled from a stream derived from the allocator seed.
-		fillRNG := master.Split()
-		h.space.SetPageFiller(func(b []byte) {
-			for i := 0; i+4 <= len(b); i += 4 {
-				binary.LittleEndian.PutUint32(b[i:], fillRNG.Next())
-			}
-		})
+		h.space.SetPageFiller(master.Split().Fill)
 	}
 
 	var subs [NumClasses]*subregion
@@ -977,27 +969,28 @@ func (h *Heap) growClass(c int) error {
 // are sequential, so the caller owns the stream it has just committed.
 func (h *Heap) fillClassRandom(cl *sizeClass, ptr heap.Ptr, n int) error {
 	r := rng.NewSeeded(cl.randState)
-	err := h.fillRandom(r, &cl.fillBuf, ptr, n)
+	err := h.fillRandom(r, ptr, n)
 	cl.randState = r.Seed()
 	return err
 }
 
-// fillRandom fills an allocated object with random values drawn from the
-// given stream (Figure 2, DieHardMalloc lines 18-20). The caller owns r
-// and buf: under largeMu, or on a sequential heap's class.
-func (h *Heap) fillRandom(r *rng.MWC, buf *[]byte, ptr heap.Ptr, n int) error {
-	if cap(*buf) < n {
-		*buf = make([]byte, n)
-	}
-	b := (*buf)[:n]
-	for i := 0; i+4 <= n; i += 4 {
-		binary.LittleEndian.PutUint32(b[i:], r.Next())
-	}
-	for i := n &^ 3; i < n; i++ {
-		b[i] = byte(r.Next())
-	}
+// fillRandom fills an allocated object in place with random values drawn
+// from the given stream (Figure 2, DieHardMalloc lines 18-20): one draw
+// per 4-byte word, then one per byte of a ragged tail. Every chunk of
+// the walk but the object's last is a multiple of 4 bytes (small slots
+// are size-aligned and cross a page only when page-aligned; large
+// objects are page-aligned), so the stream advances as one word loop
+// over the object would. The caller owns r: under largeMu, or on a
+// sequential heap's class.
+func (h *Heap) fillRandom(r *rng.MWC, ptr heap.Ptr, n int) error {
 	h.addStat(&h.stats.WorkUnits, uint64(n/8+1)*heap.WorkRandomFill)
-	return h.space.WriteBytes(ptr, b)
+	return h.space.Walk(ptr, n, vmem.AccessStore, func(_ uint64, b []byte) (int, bool) {
+		r.Fill(b)
+		for i := len(b) &^ 3; i < len(b); i++ {
+			b[i] = byte(r.Next())
+		}
+		return len(b), true
+	})
 }
 
 // allocateLargeObject serves requests above MaxObjectSize from a
@@ -1028,7 +1021,7 @@ func (h *Heap) allocateLargeObject(size int) (heap.FatPtr, error) {
 	h.large[base] = lo
 	var fillErr error
 	if h.opts.RandomFill {
-		fillErr = h.fillRandom(&h.largeRand, &h.largeBuf, base, size)
+		fillErr = h.fillRandom(&h.largeRand, base, size)
 	}
 	h.largeMu.Unlock()
 	if fillErr != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"hash/fnv"
 	"math"
 	"runtime"
 	"testing"
@@ -15,7 +16,7 @@ import (
 
 // testHeap returns a small deterministic heap suitable for unit tests:
 // 12 MB total, 1 MB per class.
-func testHeap(t *testing.T, opts Options) *Heap {
+func testHeap(t testing.TB, opts Options) *Heap {
 	t.Helper()
 	if opts.HeapSize == 0 {
 		opts.HeapSize = 12 << 20
@@ -322,11 +323,16 @@ func TestSameSeedSameLayout(t *testing.T) {
 // the vmem contract (vmem Space.SetPageFiller): it writes every byte of
 // its page, so a pooled frame it fills needs no clearing first. Two
 // identically seeded fillers run over pages poisoned 0x00 and 0xFF must
-// produce equal bytes.
+// produce equal bytes. It also pins both fill streams to hashes recorded
+// from the one-draw-per-word loops: the first eight pages the filler
+// writes, and a large object whose length leaves a ragged tail of
+// single-byte draws.
 func TestRandomFillFillerWritesEveryByte(t *testing.T) {
+	const pagesHash, largeHash = 0x7fa353edc0a0e3bf, 0x04cd058a94c1ab47
 	zeros := testHeap(t, Options{Seed: 7, RandomFill: true}).Mem().PageFiller()
 	ones := testHeap(t, Options{Seed: 7, RandomFill: true}).Mem().PageFiller()
-	for page := 0; page < 3; page++ {
+	pages := fnv.New64a()
+	for page := 0; page < 8; page++ {
 		a := make([]byte, vmem.PageSize)
 		b := bytes.Repeat([]byte{0xFF}, vmem.PageSize)
 		zeros(a)
@@ -336,6 +342,24 @@ func TestRandomFillFillerWritesEveryByte(t *testing.T) {
 				t.Fatalf("page %d byte %d: %#x over 0x00, %#x over 0xFF: the filler skipped it", page, i, a[i], b[i])
 			}
 		}
+		pages.Write(a)
+	}
+	if got := pages.Sum64(); got != pagesHash {
+		t.Errorf("filler pages hash to %#x, recorded %#x", got, uint64(pagesHash))
+	}
+	h := testHeap(t, Options{Seed: 7, RandomFill: true})
+	p, err := h.Malloc(4*vmem.PageSize + 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := make([]byte, 4*vmem.PageSize+3)
+	if err := h.Mem().ReadBytes(p, obj); err != nil {
+		t.Fatal(err)
+	}
+	large := fnv.New64a()
+	large.Write(obj)
+	if got := large.Sum64(); got != largeHash {
+		t.Errorf("large object fill hashes to %#x, recorded %#x", got, uint64(largeHash))
 	}
 }
 
@@ -955,6 +979,22 @@ func BenchmarkNewHeap(b *testing.B) {
 			if _, err := NewSharded(2, Options{HeapSize: 64 << 20, Seed: uint64(i) + 1, Concurrent: true, RemoteRing: true}); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+}
+
+// BenchmarkPageFill prices RandomFill's page filler, the replica heap's
+// lazy "fill the heap with random values": one 4 KB page per op over a
+// ring of 256 frames.
+func BenchmarkPageFill(b *testing.B) {
+	b.Run("randomfill", func(b *testing.B) {
+		fill := testHeap(b, Options{Seed: 1, RandomFill: true}).Mem().PageFiller()
+		ring := make([]byte, 256*vmem.PageSize)
+		b.SetBytes(vmem.PageSize)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			off := i % 256 * vmem.PageSize
+			fill(ring[off : off+vmem.PageSize])
 		}
 	})
 }

@@ -56,6 +56,7 @@ package detect
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"diehard/internal/core"
@@ -211,7 +212,6 @@ type Detector struct {
 	seen      map[heap.Ptr]bool // uninit dedup by address
 	stored    map[heap.Ptr]bool // dangling-store dedup by address
 	genSeen   map[genKey]bool   // stale free/access dedup by (addr, generation)
-	buf       []byte            // audit/refill scratch
 }
 
 // genKey dedups generation evidence per incarnation: a second stale
@@ -285,13 +285,8 @@ func New(copts core.Options, dopts Options) (*Heap, error) {
 	// Every page the heap ever instantiates starts as canary: the
 	// detection analog of replicated mode's random fill, realized
 	// through the same lazy page filler. Page frames are page-aligned,
-	// so filling from the frame start keeps the pattern aligned to
-	// absolute addresses, and words[0] is the pattern as one word.
-	d.space.SetPageFiller(func(b []byte) {
-		for i := 0; i < len(b); i += 8 {
-			binary.LittleEndian.PutUint64(b[i:], d.words[0])
-		}
-	})
+	// so a frame starts at phase 0 of the absolute-address pattern.
+	d.space.SetPageFiller(func(b []byte) { d.pattern(0, b) })
 	return &Heap{Heap: h, det: d}, nil
 }
 
@@ -335,6 +330,52 @@ func (d *Detector) canary64(addr heap.Ptr) uint64 { return d.words[addr&7] }
 // canary32 is the 32-bit analog.
 func (d *Detector) canary32(addr heap.Ptr) uint32 { return uint32(d.words[addr&7]) }
 
+// pattern writes into b the canary of the bytes at address at: the
+// first word for at's phase, then doubling copies, which stay in phase
+// because the pattern's period is 8.
+func (d *Detector) pattern(at heap.Ptr, b []byte) {
+	var w [CanaryBytes]byte
+	binary.LittleEndian.PutUint64(w[:], d.canary64(at))
+	for n := copy(b, w[:]); n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
+	}
+}
+
+// damage compares b, the bytes at address at, against the canary and
+// returns the offsets of the first and the last damaged byte, or -1 and
+// -1 when b is intact. It compares 8-byte words (every word of b starts
+// at at's phase) and reads the damaged bytes from the trailing and
+// leading zero counts of the XOR; only the ragged end goes byte by
+// byte.
+func (d *Detector) damage(at heap.Ptr, b []byte) (first, last int) {
+	first, last = -1, -1
+	w := d.canary64(at)
+	off := 0
+	// Intact canary is the common case: skip it 32 bytes at a time.
+	for le := binary.LittleEndian; len(b) >= 32; b, off = b[32:], off+32 {
+		if (le.Uint64(b)^w)|(le.Uint64(b[8:])^w)|(le.Uint64(b[16:])^w)|(le.Uint64(b[24:])^w) != 0 {
+			break
+		}
+	}
+	for ; len(b) >= 8; b, off = b[8:], off+8 {
+		if x := binary.LittleEndian.Uint64(b) ^ w; x != 0 {
+			if first < 0 {
+				first = off + bits.TrailingZeros64(x)/8
+			}
+			last = off + 7 - bits.LeadingZeros64(x)/8
+		}
+	}
+	for i, c := range b {
+		if c != byte(w>>(8*i)) {
+			if first < 0 {
+				first = off + i
+			}
+			last = off + i
+		}
+	}
+	return first, last
+}
+
 // record appends evidence, respecting the cap.
 func (d *Detector) record(ev Evidence) {
 	d.found++
@@ -367,19 +408,15 @@ func (d *Detector) forgetUninit(p heap.Ptr, n int) {
 	}
 }
 
-// refill restores the canary over [p, p+n).
+// refill restores the canary over [p, p+n), in place.
 func (d *Detector) refill(p heap.Ptr, n int) {
-	if cap(d.buf) < n {
-		d.buf = make([]byte, n)
-	}
-	b := d.buf[:n]
-	for i := range b {
-		b[i] = d.pat[(p+heap.Ptr(i))&7]
-	}
 	// The slot belongs to the heap and is mapped read-write; a write
 	// failure would mean corrupted allocator metadata, which core's own
 	// invariants guard against.
-	_ = d.space.WriteBytes(p, b)
+	_ = d.space.Walk(p, n, vmem.AccessStore, func(at uint64, b []byte) (int, bool) {
+		d.pattern(at, b)
+		return len(b), true
+	})
 }
 
 // audit scans [p, p+n) for canary damage and returns the first damaged
@@ -387,27 +424,28 @@ func (d *Detector) refill(p heap.Ptr, n int) {
 // ok is false when the region is intact or unreadable.
 func (d *Detector) audit(p heap.Ptr, n int) (first, span int, ok bool) {
 	d.audits++
-	if cap(d.buf) < n {
-		d.buf = make([]byte, n)
-	}
-	b := d.buf[:n]
-	if err := d.space.ReadBytes(p, b); err != nil {
-		return 0, 0, false
-	}
-	first = -1
-	last := -1
-	for i := range b {
-		if b[i] != d.pat[(p+heap.Ptr(i))&7] {
-			if first < 0 {
-				first = i
-			}
-			last = i
-		}
-	}
-	if first < 0 {
+	first, last, err := d.scan(p, n)
+	if err != nil || first < 0 {
 		return 0, 0, false
 	}
 	return first, last - first + 1, true
+}
+
+// scan runs damage over [p, p+n) in place, through the page walk, and
+// returns the offsets of the first and the last damaged byte (-1 and -1
+// when intact), or the walk's fault.
+func (d *Detector) scan(p heap.Ptr, n int) (first, last int, err error) {
+	first, last = -1, -1
+	err = d.space.Walk(p, n, vmem.AccessLoad, func(at uint64, b []byte) (int, bool) {
+		if f, l := d.damage(at, b); f >= 0 {
+			if first < 0 {
+				first = int(at-p) + f
+			}
+			last = int(at-p) + l
+		}
+		return len(b), true
+	})
+	return first, last, err
 }
 
 // neighbors resolves the nearest live and free slot bases around addr
@@ -814,10 +852,13 @@ func (m *checkedMem) Store64(addr uint64, v uint64) error { return m.s.Store64(a
 // byte is still intact canary is a value use of never-written memory
 // (a partially written range is not flagged — the word loads that
 // follow a staging copy audit those exactly, without double counting).
+// The check compares b itself, which already holds the bytes.
 func (m *checkedMem) ReadBytes(addr uint64, b []byte) error {
 	err := m.s.ReadBytes(addr, b)
-	if err == nil && len(b) > 0 && m.d.rangeIsCanary(addr, len(b)) {
-		m.d.noteUninit(addr, len(b))
+	if err == nil && len(b) > 0 {
+		if first, _ := m.d.damage(addr, b); first < 0 {
+			m.d.noteUninit(addr, len(b))
+		}
 	}
 	return err
 }

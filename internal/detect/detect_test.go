@@ -13,7 +13,7 @@ import (
 	"diehard/internal/vmem"
 )
 
-func newDetectHeap(t *testing.T, seed uint64) *Heap {
+func newDetectHeap(t testing.TB, seed uint64) *Heap {
 	t.Helper()
 	h, err := New(core.Options{HeapSize: 12 << 20, Seed: seed}, Options{})
 	if err != nil {
@@ -576,6 +576,118 @@ func TestCanaryFillerWritesEveryByte(t *testing.T) {
 	}
 }
 
+// TestCanaryComparatorMatchesByteLoop holds the canary writer and
+// comparator to the byte loops they replaced: pattern writes
+// pat[(at+i)&7] at every offset, and damage returns the first and the
+// last byte where b differs from that. audit, refill and rangeIsCanary
+// run the two in place through the page walk, so they are checked on
+// the heap too: every start phase, lengths up to three pages that cross
+// page boundaries, damage at the first byte, the last byte, a byte of
+// the ragged end and a byte holding another phase's canary, then random
+// damage.
+func TestCanaryComparatorMatchesByteLoop(t *testing.T) {
+	h := newDetectHeap(t, 11)
+	d := h.Detector()
+	base, err := h.Malloc(4 * vmem.PageSize) // four page-aligned canary pages
+	if err != nil {
+		t.Fatal(err)
+	}
+	byteLoop := func(at heap.Ptr, b []byte) (first, last int) {
+		first, last = -1, -1
+		for i := range b {
+			if b[i] != d.pat[(at+heap.Ptr(i))&7] {
+				if first < 0 {
+					first = i
+				}
+				last = i
+			}
+		}
+		return first, last
+	}
+	type hit struct {
+		off int
+		v   byte
+	}
+	check := func(at heap.Ptr, n int, hits []hit) {
+		t.Helper()
+		want := make([]byte, n)
+		for i := range want {
+			want[i] = d.pat[(at+heap.Ptr(i))&7]
+		}
+		b := make([]byte, n)
+		d.pattern(at, b)
+		if !bytes.Equal(b, want) {
+			t.Fatalf("pattern(%#x, %d) differs from the byte loop", at, n)
+		}
+		for _, x := range hits {
+			b[x.off] = x.v
+		}
+		wf, wl := byteLoop(at, b)
+		if f, l := d.damage(at, b); f != wf || l != wl {
+			t.Fatalf("damage(%#x, %d) with %v = (%d, %d), byte loop (%d, %d)", at, n, hits, f, l, wf, wl)
+		}
+		// In place: re-arm, damage through the raw space, audit.
+		d.refill(at, n)
+		mem := make([]byte, n)
+		if err := d.space.ReadBytes(at, mem); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(mem, want) {
+			t.Fatalf("refill(%#x, %d) differs from the byte loop", at, n)
+		}
+		for _, x := range hits {
+			if err := d.space.Store8(at+heap.Ptr(x.off), x.v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		first, span, ok := d.audit(at, n)
+		if ok != (wf >= 0) || (ok && (first != wf || span != wl-wf+1)) {
+			t.Fatalf("audit(%#x, %d) with %v = (%d, %d, %v), byte loop first %d last %d", at, n, hits, first, span, ok, wf, wl)
+		}
+		if got := d.rangeIsCanary(at, n); got != (wf < 0) {
+			t.Fatalf("rangeIsCanary(%#x, %d) with %v = %v", at, n, hits, got)
+		}
+		d.refill(at, n)
+	}
+	r := rng.NewSeeded(5)
+	for phase := 0; phase < 8; phase++ {
+		// 24 bytes before a page boundary, so longer ranges cross one or
+		// more boundaries.
+		at := base + vmem.PageSize - 24 + heap.Ptr(phase)
+		for _, n := range []int{0, 1, 3, 7, 8, 9, 15, 16, 17, 23, 24, 25, 63, vmem.PageSize - 1, vmem.PageSize, vmem.PageSize + 5, 2*vmem.PageSize + 13, 3 * vmem.PageSize} {
+			check(at, n, nil)
+			if n == 0 {
+				continue
+			}
+			canary := func(off int) byte { return d.pat[(at+heap.Ptr(off))&7] }
+			check(at, n, []hit{{0, ^canary(0)}})
+			check(at, n, []hit{{n - 1, ^canary(n - 1)}})
+			ragged := n &^ 7
+			if ragged == n {
+				ragged = n - 1
+			}
+			check(at, n, []hit{{ragged, canary(ragged) + 1}})
+			// A byte holding another phase's canary byte is damage too.
+			for k := 1; k < 8; k++ {
+				if other := canary(n/2 + k); other != canary(n/2) {
+					check(at, n, []hit{{n / 2, other}})
+					break
+				}
+			}
+			check(at, n, []hit{{0, ^canary(0)}, {n - 1, ^canary(n - 1)}})
+		}
+	}
+	for i := 0; i < 300; i++ {
+		at := base + heap.Ptr(r.Intn(vmem.PageSize))
+		n := 1 + r.Intn(3*vmem.PageSize)
+		hits := make([]hit, r.Intn(4))
+		for j := range hits {
+			hits[j] = hit{r.Intn(n), byte(r.Next())}
+		}
+		check(at, n, hits)
+	}
+}
+
 func TestRejectsConcurrentAndRandomFill(t *testing.T) {
 	if _, err := New(core.Options{Concurrent: true}, Options{}); err == nil {
 		t.Error("Concurrent accepted")
@@ -661,5 +773,38 @@ func BenchmarkDetectPair(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkPageFill prices the canary page filler: one 4 KB page per op
+// over a ring of 256 frames.
+func BenchmarkPageFill(b *testing.B) {
+	b.Run("canary", func(b *testing.B) {
+		fill := newDetectHeap(b, 1).Mem().PageFiller()
+		ring := make([]byte, 256*vmem.PageSize)
+		b.SetBytes(vmem.PageSize)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			off := i % 256 * vmem.PageSize
+			fill(ring[off : off+vmem.PageSize])
+		}
+	})
+}
+
+// BenchmarkCanaryAudit prices the in-place audit of one intact page per
+// op, over a ring of 64 canary pages.
+func BenchmarkCanaryAudit(b *testing.B) {
+	h := newDetectHeap(b, 1)
+	base, err := h.Malloc(64 * vmem.PageSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := h.Detector()
+	b.SetBytes(vmem.PageSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, damaged := d.audit(base+heap.Ptr(i%64*vmem.PageSize), vmem.PageSize); damaged {
+			b.Fatal("intact canary page reported damaged")
+		}
 	}
 }

@@ -113,19 +113,8 @@ func (d *Detector) noteDanglingStore(addr heap.Ptr, span int) {
 // Unlike audit it leaves the audit counter alone: it runs on ordinary
 // reads, not on the detector's own scan schedule.
 func (d *Detector) rangeIsCanary(addr heap.Ptr, n int) bool {
-	if cap(d.buf) < n {
-		d.buf = make([]byte, n)
-	}
-	b := d.buf[:n]
-	if err := d.space.ReadBytes(addr, b); err != nil {
-		return false
-	}
-	for i := range b {
-		if b[i] != d.pat[(addr+heap.Ptr(i))&7] {
-			return false
-		}
-	}
-	return true
+	first, _, err := d.scan(addr, n)
+	return err == nil && first < 0
 }
 
 // GenMemory is the generation-checked memory view over a tagged

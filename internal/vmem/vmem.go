@@ -1023,87 +1023,91 @@ func (s *Space) Store64(addr uint64, v uint64) error {
 	return nil
 }
 
+// Walk runs fn over [addr, addr+n) a page at a time, in address order:
+// it translates each page for an access of the given kind (AccessLoad
+// or AccessStore) and passes fn the address of the range's chunk on
+// that page and the chunk itself, in the page's frame. fn returns how
+// many of the chunk's bytes it accessed, which are counted at word
+// granularity like every bulk operation, and whether the walk goes on.
+// The walk stops at the first fault, before fn sees that page, and
+// returns it. The bulk operations below are walks; so are callers that
+// fill or check simulated memory in place.
+func (s *Space) Walk(addr uint64, n int, kind AccessKind, fn func(at uint64, chunk []byte) (used int, more bool)) error {
+	for done := 0; done < n; {
+		at := addr + uint64(done)
+		d, off, err := s.translate(at, kind)
+		if err != nil {
+			return err
+		}
+		chunk := d[off:min(int(off)+n-done, PageSize)]
+		used, more := fn(at, chunk)
+		if words := uint64(used+7) / 8; kind == AccessLoad {
+			s.countLoads(at, words)
+		} else {
+			s.countStores(at, words)
+		}
+		if !more {
+			return nil
+		}
+		done += len(chunk)
+	}
+	return nil
+}
+
 // ReadBytes fills b from the simulated memory starting at addr. Bulk
 // operations count one access per 8 bytes, roughly modeling
 // word-granularity copies.
 func (s *Space) ReadBytes(addr uint64, b []byte) error {
-	read := 0
-	for read < len(b) {
-		d, off, err := s.translate(addr+uint64(read), AccessLoad)
-		if err != nil {
-			return err
-		}
-		n := copy(b[read:], d[off:])
-		s.countLoads(addr+uint64(read), uint64(n+7)/8)
-		read += n
-	}
-	return nil
+	return s.Walk(addr, len(b), AccessLoad, func(at uint64, d []byte) (int, bool) {
+		return copy(b[at-addr:], d), true
+	})
 }
 
 // WriteBytes copies b into the simulated memory starting at addr.
 func (s *Space) WriteBytes(addr uint64, b []byte) error {
-	written := 0
-	for written < len(b) {
-		d, off, err := s.translate(addr+uint64(written), AccessStore)
-		if err != nil {
-			return err
-		}
-		n := copy(d[off:], b[written:])
-		s.countStores(addr+uint64(written), uint64(n+7)/8)
-		written += n
-	}
-	return nil
+	return s.Walk(addr, len(b), AccessStore, func(at uint64, d []byte) (int, bool) {
+		return copy(d, b[at-addr:]), true
+	})
 }
 
-// Memset writes n copies of v starting at addr.
+// Memset writes n copies of v starting at addr: a clear when v is zero,
+// 8-byte words and a ragged byte tail otherwise.
 func (s *Space) Memset(addr uint64, v byte, n int) error {
-	done := 0
-	for done < n {
-		d, off, err := s.translate(addr+uint64(done), AccessStore)
-		if err != nil {
-			return err
+	word := uint64(v) * 0x0101010101010101
+	return s.Walk(addr, n, AccessStore, func(_ uint64, d []byte) (int, bool) {
+		if v == 0 {
+			clear(d)
+			return len(d), true
 		}
-		chunk := PageSize - int(off)
-		if chunk > n-done {
-			chunk = n - done
+		i := 0
+		for ; i+8 <= len(d); i += 8 {
+			binary.LittleEndian.PutUint64(d[i:], word)
 		}
-		sl := d[off : int(off)+chunk]
-		for i := range sl {
-			sl[i] = v
+		for ; i < len(d); i++ {
+			d[i] = v
 		}
-		s.countStores(addr+uint64(done), uint64(chunk+7)/8)
-		done += chunk
-	}
-	return nil
+		return len(d), true
+	})
 }
 
 // FindByte scans forward from addr for the first occurrence of c,
 // examining at most limit bytes, and returns its offset from addr. The
-// scan runs a page at a time over the backing frames, so it visits
-// exactly the pages a byte-by-byte loop would visit and faults in the
-// same places; accesses are counted at word granularity like the other
-// bulk operations. found is false when limit bytes were examined without
-// a match.
-func (s *Space) FindByte(addr uint64, c byte, limit int) (int, bool, error) {
-	scanned := 0
-	for scanned < limit {
-		d, off, err := s.translate(addr+uint64(scanned), AccessLoad)
-		if err != nil {
-			return scanned, false, err
+// scan walks the backing frames a page at a time, so it visits exactly
+// the pages a byte-by-byte loop would visit and faults in the same
+// places; it counts the words it examined, up to the match. found is
+// false when limit bytes were examined without a match; on a fault, n
+// is the number of bytes examined before the faulting page.
+func (s *Space) FindByte(addr uint64, c byte, limit int) (n int, found bool, err error) {
+	err = s.Walk(addr, limit, AccessLoad, func(at uint64, d []byte) (int, bool) {
+		n = int(at - addr)
+		if i := bytes.IndexByte(d, c); i >= 0 {
+			n, found = n+i, true
+			return i + 1, false
 		}
-		chunk := PageSize - int(off)
-		if chunk > limit-scanned {
-			chunk = limit - scanned
-		}
-		idx := bytes.IndexByte(d[off:int(off)+chunk], c)
-		if idx >= 0 {
-			s.countLoads(addr+uint64(scanned), uint64(idx+1+7)/8)
-			return scanned + idx, true, nil
-		}
-		s.countLoads(addr+uint64(scanned), uint64(chunk+7)/8)
-		scanned += chunk
-	}
-	return scanned, false, nil
+		n += len(d)
+		return len(d), true
+	})
+	return n, found, err
 }
 
 // MemMove copies n bytes from src to dst within the space, handling

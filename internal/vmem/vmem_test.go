@@ -3,6 +3,8 @@ package vmem
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"runtime"
 	"strings"
 	"testing"
@@ -565,6 +567,24 @@ func BenchmarkReadBytesPage(b *testing.B) {
 	}
 }
 
+// BenchmarkMemset sets n bytes per op over a ring of resident pages, at
+// v = 0 (a clear) and at v != 0 (word stores).
+func BenchmarkMemset(b *testing.B) {
+	s := NewSpace()
+	base, _ := s.Map(256*PageSize, ProtRW)
+	_ = s.Memset(base, 0xEE, 256*PageSize)
+	for _, n := range []int{64, PageSize} {
+		for _, v := range []byte{0, 0xAB} {
+			b.Run(fmt.Sprintf("n%d/v%#x", n, v), func(b *testing.B) {
+				b.SetBytes(int64(n))
+				for i := 0; i < b.N; i++ {
+					_ = s.Memset(base+uint64(i%256)*PageSize, v, n)
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkStore64TLB(b *testing.B) {
 	s := NewSpace()
 	s.EnableTLB()
@@ -971,5 +991,120 @@ func TestPageFillerInvocationCounts(t *testing.T) {
 	}
 	if calls != 5 {
 		t.Fatalf("filler ran %d times after bulk touch, want 5", calls)
+	}
+}
+
+// TestBulkOpsMatchRecording pins ReadBytes, WriteBytes, Memset and
+// FindByte on ranges inside a two-page guarded mapping and on ranges
+// that run into a guard page: the returned offset, the fault, the
+// Loads/Stores/Faults counts, the output buffer and the mapping's bytes
+// afterwards, in both stats modes. The values were recorded from
+// per-operation page loops; the page walk must reproduce them.
+func TestBulkOpsMatchRecording(t *testing.T) {
+	type result struct {
+		n                     int
+		found                 bool
+		fault                 int64 // faulting address - base, or -1
+		loads, stores, faults uint64
+		out, mem              uint64 // FNV-1a of the output buffer and of the mapping
+	}
+	type op func(s *Space, base uint64) (n int, found bool, out []byte, err error)
+	read := func(off int64, n int) op {
+		return func(s *Space, base uint64) (int, bool, []byte, error) {
+			b := make([]byte, n)
+			return 0, false, b, s.ReadBytes(uint64(int64(base)+off), b)
+		}
+	}
+	write := func(off int64, n int) op {
+		return func(s *Space, base uint64) (int, bool, []byte, error) {
+			b := make([]byte, n)
+			for i := range b {
+				b[i] = byte(0xC0 ^ i)
+			}
+			return 0, false, nil, s.WriteBytes(uint64(int64(base)+off), b)
+		}
+	}
+	memset := func(off int64, v byte, n int) op {
+		return func(s *Space, base uint64) (int, bool, []byte, error) {
+			return 0, false, nil, s.Memset(uint64(int64(base)+off), v, n)
+		}
+	}
+	find := func(off int64, c byte, limit int) op {
+		return func(s *Space, base uint64) (int, bool, []byte, error) {
+			n, found, err := s.FindByte(uint64(int64(base)+off), c, limit)
+			return n, found, nil, err
+		}
+	}
+	cases := []struct {
+		name string
+		op   op
+		want result
+	}{
+		{"read across pages", read(90, 5003), result{0, false, -1, 626, 0, 0, 0xcf495b03c9560e4d, 0xc9657f3d5304d5d1}},
+		{"read one byte", read(4095, 1), result{0, false, -1, 1, 0, 0, 0xaf63bd4c8601b7df, 0xc9657f3d5304d5d1}},
+		{"read empty at guard", read(2*PageSize, 0), result{0, false, -1, 0, 0, 0, 0xcbf29ce484222325, 0xc9657f3d5304d5d1}},
+		{"read into trailing guard", read(8000, 300), result{0, false, 8192, 24, 0, 1, 0x91556a3deabfc455, 0xc9657f3d5304d5d1}},
+		{"read from leading guard", read(-5, 10), result{0, false, -5, 0, 0, 1, 0x69d307cc20f6ef8d, 0xc9657f3d5304d5d1}},
+		{"write across pages", write(4090, 17), result{0, false, -1, 0, 3, 0, 0xcbf29ce484222325, 0x2ab20f0fecea739e}},
+		{"write into trailing guard", write(8100, 200), result{0, false, 8192, 0, 12, 1, 0xcbf29ce484222325, 0xf004096892510675}},
+		{"memset 0 across pages", memset(1, 0, 8190), result{0, false, -1, 0, 1024, 0, 0xcbf29ce484222325, 0x366bb66c12353304}},
+		{"memset 0 one page", memset(PageSize, 0, PageSize), result{0, false, -1, 0, 512, 0, 0xcbf29ce484222325, 0xb4c83dcbbf4154a5}},
+		{"memset 0 into guard", memset(8000, 0, 500), result{0, false, 8192, 0, 24, 1, 0xcbf29ce484222325, 0x3cd84e6de6ea5e11}},
+		{"memset 0x5A ragged", memset(3, 0x5A, 13), result{0, false, -1, 0, 2, 0, 0xcbf29ce484222325, 0x84ab46d2e954cc77}},
+		{"memset 0x5A across pages", memset(4000, 0x5A, 200), result{0, false, -1, 0, 25, 0, 0xcbf29ce484222325, 0xefbc355dcb9e1529}},
+		{"memset 0x5A into guard", memset(8190, 0x5A, 3), result{0, false, 8192, 0, 1, 1, 0xcbf29ce484222325, 0xc896eb3d5255f11a}},
+		{"memset empty", memset(8, 0x5A, 0), result{0, false, -1, 0, 0, 0, 0xcbf29ce484222325, 0xc9657f3d5304d5d1}},
+		{"find across pages", find(10, 0, 8000), result{4085, true, -1, 511, 0, 0, 0xcbf29ce484222325, 0xc9657f3d5304d5d1}},
+		{"find limit short", find(PageSize, 0, 100), result{100, false, -1, 13, 0, 0, 0xcbf29ce484222325, 0xc9657f3d5304d5d1}},
+		{"find at limit end", find(4000, 0, 96), result{95, true, -1, 12, 0, 0, 0xcbf29ce484222325, 0xc9657f3d5304d5d1}},
+		{"find at page end, limit past it", find(3000, 0, 2000), result{1095, true, -1, 137, 0, 0, 0xcbf29ce484222325, 0xc9657f3d5304d5d1}},
+		{"find none up to guard", find(7000, 252, 1192), result{1192, false, -1, 149, 0, 0, 0xcbf29ce484222325, 0xc9657f3d5304d5d1}},
+		{"find none into guard", find(7000, 252, 1193), result{1192, false, 8192, 149, 0, 1, 0xcbf29ce484222325, 0xc9657f3d5304d5d1}},
+		{"find into guard after match page", find(6001, 0, 4000), result{2191, false, 8192, 274, 0, 1, 0xcbf29ce484222325, 0xc9657f3d5304d5d1}},
+		{"find match at chunk offset 0", find(4095, 0, 10), result{0, true, -1, 1, 0, 0, 0xcbf29ce484222325, 0xc9657f3d5304d5d1}},
+		{"find match at chunk offset 8", find(4087, 0, 100), result{8, true, -1, 2, 0, 0, 0xcbf29ce484222325, 0xc9657f3d5304d5d1}},
+		{"find zero limit", find(0, 0, 0), result{0, false, -1, 0, 0, 0, 0xcbf29ce484222325, 0xc9657f3d5304d5d1}},
+	}
+	for _, mode := range []StatsMode{StatsPrecise, StatsShared} {
+		for _, c := range cases {
+			s := NewSpace()
+			s.SetStatsMode(mode)
+			base, err := s.MapGuarded(2 * PageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			init := make([]byte, 2*PageSize)
+			for i := range init {
+				init[i] = byte(i%251) + 1 // never 0 or 252..255
+			}
+			init[PageSize-1], init[6000] = 0, 0
+			if err := s.WriteBytes(base, init); err != nil {
+				t.Fatal(err)
+			}
+			before := *s.Stats()
+			n, found, out, err := c.op(s, base)
+			after := *s.Stats()
+			got := result{n: n, found: found, fault: -1,
+				loads: after.Loads - before.Loads, stores: after.Stores - before.Stores, faults: after.Faults - before.Faults}
+			var f *Fault
+			if errors.As(err, &f) {
+				got.fault = int64(f.Addr - base)
+			} else if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			sum := fnv.New64a()
+			sum.Write(out)
+			got.out = sum.Sum64()
+			mem := make([]byte, 2*PageSize)
+			if err := s.ReadBytes(base, mem); err != nil {
+				t.Fatal(err)
+			}
+			sum.Reset()
+			sum.Write(mem)
+			got.mem = sum.Sum64()
+			if got != c.want {
+				t.Errorf("mode %d, %s: got %#v, recorded %#v", mode, c.name, got, c.want)
+			}
+		}
 	}
 }
