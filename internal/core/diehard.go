@@ -408,8 +408,7 @@ type Heap struct {
 	idxMu   sync.Mutex // serializes pageIdx publication on adaptive growth
 	pageIdx atomic.Pointer[pageIndex]
 
-	magMu     sync.Mutex // guards the magazine registry, not the magazines
-	magazines map[*Magazine]struct{}
+	magRegistry // magazines over this heap (NewMagazine)
 
 	remote  *freeRing  // remote-free ring (Options.RemoteRing), nil otherwise
 	drainMu sync.Mutex // serializes ring drains: the single-consumer side
@@ -444,19 +443,23 @@ func (h *Heap) addStat(p *uint64, n uint64) {
 	}
 }
 
-func (h *Heap) countMalloc(size, rounded int) {
+// countMallocs publishes n mallocs of req requested and alloc rounded
+// bytes in all, and countFrees n frees of bytes rounded bytes, with
+// addStat's atomic-or-plain rule. Unbatched paths pass n = 1; magazine
+// refills, flushes and ring drains pass whole batches.
+func (h *Heap) countMallocs(n int, req, alloc uint64) {
 	if h.atomicStats {
-		heap.CountMallocAtomic(&h.stats, size, rounded)
+		heap.CountMallocsAtomic(&h.stats, n, req, alloc)
 	} else {
-		heap.CountMalloc(&h.stats, size, rounded)
+		heap.CountMallocs(&h.stats, n, req, alloc)
 	}
 }
 
-func (h *Heap) countFree(rounded int) {
+func (h *Heap) countFrees(n int, bytes uint64) {
 	if h.atomicStats {
-		heap.CountFreeAtomic(&h.stats, rounded)
+		heap.CountFreesAtomic(&h.stats, n, bytes)
 	} else {
-		heap.CountFree(&h.stats, rounded)
+		heap.CountFrees(&h.stats, n, bytes)
 	}
 }
 
@@ -694,7 +697,7 @@ func (h *Heap) malloc(size int) (heap.FatPtr, error) {
 			return heap.FatPtr{}, err
 		}
 	}
-	h.countMalloc(size, cl.size)
+	h.countMallocs(1, uint64(size), uint64(cl.size))
 	if h.trace != nil {
 		h.trace.Emit(obs.EvMalloc, ptr)
 	}
@@ -1028,7 +1031,7 @@ func (h *Heap) allocateLargeObject(size int) (heap.FatPtr, error) {
 		return heap.FatPtr{}, fillErr
 	}
 	h.addStat(&h.stats.WorkUnits, heap.WorkMmap)
-	h.countMalloc(size, npages*vmem.PageSize)
+	h.countMallocs(1, uint64(size), uint64(npages*vmem.PageSize))
 	if h.opts.OnAlloc != nil {
 		h.opts.OnAlloc(base, size, npages*vmem.PageSize)
 	}
@@ -1083,7 +1086,7 @@ func (h *Heap) free(fp heap.FatPtr) (accepted bool, err error) {
 	}
 	h.unreserve(cl, 1)
 	h.addStat(&h.stats.WorkUnits, heap.WorkBitmap)
-	h.countFree(cl.size)
+	h.countFrees(1, uint64(cl.size))
 	if h.trace != nil {
 		h.trace.Emit(obs.EvFree, p)
 	}
@@ -1136,7 +1139,7 @@ func (h *Heap) freeLarge(fp heap.FatPtr) (bool, error) {
 		return true, err
 	}
 	h.addStat(&h.stats.WorkUnits, heap.WorkMmap)
-	h.countFree(usable)
+	h.countFrees(1, uint64(usable))
 	if h.trace != nil {
 		h.trace.Emit(obs.EvFree, p)
 	}
@@ -1238,7 +1241,7 @@ func (h *Heap) releaseHeld(p heap.Ptr) bool {
 	h.unreserve(cl, 1)
 	h.addStat(&h.stats.WorkUnits, heap.WorkBitmap)
 	h.addStat(&h.stats.QuarantineOut, 1)
-	h.countFree(cl.size)
+	h.countFrees(1, uint64(cl.size))
 	if h.trace != nil {
 		h.trace.Emit(obs.EvFree, p)
 	}
@@ -1577,6 +1580,30 @@ func (h *Heap) StatsSnapshot() heap.Stats {
 	return h.stats
 }
 
+// coreGauges is the one table of core.* gauges, each naming the Stats
+// counter it reads: Heap.PublishMetrics binds it to one heap's
+// counters, ShardedHeap.PublishMetrics to their sum over the shards.
+var coreGauges = []struct {
+	name  string
+	field func(*heap.Stats) *uint64
+}{
+	{"core.mallocs", func(st *heap.Stats) *uint64 { return &st.Mallocs }},
+	{"core.frees", func(st *heap.Stats) *uint64 { return &st.Frees }},
+	{"core.failed_mallocs", func(st *heap.Stats) *uint64 { return &st.FailedMallocs }},
+	{"core.ignored_frees", func(st *heap.Stats) *uint64 { return &st.IgnoredFrees }},
+	{"core.live_objects", func(st *heap.Stats) *uint64 { return &st.LiveObjects }},
+	{"core.live_bytes", func(st *heap.Stats) *uint64 { return &st.LiveBytes }},
+	{"core.peak_live_bytes", func(st *heap.Stats) *uint64 { return &st.PeakLiveBytes }},
+	{"core.probes", func(st *heap.Stats) *uint64 { return &st.Probes }},
+	{"core.cas_retries", func(st *heap.Stats) *uint64 { return &st.CASRetries }},
+	{"core.remote_frees", func(st *heap.Stats) *uint64 { return &st.RemoteFrees }},
+	{"core.remote_drains", func(st *heap.Stats) *uint64 { return &st.RemoteDrains }},
+	{"core.quarantined", func(st *heap.Stats) *uint64 { return &st.Quarantined }},
+	{"core.quarantine_released", func(st *heap.Stats) *uint64 { return &st.QuarantineOut }},
+	{"core.stale_frees", func(st *heap.Stats) *uint64 { return &st.StaleFrees }},
+	{"core.retired_slots", func(st *heap.Stats) *uint64 { return &st.Retired }},
+}
+
 // PublishMetrics registers the heap's counters as gauges in reg under
 // the core.* namespace. Gauges pull atomically at snapshot time, so a
 // live scrape of a Concurrent heap is race-free; the usual quiescent-
@@ -1586,29 +1613,9 @@ func (h *Heap) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
 	if reg == nil {
 		return
 	}
-	type g struct {
-		name string
-		f    *uint64
-	}
-	for _, m := range []g{
-		{"core.mallocs", &h.stats.Mallocs},
-		{"core.frees", &h.stats.Frees},
-		{"core.failed_mallocs", &h.stats.FailedMallocs},
-		{"core.ignored_frees", &h.stats.IgnoredFrees},
-		{"core.live_objects", &h.stats.LiveObjects},
-		{"core.live_bytes", &h.stats.LiveBytes},
-		{"core.peak_live_bytes", &h.stats.PeakLiveBytes},
-		{"core.probes", &h.stats.Probes},
-		{"core.cas_retries", &h.stats.CASRetries},
-		{"core.remote_frees", &h.stats.RemoteFrees},
-		{"core.remote_drains", &h.stats.RemoteDrains},
-		{"core.quarantined", &h.stats.Quarantined},
-		{"core.quarantine_released", &h.stats.QuarantineOut},
-		{"core.stale_frees", &h.stats.StaleFrees},
-		{"core.retired_slots", &h.stats.Retired},
-	} {
-		f := m.f
-		reg.Gauge(m.name, func() float64 { return float64(atomic.LoadUint64(f)) }, labels...)
+	for _, g := range coreGauges {
+		f := g.field(&h.stats)
+		reg.Gauge(g.name, func() float64 { return float64(atomic.LoadUint64(f)) }, labels...)
 	}
 }
 

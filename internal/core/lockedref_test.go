@@ -46,7 +46,7 @@ func (l lockedHeap) Free(p heap.Ptr) error {
 		return nil
 	}
 	l.addStat(&l.stats.WorkUnits, heap.WorkBitmap)
-	l.countFree(cl.size)
+	l.countFrees(1, uint64(cl.size))
 	if l.trace != nil {
 		l.trace.Emit(obs.EvFree, p)
 	}
@@ -159,7 +159,7 @@ func (h *Heap) mallocLocked(c, size int) (heap.Ptr, error) {
 	h.addStat(&h.stats.Probes, uint64(probes))
 	h.addStat(&h.stats.WorkUnits,
 		heap.WorkSizeClass+uint64(probes)*heap.WorkProbe+heap.WorkBitmap)
-	h.countMalloc(size, cl.size)
+	h.countMallocs(1, uint64(size), uint64(cl.size))
 	if h.trace != nil {
 		h.trace.Emit(obs.EvMalloc, ptr)
 	}

@@ -28,6 +28,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"diehard/internal/heap"
 	"diehard/internal/obs"
@@ -353,13 +354,7 @@ func (m *Magazine) publishMallocs(c int, cm *classMagazine) {
 	if cm.pendingMallocs == 0 {
 		return
 	}
-	owner := cm.owner
-	alloc := uint64(cm.pendingMallocs) * uint64(ClassSize(c))
-	if owner.atomicStats {
-		heap.CountMallocBatchAtomic(&owner.stats, cm.pendingMallocs, cm.pendingReq, alloc)
-	} else {
-		heap.CountMallocBatch(&owner.stats, cm.pendingMallocs, cm.pendingReq, alloc)
-	}
+	cm.owner.countMallocs(cm.pendingMallocs, cm.pendingReq, uint64(cm.pendingMallocs)*uint64(ClassSize(c)))
 	cm.pendingMallocs = 0
 	cm.pendingReq = 0
 }
@@ -516,33 +511,39 @@ func (m *Magazine) Close() {
 	}
 }
 
-// registerMagazine adds m to the heap's drain barrier.
-func (h *Heap) registerMagazine(m *Magazine) {
-	h.magMu.Lock()
-	if h.magazines == nil {
-		h.magazines = make(map[*Magazine]struct{})
-	}
-	h.magazines[m] = struct{}{}
-	h.magMu.Unlock()
+// magRegistry is a heap's drain barrier: the magazines built over it,
+// which DrainMagazines drains. Heap and ShardedHeap each embed one.
+type magRegistry struct {
+	magMu     sync.Mutex // guards the registry, not the magazines
+	magazines map[*Magazine]struct{}
 }
 
-func (h *Heap) unregisterMagazine(m *Magazine) {
-	h.magMu.Lock()
-	delete(h.magazines, m)
-	h.magMu.Unlock()
+func (r *magRegistry) registerMagazine(m *Magazine) {
+	r.magMu.Lock()
+	if r.magazines == nil {
+		r.magazines = make(map[*Magazine]struct{})
+	}
+	r.magazines[m] = struct{}{}
+	r.magMu.Unlock()
+}
+
+func (r *magRegistry) unregisterMagazine(m *Magazine) {
+	r.magMu.Lock()
+	delete(r.magazines, m)
+	r.magMu.Unlock()
 }
 
 // DrainMagazines drains every magazine registered on this heap: the
 // drain barrier detection audits and invariant checks run behind. Like
 // the quiescent-exactness contract of CheckInvariants itself, the
 // magazines' owner goroutines must not be mid-operation.
-func (h *Heap) DrainMagazines() {
-	h.magMu.Lock()
-	mags := make([]*Magazine, 0, len(h.magazines))
-	for m := range h.magazines {
+func (r *magRegistry) DrainMagazines() {
+	r.magMu.Lock()
+	mags := make([]*Magazine, 0, len(r.magazines))
+	for m := range r.magazines {
 		mags = append(mags, m)
 	}
-	h.magMu.Unlock()
+	r.magMu.Unlock()
 	for _, m := range mags {
 		m.Drain()
 	}
@@ -571,11 +572,7 @@ func (h *Heap) finishBatchedFrees(c int, t flushTally) {
 		cl := &h.classes[c]
 		h.unreserve(cl, t.wins)
 		h.addStat(&h.stats.WorkUnits, uint64(t.wins)*heap.WorkBitmap)
-		if h.atomicStats {
-			heap.CountFreeBatchAtomic(&h.stats, t.wins, uint64(t.wins)*uint64(cl.size))
-		} else {
-			heap.CountFreeBatch(&h.stats, t.wins, uint64(t.wins)*uint64(cl.size))
-		}
+		h.countFrees(t.wins, uint64(t.wins)*uint64(cl.size))
 	}
 	if t.ignored > 0 {
 		h.addStat(&h.stats.IgnoredFrees, uint64(t.ignored))

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -289,4 +293,161 @@ func TestObsStatsSnapshotRace(t *testing.T) {
 	if v, ok := reg.Get("core.mallocs"); !ok || v != 1600 {
 		t.Fatalf("core.mallocs gauge = %v (ok=%v), want 1600", v, ok)
 	}
+}
+
+// coreGaugeFields maps every core.* gauge to the Stats field it reads.
+// It is the test's own copy of the names, so a gauge bound to the wrong
+// field, or a gauge added without an entry here, fails.
+var coreGaugeFields = map[string]string{
+	"core.mallocs":             "Mallocs",
+	"core.frees":               "Frees",
+	"core.failed_mallocs":      "FailedMallocs",
+	"core.ignored_frees":       "IgnoredFrees",
+	"core.live_objects":        "LiveObjects",
+	"core.live_bytes":          "LiveBytes",
+	"core.peak_live_bytes":     "PeakLiveBytes",
+	"core.probes":              "Probes",
+	"core.cas_retries":         "CASRetries",
+	"core.remote_frees":        "RemoteFrees",
+	"core.remote_drains":       "RemoteDrains",
+	"core.quarantined":         "Quarantined",
+	"core.quarantine_released": "QuarantineOut",
+	"core.stale_frees":         "StaleFrees",
+	"core.retired_slots":       "Retired",
+}
+
+// checkCoreGauges compares every core.* gauge in reg with its field of
+// st; core.shard_live_objects{shard=i} reads shard i's LiveObjects.
+func checkCoreGauges(t *testing.T, who string, reg *obs.Registry, st heap.Stats, shards []heap.Stats) {
+	t.Helper()
+	seen := 0
+	for _, m := range reg.Snapshot().Metrics {
+		if !strings.HasPrefix(m.Name, "core.") {
+			continue
+		}
+		want := uint64(0)
+		if m.Name == "core.shard_live_objects" {
+			i, err := strconv.Atoi(m.Labels["shard"])
+			if err != nil || i >= len(shards) {
+				t.Fatalf("%s: %s with shard label %q", who, m.Name, m.Labels["shard"])
+			}
+			want = shards[i].LiveObjects
+		} else {
+			field, ok := coreGaugeFields[m.Name]
+			if !ok {
+				t.Fatalf("%s: gauge %s maps to no Stats field", who, m.Name)
+			}
+			want = reflect.ValueOf(st).FieldByName(field).Uint()
+		}
+		if *m.Value != float64(want) {
+			t.Errorf("%s: %s%v = %v, Stats say %d", who, m.Name, m.Labels, *m.Value, want)
+		}
+		seen++
+	}
+	if seen < len(coreGaugeFields)-1 {
+		t.Fatalf("%s: only %d core gauges published", who, seen)
+	}
+}
+
+// TestShardedCountersSumTheShards runs a mixed workload on a 2-shard
+// tagged heap with remote rings — small and large objects, magazine
+// batches, ring frees, a double free, quarantine and a stale FreeFat —
+// then checks that the sharded StatsSnapshot is the field-wise sum of
+// the shards' snapshots, and that every core.* gauge reads its Stats
+// field, on each shard's registry and on the sharded one.
+func TestShardedCountersSumTheShards(t *testing.T) {
+	sh, err := NewSharded(2, Options{HeapSize: 4 << 20, Seed: 0x5AD, GenTags: true, RemoteRing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	mag, err := sh.NewMagazine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []heap.FatPtr
+	for i := 0; i < 96; i++ {
+		size := 16 << (i % 5)
+		if i%16 == 15 {
+			size = MaxObjectSize + 1
+		}
+		var fp heap.FatPtr
+		if i%3 == 0 {
+			fp, err = mag.MallocFat(size)
+		} else {
+			fp, err = sh.MallocFat(size)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, fp)
+	}
+	noErr := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	accepted := func(ok bool, err error) {
+		t.Helper()
+		noErr(err)
+		if !ok {
+			t.Fatal("free of a live object rejected")
+		}
+	}
+	accepted(sh.FreeFat(live[0]))
+	if ok, _ := sh.FreeFat(live[0]); ok {
+		t.Fatal("stale FreeFat accepted")
+	}
+	noErr(sh.Free(live[1].Addr))
+	noErr(sh.Free(live[1].Addr)) // double free: ignored
+	for _, fp := range live[2:6] {
+		noErr(sh.Quarantine(fp.Addr))
+	}
+	sh.Shard(0).FlushQuarantine()
+	for i, fp := range live[6:48] {
+		switch i % 3 {
+		case 0:
+			accepted(mag.FreeFat(fp))
+		case 1:
+			accepted(sh.RemoteFreeFat(fp))
+		default:
+			accepted(sh.FreeFat(fp))
+		}
+	}
+	mag.Close()
+	if err := sh.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	var sum heap.Stats
+	shards := make([]heap.Stats, sh.Shards())
+	for i := range shards {
+		shards[i] = sh.Shard(i).StatsSnapshot()
+		// Quiescent and written by this goroutine only, so the plain
+		// copy is exact: the atomic snapshot must read every field.
+		if plain := *sh.Shard(i).Stats(); shards[i] != plain {
+			t.Fatalf("shard %d: snapshot %+v\nplain copy %+v", i, shards[i], plain)
+		}
+		acc, st := reflect.ValueOf(&sum).Elem(), reflect.ValueOf(shards[i])
+		for f := 0; f < acc.NumField(); f++ {
+			acc.Field(f).SetUint(acc.Field(f).Uint() + st.Field(f).Uint())
+		}
+	}
+	got := sh.StatsSnapshot()
+	if got != sum {
+		t.Fatalf("sharded snapshot %+v\nsum of shards    %+v", got, sum)
+	}
+	if got.StaleFrees == 0 || got.IgnoredFrees == 0 || got.QuarantineOut == 0 || got.RemoteFrees == 0 || got.LiveObjects == 0 {
+		t.Fatalf("workload missed a counter: %+v", got)
+	}
+
+	for i := range shards {
+		reg := obs.NewRegistry()
+		sh.Shard(i).PublishMetrics(reg)
+		checkCoreGauges(t, fmt.Sprintf("shard %d", i), reg, shards[i], nil)
+	}
+	reg := obs.NewRegistry()
+	sh.PublishMetrics(reg)
+	checkCoreGauges(t, "sharded", reg, got, shards)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"diehard/internal/heap"
@@ -55,8 +54,7 @@ type ShardedHeap struct {
 	// reports out-of-memory zeroes the window so rerouting is immediate.
 	route [NumClasses]atomic.Uint64
 
-	magMu     sync.Mutex // guards the magazine registry, not the magazines
-	magazines map[*Magazine]struct{}
+	magRegistry // magazines over the sharded heap (NewMagazine)
 
 	// trace is the router's own flight-recorder ring (AttachRecorder):
 	// steal-routing decisions emit here, while each shard's engine
@@ -326,25 +324,7 @@ func (sh *ShardedHeap) Close() { sh.space.Close() }
 func (sh *ShardedHeap) Stats() *heap.Stats {
 	var agg heap.Stats
 	for _, s := range sh.shards {
-		st := s.Stats()
-		agg.Mallocs += atomic.LoadUint64(&st.Mallocs)
-		agg.Frees += atomic.LoadUint64(&st.Frees)
-		agg.FailedMallocs += atomic.LoadUint64(&st.FailedMallocs)
-		agg.IgnoredFrees += atomic.LoadUint64(&st.IgnoredFrees)
-		agg.BytesRequested += atomic.LoadUint64(&st.BytesRequested)
-		agg.BytesAllocated += atomic.LoadUint64(&st.BytesAllocated)
-		agg.LiveObjects += atomic.LoadUint64(&st.LiveObjects)
-		agg.LiveBytes += atomic.LoadUint64(&st.LiveBytes)
-		agg.PeakLiveBytes += atomic.LoadUint64(&st.PeakLiveBytes)
-		agg.WorkUnits += atomic.LoadUint64(&st.WorkUnits)
-		agg.Probes += atomic.LoadUint64(&st.Probes)
-		agg.CASRetries += atomic.LoadUint64(&st.CASRetries)
-		agg.RemoteFrees += atomic.LoadUint64(&st.RemoteFrees)
-		agg.RemoteDrains += atomic.LoadUint64(&st.RemoteDrains)
-		agg.Quarantined += atomic.LoadUint64(&st.Quarantined)
-		agg.QuarantineOut += atomic.LoadUint64(&st.QuarantineOut)
-		agg.StaleFrees += atomic.LoadUint64(&st.StaleFrees)
-		agg.Retired += atomic.LoadUint64(&st.Retired)
+		agg.AddAtomic(&s.stats)
 	}
 	return &agg
 }
@@ -375,37 +355,19 @@ func (sh *ShardedHeap) AttachRecorder(rec *obs.Recorder, base int) {
 }
 
 // PublishMetrics registers the aggregate counters as core.* gauges in
-// reg, plus a per-shard core.live_objects{shard=N} breakdown. Gauges
-// aggregate atomically at snapshot time, so live scrapes are
-// race-free.
+// reg (the coreGauges table over StatsSnapshot, so core.peak_live_bytes
+// is the sum of the shards' peaks), plus a per-shard
+// core.shard_live_objects{shard=N} breakdown. Gauges aggregate
+// atomically at snapshot time, so live scrapes are race-free.
 func (sh *ShardedHeap) PublishMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	type g struct {
-		name string
-		f    func(*heap.Stats) uint64
-	}
-	for _, m := range []g{
-		{"core.mallocs", func(st *heap.Stats) uint64 { return st.Mallocs }},
-		{"core.frees", func(st *heap.Stats) uint64 { return st.Frees }},
-		{"core.failed_mallocs", func(st *heap.Stats) uint64 { return st.FailedMallocs }},
-		{"core.ignored_frees", func(st *heap.Stats) uint64 { return st.IgnoredFrees }},
-		{"core.live_objects", func(st *heap.Stats) uint64 { return st.LiveObjects }},
-		{"core.live_bytes", func(st *heap.Stats) uint64 { return st.LiveBytes }},
-		{"core.probes", func(st *heap.Stats) uint64 { return st.Probes }},
-		{"core.cas_retries", func(st *heap.Stats) uint64 { return st.CASRetries }},
-		{"core.remote_frees", func(st *heap.Stats) uint64 { return st.RemoteFrees }},
-		{"core.remote_drains", func(st *heap.Stats) uint64 { return st.RemoteDrains }},
-		{"core.quarantined", func(st *heap.Stats) uint64 { return st.Quarantined }},
-		{"core.quarantine_released", func(st *heap.Stats) uint64 { return st.QuarantineOut }},
-		{"core.stale_frees", func(st *heap.Stats) uint64 { return st.StaleFrees }},
-		{"core.retired_slots", func(st *heap.Stats) uint64 { return st.Retired }},
-	} {
-		field := m.f
-		reg.Gauge(m.name, func() float64 {
+	for _, g := range coreGauges {
+		field := g.field
+		reg.Gauge(g.name, func() float64 {
 			st := sh.StatsSnapshot()
-			return float64(field(&st))
+			return float64(*field(&st))
 		})
 	}
 	for i, s := range sh.shards {
@@ -443,36 +405,6 @@ func (sh *ShardedHeap) Name() string {
 
 // Seed returns the master seed the per-shard seeds derive from.
 func (sh *ShardedHeap) Seed() uint64 { return sh.seed }
-
-// registerMagazine adds m to the sharded heap's drain barrier.
-func (sh *ShardedHeap) registerMagazine(m *Magazine) {
-	sh.magMu.Lock()
-	if sh.magazines == nil {
-		sh.magazines = make(map[*Magazine]struct{})
-	}
-	sh.magazines[m] = struct{}{}
-	sh.magMu.Unlock()
-}
-
-func (sh *ShardedHeap) unregisterMagazine(m *Magazine) {
-	sh.magMu.Lock()
-	delete(sh.magazines, m)
-	sh.magMu.Unlock()
-}
-
-// DrainMagazines drains every magazine registered on the sharded heap;
-// like Heap.DrainMagazines, the owner goroutines must be quiescent.
-func (sh *ShardedHeap) DrainMagazines() {
-	sh.magMu.Lock()
-	mags := make([]*Magazine, 0, len(sh.magazines))
-	for m := range sh.magazines {
-		mags = append(mags, m)
-	}
-	sh.magMu.Unlock()
-	for _, m := range mags {
-		m.Drain()
-	}
-}
 
 // CheckInvariants verifies every shard's segregated metadata, draining
 // this heap's registered magazines first so pre-claimed slots and

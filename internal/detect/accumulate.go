@@ -5,19 +5,19 @@ import (
 	"sync"
 )
 
-// Accumulator is the streaming, goroutine-safe counterpart of Triage:
-// where Triage adjudicates a fixed slice of per-layout reports after the
-// fact, an Accumulator ingests evidence *windows* as a long-running
-// service produces them — one window per heap-check barrier interval,
-// restart cycle, or campaign replica — and answers "which allocation
-// site is the culprit, and with what confidence?" at any moment. The
-// statistics are identical: within one window a site counts once per
+// Accumulator is the one implementation of the cross-layout vote:
+// Triage adjudicates a fixed slice of per-layout reports by observing
+// each as one window, while a long-running service feeds an
+// Accumulator evidence *windows* as it produces them — one window per
+// heap-check barrier interval, restart cycle, or campaign replica — and
+// asks "which allocation site is the culprit, and with what
+// confidence?" at any moment. Within one window a site counts once per
 // kind no matter how many records name it (a window is one randomized
 // layout's testimony, not one vote per damaged byte), a window counts as
 // detected for a kind when any record of that kind carries a candidate,
-// and Verdict applies Triage's strict-majority rule with the same
-// smallest-site tie-break — so a culprit that merely recurs because the
-// layout never changed cannot outvote the cross-layout consensus.
+// and Verdict applies the strict-majority rule with a smallest-site
+// tie-break — so a culprit that merely recurs because the layout never
+// changed cannot outvote the cross-layout consensus.
 //
 // The supervisor (internal/heal) holds one Accumulator across restart
 // cycles and countermeasure applications; campaign replicas each fill a
@@ -40,8 +40,7 @@ type kindAcc struct {
 // indices onto a cyclic site space — the identity that survives restart
 // cycles when every cycle replays the same allocation program). Records
 // without a candidate site are skipped; empty windows (no candidates of
-// a kind) leave that kind's detected count untouched, exactly as an
-// evidence-free report does in Triage.
+// a kind) leave that kind's detected count untouched.
 func (a *Accumulator) Observe(evs []Evidence, mod int) {
 	type agg struct {
 		seen   map[int]bool
@@ -118,15 +117,15 @@ func (a *Accumulator) Merge(b *Accumulator) {
 	}
 }
 
-// Verdict adjudicates one kind with Triage's rule: the culprit is the
-// site named by a strict majority of detected windows AND by at least
-// bar windows in absolute terms (the supervisor's confidence bar —
-// majority alone would convict on a single window). Ties break to the
-// smallest site. The result reuses TriageResult: Trials/Detected are
-// both the detected-window count (an accumulator never sees evidence-
-// free windows), Votes is a copy, and OverflowLen is the largest extent
-// among the winner's evidence — the pad size an overflow countermeasure
-// needs.
+// Verdict adjudicates one kind: the culprit is the site named by a
+// strict majority of detected windows AND by at least bar windows in
+// absolute terms (the supervisor's confidence bar — majority alone
+// would convict on a single window; Triage passes 0). Ties break to the
+// smallest site. Trials/Detected are both the detected-window count (an
+// accumulator never sees evidence-free windows; Triage sets Trials to
+// its report count), Votes is a copy, and OverflowLen is the largest
+// extent among the winner's evidence — the pad size an overflow
+// countermeasure needs.
 func (a *Accumulator) Verdict(kind Kind, bar int) *TriageResult {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -575,7 +575,9 @@ func (d *Detector) auditSlack(p heap.Ptr, rec objRec, at AuditPoint) {
 // a live object, in which case an overflow by that neighbor is equally
 // consistent and both interpretations are recorded as candidates; the
 // cross-layout intersection (Triage) separates them, because the true
-// culprit's allocation site recurs in every randomized layout.
+// culprit's allocation site recurs in every randomized layout. The
+// HeapCheckFull sweep audits untracked free slots through it too, as
+// slots with no former owner (site -1).
 func (d *Detector) auditFreedSlot(p heap.Ptr, fr freedRec, at AuditPoint) bool {
 	first, span, damaged := d.audit(p, fr.slot)
 	if !damaged {
@@ -602,9 +604,7 @@ func (d *Detector) auditFreedSlot(p heap.Ptr, fr freedRec, at AuditPoint) bool {
 // and the adjacent preceding slot holds a live tracked object, an
 // overflow by that neighbor is equally consistent with a dangling
 // write, so a second Evidence record names it — the cross-layout
-// intersection (Triage) separates the two interpretations. Shared by
-// every free-slot audit path so the attribution and extent rules cannot
-// drift apart.
+// intersection (Triage) separates the two interpretations.
 func (d *Detector) recordNeighborOverflow(p heap.Ptr, first, span, slotSize int, at AuditPoint, live, dead heap.Ptr) {
 	if first != 0 {
 		return
@@ -699,24 +699,9 @@ func (d *Detector) HeapCheckFull() int {
 	for c := 0; c < core.NumClasses; c++ {
 		size := core.ClassSize(c)
 		d.h.FreeSlots(c, func(p heap.Ptr) bool {
-			if _, tracked := d.freed[p]; tracked {
-				return true // already audited by HeapCheck
+			if _, tracked := d.freed[p]; !tracked { // HeapCheck audited the tracked ones
+				d.auditFreedSlot(p, freedRec{slot: size, site: -1}, AuditHeapCheck)
 			}
-			first, span, damaged := d.audit(p, size)
-			if !damaged {
-				return true
-			}
-			addr := p + heap.Ptr(first)
-			live, dead := d.neighbors(addr)
-			d.record(Evidence{
-				Kind: KindDangling, Audit: AuditHeapCheck,
-				Addr: addr, Span: span,
-				Object: p, ObjectSize: size,
-				AllocSite: -1, Length: span,
-				NeighborLive: live, NeighborDead: dead,
-			})
-			d.recordNeighborOverflow(p, first, span, size, AuditHeapCheck, live, dead)
-			d.refill(p, size)
 			return true
 		})
 	}

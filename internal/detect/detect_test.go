@@ -290,6 +290,10 @@ func TestHeapCheckFullCatchesStrayWriteInVirginSpace(t *testing.T) {
 	if hit == nil {
 		t.Fatalf("no evidence at %#x: %+v", stray, h.Detector().Report().Evidence)
 	}
+	// Virgin space had no former owner to name.
+	if hit.Kind != KindDangling || hit.AllocSite != -1 || hit.Audit != AuditHeapCheck {
+		t.Errorf("stray evidence %+v, want a heap-check dangling write naming no site", *hit)
+	}
 	// The sweep re-armed the canary: a second full check is quiet.
 	if n := h.Detector().HeapCheckFull(); n != 0 {
 		t.Fatalf("second HeapCheckFull found %d records, want 0", n)

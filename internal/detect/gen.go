@@ -26,37 +26,17 @@ import (
 )
 
 // onStaleFree is the core OnStaleFree hook: a generation-checked free
-// was rejected. Deduplicated per (address, generation): replaying the
-// same dead fat pointer is one program error, while the same address
-// dying under a later tag is a fresh one.
+// was rejected.
 func (d *Detector) onStaleFree(p heap.Ptr, gen uint64) {
-	k := genKey{addr: p, gen: gen}
-	if d.genSeen[k] {
-		return
-	}
-	d.genSeen[k] = true
-	site := -1
-	slot := 0
-	if base, size, _, ok := d.h.SlotAt(p); ok {
-		slot = size
-		if fr, tracked := d.freed[base]; tracked {
-			site = fr.site
-		}
-	}
-	nl, nd := d.neighbors(p)
-	d.record(Evidence{
-		Kind: KindStaleFree, Audit: AuditGen,
-		Addr: p, Span: 0,
-		Object: p, ObjectSize: slot,
-		AllocSite: site, Length: 0,
-		NeighborLive: nl, NeighborDead: nd,
-	})
+	d.noteGen(KindStaleFree, heap.FatPtr{Addr: p, Gen: gen}, p, 0)
 }
 
-// noteStaleAccess records a load or store through a dead fat pointer,
-// observed by the GenMemory view. Same dedup key as stale frees: one
-// record per dead incarnation.
-func (d *Detector) noteStaleAccess(fp heap.FatPtr, addr heap.Ptr, span int) {
+// noteGen records generation evidence of kind against the dead fat
+// pointer fp: a rejected free (span 0) or a load or store of span bytes
+// at addr through the GenMemory view. Deduplicated per (address,
+// generation): replaying the same dead fat pointer is one program
+// error, while the same address dying under a later tag is a fresh one.
+func (d *Detector) noteGen(kind Kind, fp heap.FatPtr, addr heap.Ptr, span int) {
 	k := genKey{addr: fp.Addr, gen: fp.Gen}
 	if d.genSeen[k] {
 		return
@@ -72,7 +52,7 @@ func (d *Detector) noteStaleAccess(fp heap.FatPtr, addr heap.Ptr, span int) {
 	}
 	nl, nd := d.neighbors(addr)
 	d.record(Evidence{
-		Kind: KindStaleAccess, Audit: AuditGen,
+		Kind: kind, Audit: AuditGen,
 		Addr: addr, Span: span,
 		Object: fp.Addr, ObjectSize: slot,
 		AllocSite: site, Length: span,
@@ -142,7 +122,7 @@ func (h *Heap) GenMemory() *GenMemory {
 // bytes at fp.Addr+off when the tag is dead.
 func (g *GenMemory) check(fp heap.FatPtr, off uint64, span int) {
 	if !g.h.CheckGen(fp) {
-		g.h.det.noteStaleAccess(fp, fp.Addr+off, span)
+		g.h.det.noteGen(KindStaleAccess, fp, fp.Addr+off, span)
 	}
 }
 

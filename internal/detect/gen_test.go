@@ -170,8 +170,9 @@ func TestStaleFreeEvidence(t *testing.T) {
 		t.Fatalf("got %d stale-free records, want 1 (dedup per incarnation): %+v", len(evs), evs)
 	}
 	ev := evs[0]
-	if ev.Audit != AuditGen || ev.Addr != fp.Addr || ev.AllocSite != 0 {
-		t.Errorf("evidence = %+v; want gencheck at %#x naming site 0", ev, fp.Addr)
+	if ev.Audit != AuditGen || ev.Addr != fp.Addr || ev.Object != fp.Addr || ev.AllocSite != 0 ||
+		ev.Span != 0 || ev.Length != 0 || ev.ObjectSize != 64 {
+		t.Errorf("evidence = %+v; want a zero-span gencheck of the 64 B slot at %#x naming site 0", ev, fp.Addr)
 	}
 	if h.Stats().StaleFrees != 3 {
 		t.Errorf("StaleFrees = %d; want 3 (the counter is per attempt, the evidence per error)",
@@ -190,19 +191,21 @@ func TestGenMemoryChecksEveryAccessor(t *testing.T) {
 	mem := h.Memory()
 	accessors := []struct {
 		name string
+		off  uint64 // the access's offset into the object
+		span int    // and its width, as the evidence must record them
 		op   func(fp heap.FatPtr) error
 	}{
-		{"Load8", func(fp heap.FatPtr) error { _, err := gm.Load8(fp, 0); return err }},
-		{"Store8", func(fp heap.FatPtr) error { return gm.Store8(fp, 0, 1) }},
-		{"Load32", func(fp heap.FatPtr) error { _, err := gm.Load32(fp, 0); return err }},
-		{"Store32", func(fp heap.FatPtr) error { return gm.Store32(fp, 0, 1) }},
-		{"Load64", func(fp heap.FatPtr) error { _, err := gm.Load64(fp, 0); return err }},
-		{"Store64", func(fp heap.FatPtr) error { return gm.Store64(fp, 0, 1) }},
-		{"ReadBytes", func(fp heap.FatPtr) error { return gm.ReadBytes(fp, 0, make([]byte, 8)) }},
-		{"WriteBytes", func(fp heap.FatPtr) error { return gm.WriteBytes(fp, 0, make([]byte, 8)) }},
-		{"Memset", func(fp heap.FatPtr) error { return gm.Memset(fp, 0, 0x55, 8) }},
-		{"MemMove", func(fp heap.FatPtr) error { return gm.MemMove(fp, 8, 0, 8) }},
-		{"FindByte", func(fp heap.FatPtr) error { _, _, err := gm.FindByte(fp, 0, 0x55, 8); return err }},
+		{"Load8", 0, 1, func(fp heap.FatPtr) error { _, err := gm.Load8(fp, 0); return err }},
+		{"Store8", 0, 1, func(fp heap.FatPtr) error { return gm.Store8(fp, 0, 1) }},
+		{"Load32", 0, 4, func(fp heap.FatPtr) error { _, err := gm.Load32(fp, 0); return err }},
+		{"Store32", 0, 4, func(fp heap.FatPtr) error { return gm.Store32(fp, 0, 1) }},
+		{"Load64", 16, 8, func(fp heap.FatPtr) error { _, err := gm.Load64(fp, 16); return err }},
+		{"Store64", 24, 8, func(fp heap.FatPtr) error { return gm.Store64(fp, 24, 1) }},
+		{"ReadBytes", 0, 8, func(fp heap.FatPtr) error { return gm.ReadBytes(fp, 0, make([]byte, 8)) }},
+		{"WriteBytes", 0, 8, func(fp heap.FatPtr) error { return gm.WriteBytes(fp, 0, make([]byte, 8)) }},
+		{"Memset", 0, 8, func(fp heap.FatPtr) error { return gm.Memset(fp, 0, 0x55, 8) }},
+		{"MemMove", 0, 8, func(fp heap.FatPtr) error { return gm.MemMove(fp, 8, 0, 8) }},
+		{"FindByte", 0, 8, func(fp heap.FatPtr) error { _, _, err := gm.FindByte(fp, 0, 0x55, 8); return err }},
 	}
 	for i, a := range accessors {
 		fp, err := h.MallocFat(64)
@@ -233,9 +236,10 @@ func TestGenMemoryChecksEveryAccessor(t *testing.T) {
 				a.name, len(evs), i+1)
 		}
 		ev := evs[i]
-		if ev.Audit != AuditGen || ev.Object != fp.Addr || ev.AllocSite < 0 {
-			t.Errorf("%s evidence = %+v; want gencheck on object %#x with a culprit site",
-				a.name, ev, fp.Addr)
+		if ev.Audit != AuditGen || ev.Object != fp.Addr || ev.AllocSite < 0 ||
+			ev.Addr != fp.Addr+a.off || ev.Span != a.span || ev.Length != a.span {
+			t.Errorf("%s evidence = %+v; want gencheck of %d B at %#x in object %#x with a culprit site",
+				a.name, ev, a.span, fp.Addr+a.off, fp.Addr)
 		}
 		// Replay through the same dead pointer: same error, one record.
 		if err := a.op(fp); err != nil {

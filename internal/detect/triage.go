@@ -1,7 +1,5 @@
 package detect
 
-import "sort"
-
 // Exterminator-style triage: detection says *that* memory was damaged;
 // triage says *which allocation site did it*. One randomized layout
 // cannot: an escaped overflow damages whichever slot chance placed after
@@ -39,49 +37,15 @@ type TriageResult struct {
 }
 
 // Triage intersects evidence of one kind across independently seeded
-// layout reports and localizes the culprit allocation site.
+// layout reports and localizes the culprit allocation site. It is the
+// Accumulator's verdict with each report one window and no absolute
+// bar; Trials counts every report, detected or not.
 func Triage(kind Kind, reports []*Report) *TriageResult {
-	res := &TriageResult{Kind: kind, Votes: make(map[int]int), Culprit: -1}
-	lengths := make(map[int]int) // site -> max inferred extent
+	var acc Accumulator
 	for _, r := range reports {
-		res.Trials++
-		sites := make(map[int]bool)
-		for _, ev := range r.Evidence {
-			if ev.Kind != kind || ev.AllocSite < 0 {
-				continue
-			}
-			sites[ev.AllocSite] = true
-			if ev.Length > lengths[ev.AllocSite] {
-				lengths[ev.AllocSite] = ev.Length
-			}
-		}
-		if len(sites) == 0 {
-			continue
-		}
-		res.Detected++
-		for s := range sites {
-			res.Votes[s]++
-		}
+		acc.Observe(r.Evidence, 0)
 	}
-	if res.Detected == 0 {
-		return res
-	}
-	// Deterministic winner: most votes, smallest site on ties.
-	cands := make([]int, 0, len(res.Votes))
-	for s := range res.Votes {
-		cands = append(cands, s)
-	}
-	sort.Ints(cands)
-	best, bestVotes := -1, 0
-	for _, s := range cands {
-		if res.Votes[s] > bestVotes {
-			best, bestVotes = s, res.Votes[s]
-		}
-	}
-	if 2*bestVotes > res.Detected {
-		res.Culprit = best
-		res.Confidence = float64(bestVotes) / float64(res.Detected)
-		res.OverflowLen = lengths[best]
-	}
+	res := acc.Verdict(kind, 0)
+	res.Trials = len(reports)
 	return res
 }

@@ -1,10 +1,15 @@
 package detect
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"sort"
 	"testing"
 
 	"diehard/internal/core"
 	"diehard/internal/heap"
+	"diehard/internal/rng"
 )
 
 // synthetic builds a report with overflow candidates at the given sites.
@@ -66,6 +71,61 @@ func TestTriageTieBreaksToSmallestSite(t *testing.T) {
 	res := Triage(KindOverflow, reports)
 	if res.Culprit != 3 {
 		t.Fatalf("culprit = %d, want deterministic tie-break to 3", res.Culprit)
+	}
+}
+
+// TestTriageMatchesRecording pins Triage on 500 seeded random report
+// sets: 0-8 reports of 0-6 records each, three kinds, candidate sites
+// -1..11 (-1: no candidate) and lengths 0..63, empty reports included.
+// Each kind's Trials, Detected, sorted votes, culprit, confidence bits
+// and OverflowLen feed one FNV-1a hash, recorded when Triage ran its
+// own vote loop; breaking ties to the largest site fails it.
+func TestTriageMatchesRecording(t *testing.T) {
+	kinds := []Kind{KindOverflow, KindDangling, KindStaleFree}
+	r := rng.NewSeeded(0x7419)
+	sum := fnv.New64a()
+	put := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		sum.Write(b[:])
+	}
+	resolved := 0
+	for set := 0; set < 500; set++ {
+		reports := make([]*Report, r.Intn(9))
+		for i := range reports {
+			rep := &Report{Seed: uint64(i)}
+			for n := r.Intn(7); n > 0; n-- {
+				rep.Evidence = append(rep.Evidence, Evidence{
+					Kind:      kinds[r.Intn(len(kinds))],
+					AllocSite: r.Intn(13) - 1,
+					Length:    r.Intn(64),
+				})
+			}
+			reports[i] = rep
+		}
+		for _, k := range kinds {
+			res := Triage(k, reports)
+			put(uint64(res.Trials))
+			put(uint64(res.Detected))
+			sites := make([]int, 0, len(res.Votes))
+			for s := range res.Votes {
+				sites = append(sites, s)
+			}
+			sort.Ints(sites)
+			for _, s := range sites {
+				put(uint64(s))
+				put(uint64(res.Votes[s]))
+			}
+			put(uint64(int64(res.Culprit)))
+			put(math.Float64bits(res.Confidence))
+			put(uint64(res.OverflowLen))
+			if res.Culprit >= 0 {
+				resolved++
+			}
+		}
+	}
+	if got, want := sum.Sum64(), uint64(0xbd651a347957cde1); got != want || resolved == 0 {
+		t.Fatalf("triage hash %#x (%d resolved), recorded %#x", got, resolved, want)
 	}
 }
 

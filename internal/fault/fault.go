@@ -22,7 +22,6 @@ import (
 
 	"diehard/internal/heap"
 	"diehard/internal/rng"
-	"diehard/internal/vmem"
 )
 
 // Lifetime records one object's allocation history in allocation time.
@@ -41,22 +40,22 @@ type Trace struct {
 // Tracer wraps an allocator and records the allocation log, leaving
 // behavior otherwise unchanged.
 type Tracer struct {
-	base    heap.Allocator
-	trace   Trace
-	ptrToID map[heap.Ptr]int
-	clock   int // allocation time
+	heap.Allocator // the wrapped allocator: SizeOf, Mem, Stats pass through
+	trace          Trace
+	ptrToID        map[heap.Ptr]int
+	clock          int // allocation time
 }
 
 var _ heap.Allocator = (*Tracer)(nil)
 
 // NewTracer wraps base with allocation logging.
 func NewTracer(base heap.Allocator) *Tracer {
-	return &Tracer{base: base, ptrToID: make(map[heap.Ptr]int)}
+	return &Tracer{Allocator: base, ptrToID: make(map[heap.Ptr]int)}
 }
 
 // Malloc allocates and logs the object.
 func (t *Tracer) Malloc(size int) (heap.Ptr, error) {
-	p, err := t.base.Malloc(size)
+	p, err := t.Allocator.Malloc(size)
 	if err != nil {
 		return p, err
 	}
@@ -75,20 +74,11 @@ func (t *Tracer) Free(p heap.Ptr) error {
 		t.trace.Lifetimes[id].FreeTime = t.clock
 		delete(t.ptrToID, p)
 	}
-	return t.base.Free(p)
+	return t.Allocator.Free(p)
 }
 
-// SizeOf forwards to the base allocator.
-func (t *Tracer) SizeOf(p heap.Ptr) (int, bool) { return t.base.SizeOf(p) }
-
-// Mem forwards to the base allocator.
-func (t *Tracer) Mem() *vmem.Space { return t.base.Mem() }
-
-// Stats forwards to the base allocator.
-func (t *Tracer) Stats() *heap.Stats { return t.base.Stats() }
-
 // Name identifies the tracer in reports.
-func (t *Tracer) Name() string { return t.base.Name() + "+trace" }
+func (t *Tracer) Name() string { return t.Allocator.Name() + "+trace" }
 
 // Trace returns the log collected so far.
 func (t *Tracer) Trace() *Trace { return &t.trace }
@@ -149,11 +139,11 @@ func (p *DanglingPlan) Victims() []int {
 // executing a DanglingPlan: victims are freed early and their real frees
 // are swallowed.
 type DanglingInjector struct {
-	base    heap.Allocator
-	plan    *DanglingPlan
-	clock   int
-	idToPtr map[int]heap.Ptr
-	ptrToID map[heap.Ptr]int
+	heap.Allocator // the wrapped allocator: SizeOf, Mem, Stats pass through
+	plan           *DanglingPlan
+	clock          int
+	idToPtr        map[int]heap.Ptr
+	ptrToID        map[heap.Ptr]int
 
 	// EarlyFrees counts premature frees performed so far.
 	EarlyFrees int
@@ -167,17 +157,17 @@ var _ heap.Allocator = (*DanglingInjector)(nil)
 // NewDanglingInjector wraps base with the plan.
 func NewDanglingInjector(base heap.Allocator, plan *DanglingPlan) *DanglingInjector {
 	return &DanglingInjector{
-		base:    base,
-		plan:    plan,
-		idToPtr: make(map[int]heap.Ptr),
-		ptrToID: make(map[heap.Ptr]int),
+		Allocator: base,
+		plan:      plan,
+		idToPtr:   make(map[int]heap.Ptr),
+		ptrToID:   make(map[heap.Ptr]int),
 	}
 }
 
 // Malloc allocates, then fires any premature frees scheduled at the new
 // allocation time.
 func (d *DanglingInjector) Malloc(size int) (heap.Ptr, error) {
-	p, err := d.base.Malloc(size)
+	p, err := d.Allocator.Malloc(size)
 	if err != nil {
 		return p, err
 	}
@@ -190,7 +180,7 @@ func (d *DanglingInjector) Malloc(size int) (heap.Ptr, error) {
 		if !ok {
 			continue // trace misalignment; deterministic programs never hit this
 		}
-		if err := d.base.Free(vp); err != nil {
+		if err := d.Allocator.Free(vp); err != nil {
 			return heap.Null, err
 		}
 		d.EarlyFrees++
@@ -211,20 +201,11 @@ func (d *DanglingInjector) Free(p heap.Ptr) error {
 			return nil
 		}
 	}
-	return d.base.Free(p)
+	return d.Allocator.Free(p)
 }
 
-// SizeOf forwards to the base allocator.
-func (d *DanglingInjector) SizeOf(p heap.Ptr) (int, bool) { return d.base.SizeOf(p) }
-
-// Mem forwards to the base allocator.
-func (d *DanglingInjector) Mem() *vmem.Space { return d.base.Mem() }
-
-// Stats forwards to the base allocator.
-func (d *DanglingInjector) Stats() *heap.Stats { return d.base.Stats() }
-
 // Name identifies the injector in reports.
-func (d *DanglingInjector) Name() string { return d.base.Name() + "+dangling" }
+func (d *DanglingInjector) Name() string { return d.Allocator.Name() + "+dangling" }
 
 // OverflowInjector injects buffer overflows by under-allocation: with
 // probability rate, a request of at least minSize bytes is shrunk by
@@ -233,11 +214,11 @@ func (d *DanglingInjector) Name() string { return d.base.Name() + "+dangling" }
 // less memory from the underlying allocator than was requested by the
 // application").
 type OverflowInjector struct {
-	base    heap.Allocator
-	rate    float64
-	minSize int
-	delta   int
-	r       *rng.MWC
+	heap.Allocator // the wrapped allocator: SizeOf, Mem, Stats and Free pass through
+	rate           float64
+	minSize        int
+	delta          int
+	r              *rng.MWC
 
 	// Injected counts under-allocated requests.
 	Injected int
@@ -252,11 +233,11 @@ func NewOverflowInjector(base heap.Allocator, rate float64, minSize, delta int, 
 		panic(fmt.Sprintf("fault: rate %v out of [0,1]", rate))
 	}
 	return &OverflowInjector{
-		base:    base,
-		rate:    rate,
-		minSize: minSize,
-		delta:   delta,
-		r:       rng.NewSeeded(seed),
+		Allocator: base,
+		rate:      rate,
+		minSize:   minSize,
+		delta:     delta,
+		r:         rng.NewSeeded(seed),
 	}
 }
 
@@ -266,23 +247,11 @@ func (o *OverflowInjector) Malloc(size int) (heap.Ptr, error) {
 		o.Injected++
 		size -= o.delta
 	}
-	return o.base.Malloc(size)
+	return o.Allocator.Malloc(size)
 }
 
-// Free forwards to the base allocator.
-func (o *OverflowInjector) Free(p heap.Ptr) error { return o.base.Free(p) }
-
-// SizeOf forwards to the base allocator.
-func (o *OverflowInjector) SizeOf(p heap.Ptr) (int, bool) { return o.base.SizeOf(p) }
-
-// Mem forwards to the base allocator.
-func (o *OverflowInjector) Mem() *vmem.Space { return o.base.Mem() }
-
-// Stats forwards to the base allocator.
-func (o *OverflowInjector) Stats() *heap.Stats { return o.base.Stats() }
-
 // Name identifies the injector in reports.
-func (o *OverflowInjector) Name() string { return o.base.Name() + "+overflow" }
+func (o *OverflowInjector) Name() string { return o.Allocator.Name() + "+overflow" }
 
 // OverflowPlan selects, by allocation ID drawn from a trace, the exact
 // requests to under-allocate. Unlike OverflowInjector's independent
@@ -337,9 +306,9 @@ func (p *OverflowPlan) IsVictim(id int) bool { return p.victim[id] }
 // PlannedOverflowInjector under-allocates exactly the planned victim
 // requests, so every injected overflow's allocation site is known.
 type PlannedOverflowInjector struct {
-	base  heap.Allocator
-	plan  *OverflowPlan
-	clock int
+	heap.Allocator // the wrapped allocator: SizeOf, Mem, Stats and Free pass through
+	plan           *OverflowPlan
+	clock          int
 
 	// Injected counts under-allocated requests.
 	Injected int
@@ -349,7 +318,7 @@ var _ heap.Allocator = (*PlannedOverflowInjector)(nil)
 
 // NewPlannedOverflowInjector wraps base with the plan.
 func NewPlannedOverflowInjector(base heap.Allocator, plan *OverflowPlan) *PlannedOverflowInjector {
-	return &PlannedOverflowInjector{base: base, plan: plan}
+	return &PlannedOverflowInjector{Allocator: base, plan: plan}
 }
 
 // Malloc under-allocates the planned victims.
@@ -360,20 +329,8 @@ func (o *PlannedOverflowInjector) Malloc(size int) (heap.Ptr, error) {
 		o.Injected++
 		size -= o.plan.Delta
 	}
-	return o.base.Malloc(size)
+	return o.Allocator.Malloc(size)
 }
 
-// Free forwards to the base allocator.
-func (o *PlannedOverflowInjector) Free(p heap.Ptr) error { return o.base.Free(p) }
-
-// SizeOf forwards to the base allocator.
-func (o *PlannedOverflowInjector) SizeOf(p heap.Ptr) (int, bool) { return o.base.SizeOf(p) }
-
-// Mem forwards to the base allocator.
-func (o *PlannedOverflowInjector) Mem() *vmem.Space { return o.base.Mem() }
-
-// Stats forwards to the base allocator.
-func (o *PlannedOverflowInjector) Stats() *heap.Stats { return o.base.Stats() }
-
 // Name identifies the injector in reports.
-func (o *PlannedOverflowInjector) Name() string { return o.base.Name() + "+overflow-plan" }
+func (o *PlannedOverflowInjector) Name() string { return o.Allocator.Name() + "+overflow-plan" }

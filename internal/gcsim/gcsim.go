@@ -169,7 +169,7 @@ func (h *Heap) Malloc(size int) (heap.Ptr, error) {
 	if size > maxSmall {
 		rounded = int((uint64(size) + blockSize - 1) &^ (blockSize - 1))
 	}
-	heap.CountMalloc(&h.stats, size, rounded)
+	heap.CountMallocs(&h.stats, 1, uint64(size), uint64(rounded))
 	h.sinceGC += uint64(rounded)
 	h.recent = append(h.recent, p)
 	return p, nil

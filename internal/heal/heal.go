@@ -105,13 +105,6 @@ type Config struct {
 	// baseline (evidence still accumulates, verdicts are still reported,
 	// nothing is applied).
 	Heal bool
-	// ConfidenceBar is the absolute vote floor a culprit needs before a
-	// countermeasure fires (default 3); Triage's strict-majority rule
-	// applies on top.
-	ConfidenceBar int
-	// PadSlack is added to the max observed damage extent when sizing an
-	// overflow pad (default 8, one canary width).
-	PadSlack int
 	// HeapCheckEvery / HeapCheckMin set the detector's barrier cadence
 	// (defaults 4*Sites and max(1, Sites/2): adaptive, tightening after
 	// evidence).
@@ -140,6 +133,10 @@ const SupervisorRing = 200
 // quarantineCap bounds each epoch heap's delayed-reuse FIFO.
 const quarantineCap = 8
 
+// confidenceBar is the absolute vote floor a culprit needs before a
+// countermeasure fires; the strict-majority rule applies on top.
+const confidenceBar = 3
+
 func (c *Config) withDefaults() (Config, error) {
 	v := *c
 	if v.HeapSize == 0 {
@@ -147,12 +144,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if v.M == 0 {
 		v.M = 2.0
-	}
-	if v.ConfidenceBar == 0 {
-		v.ConfidenceBar = 3
-	}
-	if v.PadSlack == 0 {
-		v.PadSlack = 8
 	}
 	s := v.Schedule
 	if s.Sites <= 0 || v.Cycles <= 0 {
@@ -324,8 +315,8 @@ func (s *supervisor) finish() (*Result, error) {
 	cfg := &s.cfg
 	s.res.Cycles = cfg.Cycles
 	s.res.MTBF = float64(cfg.Cycles) / float64(max(1, s.res.Failures))
-	s.res.Overflow = s.acc.Verdict(detect.KindOverflow, cfg.ConfidenceBar)
-	s.res.Dangling = s.acc.Verdict(detect.KindDangling, cfg.ConfidenceBar)
+	s.res.Overflow = s.acc.Verdict(detect.KindOverflow, confidenceBar)
+	s.res.Dangling = s.acc.Verdict(detect.KindDangling, confidenceBar)
 	s.res.PadTable = s.mit.PadTable()
 	s.res.QuarantineSites = s.mit.QuarantineSites()
 	return s.res, nil
@@ -493,8 +484,10 @@ func (s *supervisor) drainEvidence(c int) bool {
 // any newly warranted countermeasure — between two cycles of a running
 // service, with no restart.
 func (s *supervisor) adjudicate(c int) {
-	if v := s.acc.Verdict(detect.KindOverflow, s.cfg.ConfidenceBar); v.Culprit >= 0 {
-		pad := (v.OverflowLen + s.cfg.PadSlack + 7) &^ 7
+	if v := s.acc.Verdict(detect.KindOverflow, confidenceBar); v.Culprit >= 0 {
+		// The largest observed damage extent plus one canary width,
+		// rounded up to a word.
+		pad := (v.OverflowLen + detect.CanaryBytes + 7) &^ 7
 		if s.mit.SetPad(v.Culprit, pad) {
 			s.noteMitigation(c)
 			if s.ring != nil {
@@ -504,7 +497,7 @@ func (s *supervisor) adjudicate(c int) {
 				Note: fmt.Sprintf("pad=%dB votes=%d/%d", pad, v.Votes[v.Culprit], v.Detected)})
 		}
 	}
-	if v := s.acc.Verdict(detect.KindDangling, s.cfg.ConfidenceBar); v.Culprit >= 0 {
+	if v := s.acc.Verdict(detect.KindDangling, confidenceBar); v.Culprit >= 0 {
 		if s.mit.SetQuarantine(v.Culprit) {
 			s.noteMitigation(c)
 			if s.ring != nil {
@@ -564,10 +557,6 @@ func RunCampaign(cfg Config, replicas, workers int) (*CampaignResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfgd, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
 	cr := &CampaignResult{Replicas: results}
 	merged := &detect.Accumulator{}
 	for _, r := range results {
@@ -578,8 +567,8 @@ func RunCampaign(cfg Config, replicas, workers int) (*CampaignResult, error) {
 		mergeVerdict(merged, r.Dangling)
 	}
 	cr.MTBF = float64(cr.Cycles) / float64(max(1, cr.Failures))
-	cr.Overflow = merged.Verdict(detect.KindOverflow, cfgd.ConfidenceBar)
-	cr.Dangling = merged.Verdict(detect.KindDangling, cfgd.ConfidenceBar)
+	cr.Overflow = merged.Verdict(detect.KindOverflow, confidenceBar)
+	cr.Dangling = merged.Verdict(detect.KindDangling, confidenceBar)
 	cr.VerdictHash = cr.hash()
 	return cr, nil
 }

@@ -70,11 +70,11 @@ func TestHealConvergesToGroundTruth(t *testing.T) {
 	if res.Quarantined == 0 {
 		t.Error("quarantine convicted the dangling site but never held a free")
 	}
-	// Convergence bound: both verdicts within N = ConfidenceBar * max
+	// Convergence bound: both verdicts within N = confidenceBar * max
 	// injection period cycles of onset, with slack for barrier latency.
 	cfg := testConfig(true)
 	cfgd, _ := cfg.withDefaults()
-	n := cfgd.ConfidenceBar*4*sch.DanglingEvery + cfgd.HeapCheckEvery/sch.Sites
+	n := confidenceBar*4*sch.DanglingEvery + cfgd.HeapCheckEvery/sch.Sites
 	var lastApply int
 	for _, ev := range res.Timeline {
 		if ev.Kind == "pad" || ev.Kind == "quarantine" {

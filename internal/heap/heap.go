@@ -113,27 +113,34 @@ type Stats struct {
 // holds at quiescence, e.g. after a drain barrier). Sequential
 // allocators may use either form.
 func (st *Stats) SnapshotAtomic() Stats {
-	return Stats{
-		Mallocs:        atomic.LoadUint64(&st.Mallocs),
-		Frees:          atomic.LoadUint64(&st.Frees),
-		FailedMallocs:  atomic.LoadUint64(&st.FailedMallocs),
-		IgnoredFrees:   atomic.LoadUint64(&st.IgnoredFrees),
-		BytesRequested: atomic.LoadUint64(&st.BytesRequested),
-		BytesAllocated: atomic.LoadUint64(&st.BytesAllocated),
-		LiveObjects:    atomic.LoadUint64(&st.LiveObjects),
-		LiveBytes:      atomic.LoadUint64(&st.LiveBytes),
-		PeakLiveBytes:  atomic.LoadUint64(&st.PeakLiveBytes),
-		WorkUnits:      atomic.LoadUint64(&st.WorkUnits),
-		Probes:         atomic.LoadUint64(&st.Probes),
-		CASRetries:     atomic.LoadUint64(&st.CASRetries),
-		RemoteFrees:    atomic.LoadUint64(&st.RemoteFrees),
-		RemoteDrains:   atomic.LoadUint64(&st.RemoteDrains),
-		Quarantined:    atomic.LoadUint64(&st.Quarantined),
-		QuarantineOut:  atomic.LoadUint64(&st.QuarantineOut),
-		StaleFrees:     atomic.LoadUint64(&st.StaleFrees),
-		Retired:        atomic.LoadUint64(&st.Retired),
-		Collections:    atomic.LoadUint64(&st.Collections),
-	}
+	var snap Stats
+	snap.AddAtomic(st)
+	return snap
+}
+
+// AddAtomic adds every field of src, each loaded atomically, to st,
+// which the caller owns. It is the one list of Stats fields: snapshots
+// and the sharded heap's aggregate both read through it.
+func (st *Stats) AddAtomic(src *Stats) {
+	st.Mallocs += atomic.LoadUint64(&src.Mallocs)
+	st.Frees += atomic.LoadUint64(&src.Frees)
+	st.FailedMallocs += atomic.LoadUint64(&src.FailedMallocs)
+	st.IgnoredFrees += atomic.LoadUint64(&src.IgnoredFrees)
+	st.BytesRequested += atomic.LoadUint64(&src.BytesRequested)
+	st.BytesAllocated += atomic.LoadUint64(&src.BytesAllocated)
+	st.LiveObjects += atomic.LoadUint64(&src.LiveObjects)
+	st.LiveBytes += atomic.LoadUint64(&src.LiveBytes)
+	st.PeakLiveBytes += atomic.LoadUint64(&src.PeakLiveBytes)
+	st.WorkUnits += atomic.LoadUint64(&src.WorkUnits)
+	st.Probes += atomic.LoadUint64(&src.Probes)
+	st.CASRetries += atomic.LoadUint64(&src.CASRetries)
+	st.RemoteFrees += atomic.LoadUint64(&src.RemoteFrees)
+	st.RemoteDrains += atomic.LoadUint64(&src.RemoteDrains)
+	st.Quarantined += atomic.LoadUint64(&src.Quarantined)
+	st.QuarantineOut += atomic.LoadUint64(&src.QuarantineOut)
+	st.StaleFrees += atomic.LoadUint64(&src.StaleFrees)
+	st.Retired += atomic.LoadUint64(&src.Retired)
+	st.Collections += atomic.LoadUint64(&src.Collections)
 }
 
 // Memory is the data-access interface applications use. *vmem.Space
@@ -190,67 +197,13 @@ type Allocator interface {
 	Name() string
 }
 
-// countMalloc updates shared counters for a successful allocation of
-// rounded bytes serving a request of size bytes.
-func countMalloc(st *Stats, size, rounded int) {
-	st.Mallocs++
-	st.BytesRequested += uint64(size)
-	st.BytesAllocated += uint64(rounded)
-	st.LiveObjects++
-	st.LiveBytes += uint64(rounded)
-	if st.LiveBytes > st.PeakLiveBytes {
-		st.PeakLiveBytes = st.LiveBytes
-	}
-}
-
-// countFree updates shared counters for a successful free of rounded
-// bytes.
-func countFree(st *Stats, rounded int) {
-	st.Frees++
-	st.LiveObjects--
-	st.LiveBytes -= uint64(rounded)
-}
-
-// CountMalloc is exported for allocator implementations in sibling
-// packages.
-func CountMalloc(st *Stats, size, rounded int) { countMalloc(st, size, rounded) }
-
-// CountFree is exported for allocator implementations in sibling
-// packages.
-func CountFree(st *Stats, rounded int) { countFree(st, rounded) }
-
-// CountMallocAtomic is CountMalloc for goroutine-safe allocators: every
-// counter update is atomic, and the live-bytes high-water mark is
-// maintained with a CAS loop. The single-goroutine baselines keep the
-// unsynchronized CountMalloc; only allocators that admit concurrent
-// mallocs pay for atomics.
-func CountMallocAtomic(st *Stats, size, rounded int) {
-	atomic.AddUint64(&st.Mallocs, 1)
-	atomic.AddUint64(&st.BytesRequested, uint64(size))
-	atomic.AddUint64(&st.BytesAllocated, uint64(rounded))
-	atomic.AddUint64(&st.LiveObjects, 1)
-	live := atomic.AddUint64(&st.LiveBytes, uint64(rounded))
-	for {
-		peak := atomic.LoadUint64(&st.PeakLiveBytes)
-		if live <= peak || atomic.CompareAndSwapUint64(&st.PeakLiveBytes, peak, live) {
-			return
-		}
-	}
-}
-
-// CountFreeAtomic is CountFree for goroutine-safe allocators.
-func CountFreeAtomic(st *Stats, rounded int) {
-	atomic.AddUint64(&st.Frees, 1)
-	atomic.AddUint64(&st.LiveObjects, ^uint64(0))
-	atomic.AddUint64(&st.LiveBytes, ^(uint64(rounded) - 1))
-}
-
-// CountMallocBatch publishes n allocations' counters at once: the
+// CountMallocs publishes n successful allocations: reqBytes is the sum
+// of the requested sizes, allocBytes the sum of the rounded (or padded)
+// sizes. Single-goroutine allocators pass n = 1 per malloc; the
 // magazine front end (DESIGN.md §11) counts served mallocs locally and
-// pushes them here at refill/flush/drain boundaries, so the malloc fast
-// path touches no shared counter at all. reqBytes is the sum of the
-// requested sizes; allocBytes the sum of the rounded slot sizes.
-func CountMallocBatch(st *Stats, n int, reqBytes, allocBytes uint64) {
+// publishes them here in batches at refill/flush/drain boundaries, so
+// its malloc fast path touches no shared counter at all.
+func CountMallocs(st *Stats, n int, reqBytes, allocBytes uint64) {
 	st.Mallocs += uint64(n)
 	st.BytesRequested += reqBytes
 	st.BytesAllocated += allocBytes
@@ -261,12 +214,13 @@ func CountMallocBatch(st *Stats, n int, reqBytes, allocBytes uint64) {
 	}
 }
 
-// CountMallocBatchAtomic is CountMallocBatch for goroutine-safe
-// allocators. Because the batch is published after the allocations were
-// served, the live-bytes high-water mark is a lower bound on the true
-// instantaneous peak (the same quiescent-exactness contract the
+// CountMallocsAtomic is CountMallocs for goroutine-safe allocators:
+// every counter update is atomic, and the live-bytes high-water mark is
+// maintained with a CAS loop. A batch is published after its
+// allocations were served, so there the mark is a lower bound on the
+// true instantaneous peak (the quiescent-exactness contract the
 // magazine's drain barrier restores).
-func CountMallocBatchAtomic(st *Stats, n int, reqBytes, allocBytes uint64) {
+func CountMallocsAtomic(st *Stats, n int, reqBytes, allocBytes uint64) {
 	atomic.AddUint64(&st.Mallocs, uint64(n))
 	atomic.AddUint64(&st.BytesRequested, reqBytes)
 	atomic.AddUint64(&st.BytesAllocated, allocBytes)
@@ -280,15 +234,16 @@ func CountMallocBatchAtomic(st *Stats, n int, reqBytes, allocBytes uint64) {
 	}
 }
 
-// CountFreeBatch publishes n frees' counters at once (magazine flush).
-func CountFreeBatch(st *Stats, n int, allocBytes uint64) {
+// CountFrees publishes n successful frees of allocBytes rounded bytes
+// in all.
+func CountFrees(st *Stats, n int, allocBytes uint64) {
 	st.Frees += uint64(n)
 	st.LiveObjects -= uint64(n)
 	st.LiveBytes -= allocBytes
 }
 
-// CountFreeBatchAtomic is CountFreeBatch for goroutine-safe allocators.
-func CountFreeBatchAtomic(st *Stats, n int, allocBytes uint64) {
+// CountFreesAtomic is CountFrees for goroutine-safe allocators.
+func CountFreesAtomic(st *Stats, n int, allocBytes uint64) {
 	atomic.AddUint64(&st.Frees, uint64(n))
 	atomic.AddUint64(&st.LiveObjects, ^(uint64(n) - 1))
 	atomic.AddUint64(&st.LiveBytes, ^(allocBytes - 1))

@@ -41,14 +41,14 @@ func (b *bumpAlloc) Malloc(size int) (Ptr, error) {
 	p := b.next
 	b.next += n
 	b.sizes[p] = size
-	CountMalloc(&b.stats, size, int(n))
+	CountMallocs(&b.stats, 1, uint64(size), n)
 	return p, nil
 }
 
 func (b *bumpAlloc) Free(p Ptr) error {
 	if size, ok := b.sizes[p]; ok {
 		delete(b.sizes, p)
-		CountFree(&b.stats, (size+7)&^7)
+		CountFrees(&b.stats, 1, uint64((size+7)&^7))
 	}
 	return nil
 }

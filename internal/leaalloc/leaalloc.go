@@ -162,7 +162,7 @@ func (h *Heap) Malloc(size int) (heap.Ptr, error) {
 				h.stats.FailedMallocs++
 				return heap.Null, err
 			}
-			heap.CountMalloc(&h.stats, size, need-headerSize)
+			heap.CountMallocs(&h.stats, 1, uint64(size), uint64(need-headerSize))
 			return p, nil
 		}
 	}
@@ -177,7 +177,7 @@ func (h *Heap) Malloc(size int) (heap.Ptr, error) {
 	}
 	h.top += uint64(need)
 	h.topPrev = true
-	heap.CountMalloc(&h.stats, size, need-headerSize)
+	heap.CountMallocs(&h.stats, 1, uint64(size), uint64(need-headerSize))
 	return c + headerSize, nil
 }
 
@@ -341,7 +341,7 @@ func (h *Heap) Free(p heap.Ptr) error {
 		return h.linkIn(c, size)
 	}
 
-	heap.CountFree(&h.stats, size-headerSize)
+	heap.CountFrees(&h.stats, 1, uint64(size-headerSize))
 
 	// Coalesce backward.
 	if !prevInUse {

@@ -56,7 +56,7 @@ func (f *FailOblivious) Malloc(size int) (heap.Ptr, error) {
 		size = 1
 	}
 	f.objects.add(p, size)
-	heap.CountMalloc(&f.stats, size, size)
+	heap.CountMallocs(&f.stats, 1, uint64(size), uint64(size))
 	return p, nil
 }
 
@@ -66,7 +66,7 @@ func (f *FailOblivious) Malloc(size int) (heap.Ptr, error) {
 func (f *FailOblivious) Free(p heap.Ptr) error {
 	f.stats.WorkUnits += heap.WorkCheck
 	if f.objects.remove(p) {
-		heap.CountFree(&f.stats, 1)
+		heap.CountFrees(&f.stats, 1, 1)
 	}
 	return f.base.Free(p)
 }

@@ -64,7 +64,7 @@ func (f *FailStop) Malloc(size int) (heap.Ptr, error) {
 	}
 	f.objects.add(p, size)
 	f.inited[p] = make([]bool, size)
-	heap.CountMalloc(&f.stats, size, size)
+	heap.CountMallocs(&f.stats, 1, uint64(size), uint64(size))
 	return p, nil
 }
 

@@ -50,7 +50,7 @@ func (r *RxAlloc) Malloc(size int) (heap.Ptr, error) {
 		}
 	}
 	delete(r.freed, p)
-	heap.CountMalloc(&r.stats, size, size+r.opts.Pad)
+	heap.CountMallocs(&r.stats, 1, uint64(size), uint64(size+r.opts.Pad))
 	return p, nil
 }
 
@@ -67,7 +67,7 @@ func (r *RxAlloc) Free(p heap.Ptr) error {
 		}
 		r.freed[p] = true
 	}
-	heap.CountFree(&r.stats, 1)
+	heap.CountFrees(&r.stats, 1, 1)
 	if r.opts.DeferFrees > 0 {
 		r.queue = append(r.queue, p)
 		if len(r.queue) <= r.opts.DeferFrees {

@@ -60,9 +60,6 @@ type Config struct {
 	Seed uint64
 	// Sessions is the total session count across all workers.
 	Sessions int64
-	// SessionObjects is the number of objects a session allocates,
-	// accesses, and frees (default 16).
-	SessionObjects int
 	// Rate is the total arrival rate in sessions/sec across all
 	// workers — the long-run mean including burst mass, so bursts
 	// clump arrivals without raising the offered load. 0 runs
@@ -206,6 +203,10 @@ type Result struct {
 
 const crossBatch = 64
 
+// sessionObjects is the number of objects a session allocates,
+// accesses, and frees.
+const sessionObjects = 16
+
 // shardRingBase is the flight-recorder worker-id convention: serve
 // workers own rings 0..Workers-1, shard heap i rides ring
 // shardRingBase+i, and the steal router ring shardRingBase+Shards —
@@ -322,10 +323,9 @@ func (w *worker) sendCross() error {
 // fixed (plus any Mitigator pad), the planned faults are injected, and
 // every object's token is verified at free.
 func (w *worker) session(cfg *Config, objs []heap.FatPtr) error {
-	n := cfg.SessionObjects
 	fp := cfg.Faults
 	objs = objs[:0]
-	for i := 0; i < n; i++ {
+	for i := 0; i < sessionObjects; i++ {
 		size := 0
 		if fp != nil {
 			size = fp.ObjectSize
@@ -416,7 +416,7 @@ func (w *worker) session(cfg *Config, objs []heap.FatPtr) error {
 		w.doubles++
 		w.wilds++
 	}
-	crossN := int(cfg.CrossFraction * float64(n))
+	crossN := int(cfg.CrossFraction * sessionObjects)
 	for i, o := range objs {
 		if o.Addr == heap.Null {
 			continue // prematurely freed by the fault schedule
@@ -496,7 +496,7 @@ func (w *worker) run(cfg *Config, quota int64, sessions *sync.WaitGroup, errOut 
 		burstFactor = 1 + cfg.BurstProb*float64(cfg.BurstLen-1)
 	}
 	drawRate := cfg.Rate / float64(cfg.Workers) / burstFactor
-	objs := make([]heap.FatPtr, 0, cfg.SessionObjects)
+	objs := make([]heap.FatPtr, 0, sessionObjects)
 	next := time.Now()
 	burst := 0
 	for s := int64(0); s < quota; s++ {
@@ -555,9 +555,6 @@ func (cfg *Config) setDefaults() error {
 	if cfg.HeapSize <= 0 {
 		cfg.HeapSize = cfg.Shards * 32 << 20
 	}
-	if cfg.SessionObjects <= 0 {
-		cfg.SessionObjects = 16
-	}
 	if cfg.CrossFraction < 0 || cfg.CrossFraction > 1 {
 		return fmt.Errorf("serve: CrossFraction %v outside [0, 1]", cfg.CrossFraction)
 	}
@@ -584,8 +581,8 @@ func (cfg *Config) setDefaults() error {
 		if f.ObjectSize < 8 || f.ObjectSize > core.MaxObjectSize {
 			return fmt.Errorf("serve: FaultPlan.ObjectSize %d outside [8, %d]", f.ObjectSize, core.MaxObjectSize)
 		}
-		if f.OverflowObject >= cfg.SessionObjects || f.DanglingObject >= cfg.SessionObjects {
-			return fmt.Errorf("serve: fault object index beyond SessionObjects %d", cfg.SessionObjects)
+		if f.OverflowObject >= sessionObjects || f.DanglingObject >= sessionObjects {
+			return fmt.Errorf("serve: fault object index beyond the %d session objects", sessionObjects)
 		}
 		if f.OverflowObject >= 0 && (f.OverflowReach <= 0 || f.OverflowEvery <= 0) {
 			return fmt.Errorf("serve: OverflowObject set but OverflowReach/OverflowEvery not positive")

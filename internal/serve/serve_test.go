@@ -195,7 +195,7 @@ func TestServeConfigValidation(t *testing.T) {
 	}
 	bad := []func(*FaultPlan){
 		func(f *FaultPlan) { f.ObjectSize = 4 },
-		func(f *FaultPlan) { f.OverflowObject = 16 }, // beyond SessionObjects
+		func(f *FaultPlan) { f.OverflowObject = 16 }, // beyond the 16 session objects
 		func(f *FaultPlan) { f.OverflowReach = 0 },
 		func(f *FaultPlan) { f.DanglingEvery = 0 },
 		func(f *FaultPlan) { f.DanglingObject = 3 }, // collides with overflow

@@ -662,25 +662,7 @@ func (s *Space) Map(n int, prot Prot) (uint64, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("vmem: Map size %d must be positive", n)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0, ErrClosed
-	}
-	npages := uint64((n + PageSize - 1) / PageSize)
-	base := s.next
-	if base+(npages+1)*PageSize > maxAddr {
-		return 0, fmt.Errorf("vmem: address space exhausted (%d pages requested at %#x)", npages, base)
-	}
-	s.extents = append(s.extents, extent{start: base, end: base + npages*PageSize, prot: prot})
-	s.next = base + (npages+1)*PageSize // +1: unmapped hole
-	s.growDir()
-	// Writers serialize on mu; the atomics are for StatsSnapshot, which
-	// a metrics scrape calls without it.
-	if mapped := atomic.AddUint64(&s.stats.PagesMapped, npages); mapped > s.stats.PagesPeak {
-		atomic.StoreUint64(&s.stats.PagesPeak, mapped)
-	}
-	return base, nil
+	return s.mapPages(n, prot, 0)
 }
 
 // MapGuarded reserves n bytes of read-write memory with a no-access guard
@@ -691,18 +673,41 @@ func (s *Space) MapGuarded(n int) (uint64, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("vmem: MapGuarded size %d must be positive", n)
 	}
-	npages := (n + PageSize - 1) / PageSize
-	base, err := s.Map((npages+2)*PageSize, ProtRW)
-	if err != nil {
-		return 0, err
+	return s.mapPages(n, ProtRW, 1)
+}
+
+// mapPages is Map and MapGuarded in one locked step: it reserves n
+// bytes of whole pages with prot, flanked by guard no-access pages on
+// each side, at the top of the address space, so its extents append to
+// the sorted list without splitting any, and returns the body's address.
+func (s *Space) mapPages(n int, prot Prot, guard uint64) (uint64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return 0, ErrClosed
 	}
-	if err := s.Protect(base, PageSize, ProtNone); err != nil {
-		return 0, err
+	body := uint64((n + PageSize - 1) / PageSize)
+	npages := body + 2*guard
+	base := s.next
+	if base+(npages+1)*PageSize > maxAddr {
+		return 0, fmt.Errorf("vmem: address space exhausted (%d pages requested at %#x)", npages, base)
 	}
-	if err := s.Protect(base+uint64(npages+1)*PageSize, PageSize, ProtNone); err != nil {
-		return 0, err
+	start, end := base+guard*PageSize, base+(guard+body)*PageSize
+	if guard > 0 {
+		s.extents = append(s.extents, extent{start: base, end: start, prot: ProtNone})
 	}
-	return base + PageSize, nil
+	s.extents = append(s.extents, extent{start: start, end: end, prot: prot})
+	if guard > 0 {
+		s.extents = append(s.extents, extent{start: end, end: end + guard*PageSize, prot: ProtNone})
+	}
+	s.next = base + (npages+1)*PageSize // +1: unmapped hole
+	s.growDir()
+	// Writers serialize on mu; the atomics are for StatsSnapshot, which
+	// a metrics scrape calls without it.
+	if mapped := atomic.AddUint64(&s.stats.PagesMapped, npages); mapped > s.stats.PagesPeak {
+		atomic.StoreUint64(&s.stats.PagesPeak, mapped)
+	}
+	return start, nil
 }
 
 // findExtent returns the index of the extent containing addr, or -1.

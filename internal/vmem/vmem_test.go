@@ -476,6 +476,22 @@ func BenchmarkNewSpaceFirstTouch(b *testing.B) {
 	}
 }
 
+// BenchmarkMapGuarded is a large object's mapping: one MapGuarded of
+// three pages per op, on a fresh space every 256 ops so the extent list
+// stays as short as a heap's.
+func BenchmarkMapGuarded(b *testing.B) {
+	b.ReportAllocs()
+	var s *Space
+	for i := 0; i < b.N; i++ {
+		if i%256 == 0 {
+			s = NewSpace()
+		}
+		if _, err := s.MapGuarded(3 * PageSize); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestQuickStoreLoadRoundTrip(t *testing.T) {
 	s := NewSpace()
 	// Every uint16 offset plus the 8 bytes stored there lies inside the
@@ -1035,11 +1051,30 @@ func TestBulkOpsMatchRecording(t *testing.T) {
 			return n, found, nil, err
 		}
 	}
+	// layout reads the mapping itself: its extents (start, end and
+	// protection, relative to base), its page counts, and the fault
+	// reasons one byte either side of the body.
+	layout := func(s *Space, base uint64) (int, bool, []byte, error) {
+		var b []byte
+		for _, e := range s.extents {
+			b = fmt.Appendf(b, "[%d,%d)%v ", int64(e.start-base), int64(e.end-base), e.prot)
+		}
+		st := s.StatsSnapshot()
+		b = fmt.Appendf(b, "mapped %d peak %d", st.PagesMapped, st.PagesPeak)
+		for _, at := range []uint64{base - 1, base + 2*PageSize} {
+			var f *Fault
+			if err := s.Store8(at, 1); errors.As(err, &f) {
+				b = append(b, " "+f.Reason...)
+			}
+		}
+		return 0, false, b, nil
+	}
 	cases := []struct {
 		name string
 		op   op
 		want result
 	}{
+		{"guarded mapping layout", layout, result{0, false, -1, 0, 0, 2, 0x538cf32f606f912c, 0xc9657f3d5304d5d1}},
 		{"read across pages", read(90, 5003), result{0, false, -1, 626, 0, 0, 0xcf495b03c9560e4d, 0xc9657f3d5304d5d1}},
 		{"read one byte", read(4095, 1), result{0, false, -1, 1, 0, 0, 0xaf63bd4c8601b7df, 0xc9657f3d5304d5d1}},
 		{"read empty at guard", read(2*PageSize, 0), result{0, false, -1, 0, 0, 0, 0xcbf29ce484222325, 0xc9657f3d5304d5d1}},

@@ -150,7 +150,7 @@ func (h *Heap) Malloc(size int) (heap.Ptr, error) {
 			if err := h.writeHeader(cur, need, true); err != nil {
 				return heap.Null, err
 			}
-			heap.CountMalloc(&h.stats, size, need-headerSize)
+			heap.CountMallocs(&h.stats, 1, uint64(size), uint64(need-headerSize))
 			return cur + headerSize, nil
 		}
 		prev, cur = cur, next
@@ -165,7 +165,7 @@ func (h *Heap) Malloc(size int) (heap.Ptr, error) {
 		return heap.Null, err
 	}
 	h.top += uint64(need)
-	heap.CountMalloc(&h.stats, size, need-headerSize)
+	heap.CountMallocs(&h.stats, 1, uint64(size), uint64(need-headerSize))
 	return c + headerSize, nil
 }
 
@@ -200,7 +200,7 @@ func (h *Heap) Free(p heap.Ptr) error {
 		h.stats.Frees++
 		return h.insert(c, size)
 	}
-	heap.CountFree(&h.stats, size-headerSize)
+	heap.CountFrees(&h.stats, 1, uint64(size-headerSize))
 	return h.insert(c, size)
 }
 
