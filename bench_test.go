@@ -122,13 +122,11 @@ func BenchmarkTable1ErrorMatrix(b *testing.B) {
 func BenchmarkFaultInjectionDangling(b *testing.B) {
 	var libcCorrect, dhCorrect float64
 	for i := 0; i < b.N; i++ {
-		l, err := exps.RunFaultInjection("espresso", exps.KindMalloc,
-			exps.InjectionParams{Kind: exps.InjectDangling}, 10, 1, 16<<20, 1)
+		l, err := exps.RunFaultInjection("espresso", exps.KindMalloc, exps.InjectDangling, 10, 1, 16<<20, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		d, err := exps.RunFaultInjection("espresso", exps.KindDieHard,
-			exps.InjectionParams{Kind: exps.InjectDangling}, 10, 1, 0, 1)
+		d, err := exps.RunFaultInjection("espresso", exps.KindDieHard, exps.InjectDangling, 10, 1, 0, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -141,13 +139,11 @@ func BenchmarkFaultInjectionDangling(b *testing.B) {
 func BenchmarkFaultInjectionOverflow(b *testing.B) {
 	var libcCorrect, dhCorrect float64
 	for i := 0; i < b.N; i++ {
-		l, err := exps.RunFaultInjection("espresso", exps.KindMalloc,
-			exps.InjectionParams{Kind: exps.InjectOverflow}, 10, 3, 16<<20, 1)
+		l, err := exps.RunFaultInjection("espresso", exps.KindMalloc, exps.InjectOverflow, 10, 3, 16<<20, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		d, err := exps.RunFaultInjection("espresso", exps.KindDieHard,
-			exps.InjectionParams{Kind: exps.InjectOverflow}, 10, 3, 0, 1)
+		d, err := exps.RunFaultInjection("espresso", exps.KindDieHard, exps.InjectOverflow, 10, 3, 0, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -29,7 +29,6 @@ func main() {
 
 	switch *kind {
 	case "dangling", "overflow":
-		params := exps.InjectionParams{Kind: exps.InjectionKind(*kind)}
 		fmt.Printf("# §7.3.1 %s injection into %s (%d trials)\n", *kind, *app, *trials)
 		if *kind == "dangling" {
 			fmt.Println("# frequency 50%, distance 10 (paper settings)")
@@ -42,7 +41,7 @@ func main() {
 			if alloc == exps.KindMalloc {
 				heapSize = 64 << 20
 			}
-			res, err := exps.RunFaultInjection(*app, alloc, params, *trials, *scale, heapSize, *workers)
+			res, err := exps.RunFaultInjection(*app, alloc, exps.InjectionKind(*kind), *trials, *scale, heapSize, *workers)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "faultinject: %v\n", err)
 				os.Exit(1)

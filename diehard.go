@@ -30,7 +30,6 @@
 package diehard
 
 import (
-	"fmt"
 	"io"
 
 	"diehard/internal/analysis"
@@ -81,7 +80,7 @@ type HeapOptions struct {
 	// the address instead of CAS-clearing the shared bitmap, and the
 	// heap applies queued frees in batches at its next malloc miss or
 	// invariant barrier. Requires Concurrent, so it is incompatible with
-	// ReplicatedMode; incompatible with DetectCanaries.
+	// ReplicatedMode and DetectCanaries.
 	RemoteFreeRing bool
 	// DetectCanaries layers the probabilistic error detector
 	// (internal/detect) over the heap: free space carries a seeded
@@ -150,9 +149,6 @@ func NewHeap(opts HeapOptions) (*Heap, error) {
 		Trace:      opts.Trace,
 	}
 	if opts.DetectCanaries {
-		if opts.RemoteFreeRing {
-			return nil, fmt.Errorf("diehard: RemoteFreeRing cannot batch past canary detection (DetectCanaries)")
-		}
 		dh, err := detect.New(copts, detect.Options{
 			HeapCheckEvery: opts.HeapCheckEvery,
 			HeapCheckMin:   opts.HeapCheckMin,
@@ -308,14 +304,7 @@ type Magazine = core.Magazine
 // must not use canary detection or ReplicatedMode: batching is
 // incompatible with per-operation audit hooks, and a batched refill
 // draws its probes ahead of the fills.
-func (h *Heap) NewMagazine() (*Magazine, error) {
-	if h.det != nil {
-		return nil, errDetectMagazine
-	}
-	return h.h.NewMagazine()
-}
-
-var errDetectMagazine = fmt.Errorf("diehard: magazines cannot batch past canary detection (DetectCanaries)")
+func (h *Heap) NewMagazine() (*Magazine, error) { return h.h.NewMagazine() }
 
 // Strcpy is DieHard's checked replacement for strcpy (§4.4): the copy
 // is capped at the destination object's remaining capacity, so it can
@@ -355,26 +344,16 @@ type RunOptions struct {
 	// Replicas is the number of replicas (1, or at least 3 so the voter
 	// can adjudicate). Defaults to 3.
 	Replicas int
-	// HeapSize and M configure each replica's heap.
+	// HeapSize configures each replica's heap.
 	HeapSize int
-	M        float64
 	// Seed fixes the per-replica seed derivation; 0 draws true
 	// randomness.
 	Seed uint64
-	// SequentialVoter selects the barrier-synchronized reference voter
-	// instead of the default pipelined hash-then-vote engine
-	// (DESIGN.md §8). Committed output is byte-identical either way;
-	// the sequential voter exists as the semantic reference and the
-	// baseline the pipelined engine is benchmarked against.
-	SequentialVoter bool
-	// PipelineDepth is how many 4 KB voting buffers a replica may run
-	// ahead of the voter before its writes block (pipelined voter
-	// only); 0 selects the default of 4.
-	PipelineDepth int
-	// MaxRestarts lets the pipelined voter replace killed divergent
-	// replicas: a fresh replica with a newly derived seed replays the
-	// broadcast input, is checked against the committed output prefix,
-	// and rejoins the quorum (DESIGN.md §9). 0 disables restarts.
+	// MaxRestarts lets the voter replace killed divergent replicas: a
+	// fresh replica with a newly derived seed replays the broadcast
+	// input, is checked against the committed output prefix, and
+	// rejoins the quorum (DESIGN.md §9). 0 disables restarts; a
+	// negative value is refused.
 	MaxRestarts int
 	// DetectCanaries gives every replica a canary detection heap
 	// instead of the random fill: divergence detection still works, and
@@ -394,25 +373,17 @@ type Result = replicate.Result
 // depends on uninitialized memory is detected (Result.UninitSuspected)
 // and terminated.
 //
-// Voting is pipelined by default: replicas stream hash-tagged 4 KB
-// buffers and keep executing while the voter adjudicates, so a
-// replicated run is not barrier-stalled at every buffer boundary. Set
-// RunOptions.SequentialVoter for the paper's lock-step protocol; the
-// committed output is byte-identical between the two.
+// Voting is pipelined: replicas stream hash-tagged 4 KB buffers and
+// keep executing while the voter adjudicates, so a replicated run is not
+// barrier-stalled at every buffer boundary; the committed output is what
+// the paper's lock-step protocol would commit.
 func Run(prog Program, input []byte, opts RunOptions) (*Result, error) {
-	voter := replicate.VoterPipelined
-	if opts.SequentialVoter {
-		voter = replicate.VoterSequential
-	}
 	return replicate.Run(prog, input, replicate.Options{
-		Replicas:      opts.Replicas,
-		HeapSize:      opts.HeapSize,
-		M:             opts.M,
-		Seed:          opts.Seed,
-		Voter:         voter,
-		PipelineDepth: opts.PipelineDepth,
-		MaxRestarts:   opts.MaxRestarts,
-		Detect:        opts.DetectCanaries,
+		Replicas:    opts.Replicas,
+		HeapSize:    opts.HeapSize,
+		Seed:        opts.Seed,
+		MaxRestarts: opts.MaxRestarts,
+		Detect:      opts.DetectCanaries,
 	})
 }
 

@@ -32,8 +32,7 @@ func main() {
 			if alloc == exps.KindMalloc {
 				heapSize = 64 << 20
 			}
-			res, err := exps.RunFaultInjection("espresso", alloc,
-				exps.InjectionParams{Kind: kind}, trials, 3, heapSize, 0)
+			res, err := exps.RunFaultInjection("espresso", alloc, kind, trials, 3, heapSize, 0)
 			if err != nil {
 				log.Fatal(err)
 			}

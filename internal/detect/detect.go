@@ -147,11 +147,6 @@ type Evidence struct {
 
 // Options configures a Detector.
 type Options struct {
-	// Seed seeds the canary pattern; 0 derives it from the heap's own
-	// layout seed, so differently seeded heaps also carry different
-	// canaries (what makes replicated detection replicas diverge on
-	// uninitialized reads).
-	Seed uint64
 	// HeapCheckEvery, when positive, runs an automatic HeapCheck every
 	// that many allocations — the heap-check barrier of the engine.
 	HeapCheckEvery int
@@ -270,11 +265,10 @@ func New(copts core.Options, dopts Options) (*Heap, error) {
 	}
 	d.h = h
 	d.space = h.Mem()
-	seed := dopts.Seed
-	if seed == 0 {
-		seed = h.Seed()
-	}
-	d.pat = canaryPattern(seed)
+	// The canary pattern derives from the heap's layout seed, so
+	// differently seeded heaps also carry different canaries (what makes
+	// replicated detection replicas diverge on uninitialized reads).
+	d.pat = canaryPattern(h.Seed())
 	for phase := 0; phase < CanaryBytes; phase++ {
 		var w uint64
 		for i := 0; i < 8; i++ {

@@ -151,8 +151,7 @@ func TestFaultInjectionDangling(t *testing.T) {
 	const trials = 10
 	// "This high error rate prevents espresso from running to
 	// completion with the default allocator in all runs."
-	libc, err := RunFaultInjection("espresso", KindMalloc,
-		InjectionParams{Kind: InjectDangling}, trials, 1, 16<<20, 1)
+	libc, err := RunFaultInjection("espresso", KindMalloc, InjectDangling, trials, 1, 16<<20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +164,7 @@ func TestFaultInjectionDangling(t *testing.T) {
 	}
 	// "However, with DieHard, espresso runs correctly in 9 out of 10
 	// runs."
-	dh, err := RunFaultInjection("espresso", KindDieHard,
-		InjectionParams{Kind: InjectDangling}, trials, 1, 0, 1)
+	dh, err := RunFaultInjection("espresso", KindDieHard, InjectDangling, trials, 1, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +178,7 @@ func TestFaultInjectionOverflow(t *testing.T) {
 	const trials = 10
 	// "With the default allocator, espresso crashes in 9 out of 10 runs
 	// and enters an infinite loop in the tenth."
-	libc, err := RunFaultInjection("espresso", KindMalloc,
-		InjectionParams{Kind: InjectOverflow}, trials, 3, 16<<20, 1)
+	libc, err := RunFaultInjection("espresso", KindMalloc, InjectOverflow, trials, 3, 16<<20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +186,7 @@ func TestFaultInjectionOverflow(t *testing.T) {
 		t.Errorf("libc survived %d/%d overflow runs; paper: 0/10 (%+v)", libc.Correct, trials, libc)
 	}
 	// "With DieHard, it runs successfully in all 10 of 10 runs."
-	dh, err := RunFaultInjection("espresso", KindDieHard,
-		InjectionParams{Kind: InjectOverflow}, trials, 3, 0, 1)
+	dh, err := RunFaultInjection("espresso", KindDieHard, InjectOverflow, trials, 3, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

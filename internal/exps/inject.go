@@ -14,42 +14,22 @@ import (
 type InjectionKind string
 
 const (
-	// InjectDangling frees selected objects `Distance` allocations too
-	// early (paper: frequency 50%, distance 10).
+	// InjectDangling frees selected objects danglingDistance allocations
+	// too early (paper: frequency 50%, distance 10).
 	InjectDangling InjectionKind = "dangling"
 	// InjectOverflow under-allocates selected requests (paper: 1% of
 	// requests of 32 bytes or more, by 4 bytes).
 	InjectOverflow InjectionKind = "overflow"
 )
 
-// InjectionParams parameterizes an injection run; zero values select
-// the paper's settings.
-type InjectionParams struct {
-	Kind     InjectionKind
-	Freq     float64 // dangling selection probability (default 0.5)
-	Distance int     // allocations early (default 10)
-	Rate     float64 // overflow probability (default 0.01)
-	MinSize  int     // overflow minimum request (default 32)
-	Delta    int     // overflow under-allocation (default 4)
-}
-
-func (p *InjectionParams) defaults() {
-	if p.Freq == 0 {
-		p.Freq = 0.5
-	}
-	if p.Distance == 0 {
-		p.Distance = 10
-	}
-	if p.Rate == 0 {
-		p.Rate = 0.01
-	}
-	if p.MinSize == 0 {
-		p.MinSize = 32
-	}
-	if p.Delta == 0 {
-		p.Delta = 4
-	}
-}
+// The §7.3.1 injection settings.
+const (
+	danglingFreq     = 0.5  // share of objects freed early
+	danglingDistance = 10   // allocations early
+	overflowRate     = 0.01 // share of eligible requests under-allocated
+	overflowMinSize  = 32   // smallest eligible request, bytes
+	overflowDelta    = 4    // under-allocation, bytes
+)
 
 // InjectionResult counts trial outcomes, the classification of §7.3.1
 // ("espresso crashes in 9 out of 10 runs and enters an infinite loop in
@@ -86,20 +66,20 @@ const (
 	trialHung
 )
 
-// RunFaultInjection reproduces §7.3.1 for one application and allocator:
-// a tracing run collects the allocation log, a plan draws the faults,
+// RunFaultInjection reproduces §7.3.1 for one application and allocator,
+// injecting faults of the given kind at the paper's settings: a tracing
+// run collects the allocation log, a plan draws the faults,
 // and `trials` injected runs are classified against the clean run's
 // output. Trials are independent — every trial's allocator seed and
 // fault plan derive from the trial index — and fan out across `workers`
 // goroutines; the aggregated result is identical for any worker count.
-func RunFaultInjection(appName, allocKind string, params InjectionParams, trials, scale, heapSize, workers int) (*InjectionResult, error) {
-	params.defaults()
+func RunFaultInjection(appName, allocKind string, kind InjectionKind, trials, scale, heapSize, workers int) (*InjectionResult, error) {
 	app, ok := apps.Get(appName)
 	if !ok {
 		return nil, fmt.Errorf("exps: unknown app %q", appName)
 	}
-	if params.Kind != InjectDangling && params.Kind != InjectOverflow {
-		return nil, fmt.Errorf("exps: unknown injection kind %q", params.Kind)
+	if kind != InjectDangling && kind != InjectOverflow {
+		return nil, fmt.Errorf("exps: unknown injection kind %q", kind)
 	}
 	input := app.Input(scale)
 
@@ -135,13 +115,13 @@ func RunFaultInjection(appName, allocKind string, params InjectionParams, trials
 		}
 		var alloc heap.Allocator
 		injected := func() int { return 0 }
-		switch params.Kind {
+		switch kind {
 		case InjectDangling:
-			plan := fault.PlanDangling(trace, params.Freq, params.Distance, seed)
+			plan := fault.PlanDangling(trace, danglingFreq, danglingDistance, seed)
 			alloc = fault.NewDanglingInjector(base, plan)
 			injected = func() int { return plan.Injected }
 		case InjectOverflow:
-			inj := fault.NewOverflowInjector(base, params.Rate, params.MinSize, params.Delta, seed)
+			inj := fault.NewOverflowInjector(base, overflowRate, overflowMinSize, overflowDelta, seed)
 			alloc = inj
 			injected = func() int { return inj.Injected }
 		}

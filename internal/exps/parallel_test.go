@@ -28,12 +28,11 @@ func TestErrorTableParallelDeterminism(t *testing.T) {
 }
 
 func TestInjectionParallelDeterminism(t *testing.T) {
-	params := InjectionParams{Kind: InjectDangling}
-	seq, err := RunFaultInjection("espresso", KindDieHard, params, 8, 1, 0, 1)
+	seq, err := RunFaultInjection("espresso", KindDieHard, InjectDangling, 8, 1, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunFaultInjection("espresso", KindDieHard, params, 8, 1, 0, 8)
+	par, err := RunFaultInjection("espresso", KindDieHard, InjectDangling, 8, 1, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

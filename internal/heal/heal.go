@@ -235,6 +235,16 @@ type supervisor struct {
 
 // Run executes one supervisor under cfg and returns its Result.
 func Run(cfg Config) (*Result, error) {
+	s, err := run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.res, nil
+}
+
+// run executes one supervisor and returns it finished, its Result
+// complete; RunCampaign also merges its accumulator.
+func run(cfg Config) (*supervisor, error) {
 	s, err := newSupervisor(cfg)
 	if err != nil {
 		return nil, err
@@ -244,7 +254,10 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	return s.finish()
+	if _, err := s.finish(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // newSupervisor wires a supervisor's telemetry and builds its first
@@ -549,58 +562,29 @@ func RunCampaign(cfg Config, replicas, workers int) (*CampaignResult, error) {
 		return nil, fmt.Errorf("heal: replicas must be positive")
 	}
 	// Clamped first: MapTrials reads workers <= 0 as one per CPU.
-	results, err := exps.MapTrials(replicas, max(workers, 1), func(i int) (*Result, error) {
+	sups, err := exps.MapTrials(replicas, max(workers, 1), func(i int) (*supervisor, error) {
 		rcfg := cfg
 		rcfg.Seed = exps.DeriveSeed(cfg.Seed, i)
-		return Run(rcfg)
+		return run(rcfg)
 	})
 	if err != nil {
 		return nil, err
 	}
-	cr := &CampaignResult{Replicas: results}
+	cr := &CampaignResult{}
 	merged := &detect.Accumulator{}
-	for _, r := range results {
+	for _, s := range sups {
+		r := s.res
+		cr.Replicas = append(cr.Replicas, r)
 		cr.Cycles += r.Cycles
 		cr.Failures += r.Failures
 		cr.Restarts += r.Restarts
-		mergeVerdict(merged, r.Overflow)
-		mergeVerdict(merged, r.Dangling)
+		merged.Merge(s.acc)
 	}
 	cr.MTBF = float64(cr.Cycles) / float64(max(1, cr.Failures))
 	cr.Overflow = merged.Verdict(detect.KindOverflow, confidenceBar)
 	cr.Dangling = merged.Verdict(detect.KindDangling, confidenceBar)
 	cr.VerdictHash = cr.hash()
 	return cr, nil
-}
-
-// mergeVerdict folds one replica's per-kind tally into the campaign
-// accumulator by replaying its votes as synthetic windows. Votes and
-// window counts are sums either way, so this equals merging the live
-// accumulators, without keeping them alive past their replica.
-func mergeVerdict(acc *detect.Accumulator, v *detect.TriageResult) {
-	if v == nil || v.Detected == 0 {
-		return
-	}
-	b := &detect.Accumulator{}
-	sites := make([]int, 0, len(v.Votes))
-	for s := range v.Votes {
-		sites = append(sites, s)
-	}
-	sort.Ints(sites)
-	// Replay: Detected windows, the i-th containing every site with more
-	// than i votes. Vote multisets are preserved exactly.
-	for i := 0; i < v.Detected; i++ {
-		var evs []detect.Evidence
-		for _, s := range sites {
-			if v.Votes[s] > i {
-				evs = append(evs, detect.Evidence{Kind: v.Kind, AllocSite: s, Length: v.OverflowLen})
-			}
-		}
-		if evs != nil {
-			b.Observe(evs, 0)
-		}
-	}
-	acc.Merge(b)
 }
 
 // hash digests the campaign's observable outcome.

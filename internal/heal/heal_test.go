@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"diehard/internal/detect"
 	"diehard/internal/obs"
 	"diehard/internal/vmem"
 )
@@ -114,13 +115,49 @@ func TestHealMTBF(t *testing.T) {
 	}
 }
 
+// TestHealCampaignMergesReplicaWindows holds the campaign verdicts to
+// the replicas' own tallies: the merged accumulator counts every window
+// each replica detected and every vote each replica cast, so the strict
+// majority is judged over all the campaign's windows.
+func TestHealCampaignMergesReplicaWindows(t *testing.T) {
+	for _, healOn := range []bool{true, false} {
+		cfg := testConfig(healOn)
+		cfg.Cycles = 120
+		cr, err := RunCampaign(cfg, 6, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []detect.Kind{detect.KindOverflow, detect.KindDangling} {
+			merged := cr.Overflow
+			if kind == detect.KindDangling {
+				merged = cr.Dangling
+			}
+			detected, votes := 0, map[int]int{}
+			for _, r := range cr.Replicas {
+				v := r.Overflow
+				if kind == detect.KindDangling {
+					v = r.Dangling
+				}
+				detected += v.Detected
+				for site, n := range v.Votes {
+					votes[site] += n
+				}
+			}
+			if merged.Detected != detected || !reflect.DeepEqual(merged.Votes, votes) {
+				t.Errorf("Heal=%v %s: merged %d windows, votes %v; replicas sum to %d windows, votes %v",
+					healOn, kind, merged.Detected, merged.Votes, detected, votes)
+			}
+		}
+	}
+}
+
 // TestHealCampaignDeterministicAcrossWorkers pins the replicated
 // campaign's w=1 vs w=8 byte-identity: same seeds, same replica
 // results, same merged verdicts, same hash. The hashes with Heal on and
 // off are also pinned to recorded values, so a change that moves every
 // replica alike — a different pad, hold, or free — fails here too.
 func TestHealCampaignDeterministicAcrossWorkers(t *testing.T) {
-	for healOn, want := range map[bool]uint64{true: 0x21e9bdb61d525cf9, false: 0xe189a40591e9f55d} {
+	for healOn, want := range map[bool]uint64{true: 0xd56313e72c95eb99, false: 0x7dbc585097952881} {
 		cfg := testConfig(healOn)
 		cfg.Cycles = 120
 		got, err := RunCampaign(cfg, 6, 1)

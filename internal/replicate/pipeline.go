@@ -5,14 +5,15 @@ import (
 	"sync"
 )
 
-// The pipelined voting engine (DESIGN.md §8). Three changes over the
-// sequential barrier protocol, none of which alter what gets committed:
+// The voter (DESIGN.md §8). It departs from the paper's lock-step
+// barrier protocol in three ways, none of which alter what gets
+// committed:
 //
 //  1. Each replica hashes its buffer in its own goroutine and sends it
-//     through a channel buffered to PipelineDepth, so a replica only
-//     blocks once it has run PipelineDepth buffers ahead of the voter —
-//     surviving replicas keep executing while the current round is
-//     being voted, instead of stalling at a barrier.
+//     through a buffered channel, so a replica only blocks once it has
+//     run its window of buffers ahead of the voter — surviving replicas
+//     keep executing while the current round is being voted, instead of
+//     stalling at a barrier.
 //  2. The voter groups buffers by hash and byte-compares only within
 //     hash-equal groups (adjudicate), so a round over k replicas that
 //     all agree costs k hash lookups and one byte comparison chain
@@ -25,30 +26,29 @@ import (
 // Rounds are still adjudicated strictly in order: the voter takes the
 // next buffer from every live replica's FIFO channel, so round r is
 // always every replica's r-th buffer and the committed output is
-// byte-identical to the sequential engine's for any replica count.
+// byte-identical to the lock-step protocol's for any replica count
+// (TestVoterMatchesOfflineVote pins this against a sequential offline
+// vote).
 //
-// How far a replica may run ahead is adaptive (open since PR 3): each
-// writer carries a run-ahead window that resizes toward the voter lag
-// the voter measures when it releases the chunk's credit — after the
-// chunk's round adjudicates — within [1, 2×depth]. A
-// replica the voter keeps waiting on (its queue is drained on arrival)
-// shrinks toward a window of 1 — it is the laggard; buffering ahead of
-// it buys nothing. A replica that keeps saturating its allowance while
-// the voter is stuck on a slower sibling widens toward 2×depth, so the
-// buffer memory migrates to exactly the replicas that can use it. The
-// window gates only how far execution runs ahead of adjudication —
-// round order, and therefore the committed output, is untouched
-// (TestPipelinedMatchesSequential pins this against the sequential
-// engine).
+// How far a replica may run ahead is adaptive: each writer carries a
+// run-ahead window that resizes toward the voter lag the voter measures
+// when it releases the chunk's credit — after the chunk's round
+// adjudicates — within [1, 2×PipelineDepth]. A replica the voter keeps
+// waiting on (its queue is drained on arrival) shrinks toward a window
+// of 1 — it is the laggard; buffering ahead of it buys nothing. A
+// replica that keeps saturating its allowance while the voter is stuck
+// on a slower sibling widens toward 2×PipelineDepth, so the buffer
+// memory migrates to exactly the replicas that can use it. The window
+// gates only how far execution runs ahead of adjudication — round
+// order, and therefore the committed output, is untouched.
 
 // pipeWriter stages a replica's output into a buffered channel. The
 // voter kills the replica by closing kill; the writer observes the kill
 // on its next write or while waiting for run-ahead credit. The channel
-// capacity is the hard 2×depth bound, so once acquire grants credit the
-// send itself never blocks.
+// capacity is the hard 2×PipelineDepth bound, so once acquire grants
+// credit the send itself never blocks.
 type pipeWriter struct {
 	buf    []byte
-	size   int
 	ch     chan chunk
 	kill   chan struct{}
 	killed bool
@@ -56,18 +56,15 @@ type pipeWriter struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	inFlight int  // chunks granted credit and not yet consumed by the voter
-	window   int  // adaptive run-ahead allowance, within [1, 2*base]
-	base     int  // configured PipelineDepth
+	window   int  // adaptive run-ahead allowance, within [1, 2*PipelineDepth]
 	dead     bool // kill observed; wakes acquire waiters
 }
 
-func newPipeWriter(size, depth int) *pipeWriter {
+func newPipeWriter() *pipeWriter {
 	w := &pipeWriter{
-		size:   size,
-		ch:     make(chan chunk, 2*depth),
+		ch:     make(chan chunk, 2*PipelineDepth),
 		kill:   make(chan struct{}),
-		window: depth,
-		base:   depth,
+		window: PipelineDepth,
 	}
 	w.cond = sync.NewCond(&w.mu)
 	return w
@@ -100,7 +97,7 @@ func (w *pipeWriter) release() int {
 	w.inFlight--
 	switch lag := w.inFlight; {
 	case lag+1 >= w.window:
-		if w.window < 2*w.base {
+		if w.window < 2*PipelineDepth {
 			w.window++
 		}
 	case w.window > lag+1:
@@ -132,10 +129,10 @@ func (w *pipeWriter) Write(p []byte) (int, error) {
 	default:
 	}
 	w.buf = append(w.buf, p...)
-	for len(w.buf) >= w.size {
-		out := make([]byte, w.size)
-		copy(out, w.buf[:w.size])
-		w.buf = w.buf[w.size:]
+	for len(w.buf) >= BufferSize {
+		out := make([]byte, BufferSize)
+		copy(out, w.buf[:BufferSize])
+		w.buf = w.buf[BufferSize:]
 		if !w.acquire() {
 			w.killed = true
 			return 0, ErrKilled
@@ -145,9 +142,9 @@ func (w *pipeWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// finish sends the final (possibly empty) partial buffer; unlike the
-// sequential writer there is no acknowledgement to wait for — the
-// replica goroutine exits as soon as the buffer is queued.
+// finish sends the final (possibly empty) partial buffer; there is no
+// acknowledgement to wait for — the replica goroutine exits as soon as
+// the buffer is queued.
 func (w *pipeWriter) finish(progErr error) {
 	if w.killed {
 		return
@@ -158,16 +155,16 @@ func (w *pipeWriter) finish(progErr error) {
 	w.ch <- chunk{data: w.buf, hash: chunkHash(w.buf, true), done: true, err: progErr}
 }
 
-// runPipelined drives a replicated run through the pipelined voter,
-// filling res (everything except Survivors, which Run derives from the
-// per-replica reports). When Options.MaxRestarts is positive, each kill
-// of a divergent replica is followed by a restart attempt: a fresh
-// replica with a seed from nextSeed re-executes the program over the
-// broadcast input, the voter replays its output against the committed
-// prefix, and on a byte-exact match the replacement joins the next
-// voting round — restoring the quorum, as §5 suggests for long-running
-// services.
-func runPipelined(prog Program, input []byte, opts Options, seeds []uint64, nextSeed func() uint64, res *Result) {
+// runPipelined drives a replicated run through the voter, filling res
+// (everything except Survivors, which Run derives from the per-replica
+// reports). Every replica's seed comes from nextSeed. When
+// Options.MaxRestarts is positive, each kill of a divergent replica is
+// followed by a restart attempt: a fresh replica re-executes the program
+// over the broadcast input, the voter replays its output against the
+// committed prefix, and on a byte-exact match the replacement joins the
+// next voting round — restoring the quorum, as §5 suggests for
+// long-running services.
+func runPipelined(prog Program, input []byte, opts Options, nextSeed func() uint64, res *Result) {
 	k := opts.Replicas
 	writers := make([]*pipeWriter, 0, k+opts.MaxRestarts)
 	reps := make([]*ReplicaReport, 0, k+opts.MaxRestarts)
@@ -179,7 +176,7 @@ func runPipelined(prog Program, input []byte, opts Options, seeds []uint64, next
 	// is assembled from them once every goroutine has unwound.
 	spawn := func(seed uint64, restarted bool) int {
 		i := len(writers)
-		w := newPipeWriter(opts.BufferSize, opts.PipelineDepth)
+		w := newPipeWriter()
 		rep := &ReplicaReport{Seed: seed, Restarted: restarted}
 		writers = append(writers, w)
 		reps = append(reps, rep)
@@ -192,7 +189,7 @@ func runPipelined(prog Program, input []byte, opts Options, seeds []uint64, next
 		return i
 	}
 	for i := 0; i < k; i++ {
-		spawn(seeds[i], false)
+		spawn(nextSeed(), false)
 	}
 
 	var output bytes.Buffer
@@ -239,7 +236,7 @@ func runPipelined(prog Program, input []byte, opts Options, seeds []uint64, next
 	// ending and the replayed stream could not be re-chunked to match.
 	restart := func() {
 		for restarts < opts.MaxRestarts {
-			if output.Len()%opts.BufferSize != 0 {
+			if output.Len()%BufferSize != 0 {
 				return
 			}
 			restarts++
@@ -247,7 +244,7 @@ func runPipelined(prog Program, input []byte, opts Options, seeds []uint64, next
 			idx := spawn(nextSeed(), true)
 			committed := output.Bytes()
 			ok := true
-			for off := 0; off < len(committed); off += opts.BufferSize {
+			for off := 0; off < len(committed); off += BufferSize {
 				m := recv(idx)
 				if m.err != nil {
 					states[idx] = rsCrashed
@@ -255,7 +252,7 @@ func runPipelined(prog Program, input []byte, opts Options, seeds []uint64, next
 					ok = false
 					break
 				}
-				if m.done || !bytes.Equal(m.data, committed[off:off+opts.BufferSize]) {
+				if m.done || !bytes.Equal(m.data, committed[off:off+BufferSize]) {
 					// The replacement's replay diverged: it is as useless
 					// as the replica it was meant to replace.
 					kill(idx)

@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"diehard/internal/detect"
 )
 
-// Tests for the pipelined hash-then-vote engine (DESIGN.md §8). The
+// Tests for the pipelined hash-then-vote voter (DESIGN.md §8). The
 // contract under test: pipelining changes when replicas execute, never
 // what the voter commits.
 
@@ -46,43 +47,230 @@ func chunkedProgram(rounds, size int, deviant int, deviateAt int) Program {
 	}
 }
 
-// resultFingerprint strips the fields a voting engine may not influence
-// down to a comparable value.
+// resultFingerprint strips the fields the voter's scheduling may not
+// influence down to a comparable value.
 func resultFingerprint(res *Result) string {
 	s := fmt.Sprintf("agreed=%v uninit=%v survivors=%d rounds=%d out=%x",
 		res.Agreed, res.UninitSuspected, res.Survivors, res.Rounds, res.Output)
 	for _, r := range res.Replicas {
-		s += fmt.Sprintf(" [seed=%x killed=%v completed=%v]", r.Seed, r.Killed, r.Completed)
+		s += fmt.Sprintf(" [seed=%x killed=%v completed=%v crashed=%v]", r.Seed, r.Killed, r.Completed, r.Err != nil)
 	}
 	return s
 }
 
-func TestPipelinedMatchesSequential(t *testing.T) {
+// recorder is the offline reference's replicaWriter: it cuts a
+// replica's output into BufferSize buffers as pipeWriter does, and keeps
+// them for the vote instead of sending them to a voter.
+type recorder struct {
+	buf  []byte
+	bufs []recorded
+}
+
+// recorded is one buffer of a replica's output: done marks the final,
+// possibly partial one, err a crashed replica's program error.
+type recorded struct {
+	data []byte
+	done bool
+	err  error
+}
+
+func (w *recorder) Write(p []byte) (int, error) {
+	w.buf = append(w.buf, p...)
+	for len(w.buf) >= BufferSize {
+		w.bufs = append(w.bufs, recorded{data: bytes.Clone(w.buf[:BufferSize])})
+		w.buf = w.buf[BufferSize:]
+	}
+	return len(p), nil
+}
+
+func (w *recorder) finish(progErr error) {
+	w.bufs = append(w.bufs, recorded{data: w.buf, done: true, err: progErr})
+}
+
+// voteOffline is the paper's lock-step protocol as a sequential
+// reference: it re-executes every replica of the finished run res with
+// that replica's seed through runReplica (so heap construction, the
+// virtual clock, panics and crash errors are the product's own), records
+// each replica's whole output, and then votes round by round over the
+// recorded buffers with no goroutines, channels or credit. It compares
+// raw bytes and calls neither chunkHash nor adjudicate. Runs with
+// restarts are out of its scope.
+func voteOffline(prog Program, input []byte, opts Options, res *Result) *Result {
+	k := len(res.Replicas)
+	recs := make([]*recorder, k)
+	ref := &Result{Agreed: true, Replicas: make([]ReplicaReport, k)}
+	for i := range recs {
+		recs[i] = &recorder{}
+		ref.Replicas[i].Seed = res.Replicas[i].Seed
+		runReplica(i, prog, input, opts, ref.Replicas[i].Seed, recs[i], &ReplicaReport{})
+	}
+	live := func(i int) bool {
+		r := &ref.Replicas[i]
+		return !r.Killed && !r.Completed && r.Err == nil
+	}
+	for round := 0; ; round++ {
+		var running []int
+		for i := 0; i < k; i++ {
+			if live(i) {
+				running = append(running, i)
+			}
+		}
+		if len(running) == 0 {
+			break
+		}
+		ref.Rounds++
+		// A crashed replica's final, partial buffer is discarded.
+		var ids []int
+		for _, i := range running {
+			if err := recs[i].bufs[round].err; err != nil {
+				ref.Replicas[i].Err = err
+				continue
+			}
+			ids = append(ids, i)
+		}
+		if len(ids) == 0 {
+			break
+		}
+		// Identical (bytes, done) buffers form a group.
+		buf := func(i int) recorded { return recs[i].bufs[round] }
+		var groups [][]int
+		for _, i := range ids {
+			g := 0
+			for ; g < len(groups); g++ {
+				a, b := buf(groups[g][0]), buf(i)
+				if a.done == b.done && bytes.Equal(a.data, b.data) {
+					break
+				}
+			}
+			if g == len(groups) {
+				groups = append(groups, nil)
+			}
+			groups[g] = append(groups[g], i)
+		}
+		// The largest group wins; a tie goes to the group holding the
+		// smallest replica id.
+		win := groups[0]
+		for _, g := range groups[1:] {
+			if len(g) > len(win) || len(g) == len(win) && g[0] < win[0] {
+				win = g
+			}
+		}
+		if len(groups) > 1 && len(win) < 2 {
+			// No two replicas agree: a suspected uninitialized read
+			// ends the run, and every live replica dies.
+			ref.UninitSuspected = true
+			ref.Agreed = false
+			for _, i := range ids {
+				ref.Replicas[i].Killed = true
+			}
+			break
+		}
+		if k > 1 && len(win) < 2 {
+			ref.Agreed = false // a lone winner has no quorum
+		}
+		ref.Output = append(ref.Output, buf(win[0]).data...)
+		for _, i := range ids {
+			if !slices.Contains(win, i) {
+				ref.Replicas[i].Killed = true
+			}
+		}
+		for _, i := range win {
+			if buf(i).done {
+				ref.Replicas[i].Completed = true
+			}
+		}
+	}
+	for _, r := range ref.Replicas {
+		if r.Completed {
+			ref.Survivors++
+		}
+	}
+	if ref.Survivors == 0 {
+		ref.Agreed = false
+	}
+	return ref
+}
+
+// crashAt wraps replica ctx's output so that the replica writes its
+// first n bytes and then crashes on a wild read (the simulated
+// SIGSEGV), leaving a partial buffer staged.
+func crashAt(ctx *Context, n int) {
+	orig, written := ctx.Out, 0
+	ctx.Out = writerFunc(func(p []byte) (int, error) {
+		if written+len(p) > n {
+			if _, err := orig.Write(p[:n-written]); err != nil {
+				return 0, err
+			}
+			written = n
+			if _, err := ctx.Mem.Load8(0xdead0000); err != nil {
+				return 0, err
+			}
+			return 0, errors.New("wild read did not fault")
+		}
+		written += len(p)
+		return orig.Write(p)
+	})
+}
+
+// divergeAfter wraps replica ctx's output so that every byte after the
+// first n is replaced by fill: replicas given the same fill diverge
+// from the rest identically.
+func divergeAfter(ctx *Context, n int, fill byte) {
+	orig, written := ctx.Out, 0
+	ctx.Out = writerFunc(func(p []byte) (int, error) {
+		q := bytes.Clone(p)
+		for j := range q {
+			if written+j >= n {
+				q[j] = fill
+			}
+		}
+		written += len(p)
+		return orig.Write(q)
+	})
+}
+
+func TestVoterMatchesOfflineVote(t *testing.T) {
 	// The golden acceptance test: for any replica count, with and
-	// without a mid-stream deviant, both engines commit byte-identical
-	// output and report identical fates.
+	// without a mid-stream deviant, on plain runs, with a replica
+	// crashing mid-buffer, and with two replicas diverging identically
+	// (a 2–2 tie at k = 4), the voter commits exactly what the offline
+	// lock-step vote commits and reports identical fates.
+	const rounds = 6
+	scenarios := []struct {
+		name string
+		wrap func(ctx *Context)
+	}{
+		{"plain", func(*Context) {}},
+		{"crash0", func(ctx *Context) {
+			if ctx.Replica == 0 {
+				crashAt(ctx, 5*BufferSize/2)
+			}
+		}},
+		{"pair13", func(ctx *Context) {
+			if ctx.Replica == 1 || ctx.Replica == 3 {
+				divergeAfter(ctx, 2*BufferSize, 0x5A)
+			}
+		}},
+	}
 	for _, k := range []int{1, 2, 3, 4, 5, 8} {
-		for _, deviant := range []int{-1, 1} {
-			if deviant >= k || (deviant >= 0 && k < 3) {
-				continue // a deviant needs a majority to lose against
-			}
-			name := fmt.Sprintf("k=%d/deviant=%d", k, deviant)
-			prog := chunkedProgram(6, 512, deviant, 3)
-			opts := Options{Replicas: k, HeapSize: testHeap, Seed: 77, BufferSize: 512}
-			optsSeq := opts
-			optsSeq.Voter = VoterSequential
-			seq, err := Run(prog, nil, optsSeq)
-			if err != nil {
-				t.Fatalf("%s sequential: %v", name, err)
-			}
-			optsPipe := opts
-			optsPipe.Voter = VoterPipelined
-			pipe, err := Run(prog, nil, optsPipe)
-			if err != nil {
-				t.Fatalf("%s pipelined: %v", name, err)
-			}
-			if a, b := resultFingerprint(seq), resultFingerprint(pipe); a != b {
-				t.Errorf("%s: engines disagree\nsequential: %s\npipelined:  %s", name, a, b)
+		for _, deviant := range []int{-1, 2} {
+			for _, sc := range scenarios {
+				sc := sc
+				name := fmt.Sprintf("k=%d/deviant=%d/%s", k, deviant, sc.name)
+				base := chunkedProgram(rounds, BufferSize, deviant, 3)
+				prog := func(ctx *Context) error {
+					sc.wrap(ctx)
+					return base(ctx)
+				}
+				opts := Options{Replicas: k, HeapSize: testHeap, Seed: 77}
+				res, err := Run(prog, nil, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				ref := voteOffline(prog, nil, opts, res)
+				if a, b := resultFingerprint(res), resultFingerprint(ref); a != b {
+					t.Errorf("%s: voter disagrees with the offline vote\nvoter:   %s\noffline: %s", name, a, b)
+				}
 			}
 		}
 	}
@@ -96,7 +284,7 @@ func TestPipelinedMidStreamDivergenceWithLaggingReplica(t *testing.T) {
 	// majority's full output must be committed.
 	const (
 		rounds = 8
-		size   = 256
+		size   = BufferSize
 	)
 	prog := chunkedProgram(rounds, size, 1, 3)
 	lagged := func(ctx *Context) error {
@@ -109,7 +297,7 @@ func TestPipelinedMidStreamDivergenceWithLaggingReplica(t *testing.T) {
 		}
 		return prog(ctx)
 	}
-	res, err := Run(lagged, nil, Options{Replicas: 3, HeapSize: testHeap, Seed: 31, BufferSize: size})
+	res, err := Run(lagged, nil, Options{Replicas: 3, HeapSize: testHeap, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +326,8 @@ func TestPipelinedAllDisagreeTerminates(t *testing.T) {
 	// round, commit nothing, and unwind every replica with ErrKilled.
 	errs := make(chan error, 3)
 	prog := func(ctx *Context) error {
-		payload := bytes.Repeat([]byte{byte(ctx.Replica + 1)}, DefaultBufferSize)
-		for i := 0; i < DefaultPipelineDepth+2; i++ {
+		payload := bytes.Repeat([]byte{byte(ctx.Replica + 1)}, BufferSize)
+		for i := 0; i < PipelineDepth+2; i++ {
 			if _, err := ctx.Out.Write(payload); err != nil {
 				errs <- err
 				return err
@@ -170,23 +358,12 @@ func TestPipelinedCrashDuringVoteIsDiscarded(t *testing.T) {
 	// nothing else.
 	const (
 		rounds = 6
-		size   = 256
+		size   = BufferSize
 	)
 	prog := chunkedProgram(rounds, size, -1, 0)
 	crashy := func(ctx *Context) error {
 		if ctx.Replica == 0 {
-			crashAfter := 2 * size
-			written := 0
-			orig := ctx.Out
-			ctx.Out = writerFunc(func(p []byte) (int, error) {
-				if written >= crashAfter {
-					if _, err := ctx.Mem.Load8(0xdead0000); err != nil {
-						return 0, err
-					}
-				}
-				written += len(p)
-				return orig.Write(p)
-			})
+			crashAt(ctx, 2*size)
 		} else if ctx.Replica == 2 {
 			orig := ctx.Out
 			ctx.Out = writerFunc(func(p []byte) (int, error) {
@@ -196,7 +373,7 @@ func TestPipelinedCrashDuringVoteIsDiscarded(t *testing.T) {
 		}
 		return prog(ctx)
 	}
-	res, err := Run(crashy, nil, Options{Replicas: 3, HeapSize: testHeap, Seed: 34, BufferSize: size})
+	res, err := Run(crashy, nil, Options{Replicas: 3, HeapSize: testHeap, Seed: 34})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +402,7 @@ func TestPipelinedVoterStress(t *testing.T) {
 	const (
 		k      = 8
 		rounds = 48
-		size   = 512
+		size   = BufferSize
 	)
 	prog := chunkedProgram(rounds, size, 5, 17)
 	mixed := func(ctx *Context) error {
@@ -238,7 +415,7 @@ func TestPipelinedVoterStress(t *testing.T) {
 		}
 		return prog(ctx)
 	}
-	res, err := Run(mixed, nil, Options{Replicas: k, HeapSize: testHeap, Seed: 35, BufferSize: size})
+	res, err := Run(mixed, nil, Options{Replicas: k, HeapSize: testHeap, Seed: 35})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,31 +431,14 @@ func TestPipelinedVoterStress(t *testing.T) {
 	}
 }
 
-func TestPipelineDepthBoundsRunahead(t *testing.T) {
-	// With PipelineDepth = 1 the engine degrades gracefully toward
-	// lock-step; the committed output must not change.
-	prog := chunkedProgram(5, 256, -1, 0)
-	deep, err := Run(prog, nil, Options{Replicas: 3, HeapSize: testHeap, Seed: 36, BufferSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shallow, err := Run(prog, nil, Options{Replicas: 3, HeapSize: testHeap, Seed: 36, BufferSize: 256, PipelineDepth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(deep.Output, shallow.Output) {
-		t.Fatal("pipeline depth changed the committed output")
-	}
-}
-
 func TestAdaptiveWindowController(t *testing.T) {
 	// Drives one pipeWriter's credit window directly. A writer the
 	// voter always finds saturated widens one unit per release up to
 	// the 2×base cap; a writer the voter always finds drained narrows
 	// to the lock-step floor (window 1, with ±1 dither because a
 	// exactly-matched pair re-triggers the saturation rule).
-	const base = 4
-	w := newPipeWriter(64, base)
+	const base = PipelineDepth
+	w := newPipeWriter()
 	fill := func() {
 		for {
 			w.mu.Lock()
@@ -330,13 +490,11 @@ func TestAdaptiveWindowController(t *testing.T) {
 func TestAdaptiveWindowWidensUnderLaggard(t *testing.T) {
 	// One replica sleeps on every write; the fast siblings saturate
 	// their allowance while the voter waits on it, so their windows
-	// widen past the configured base — and the committed output is
-	// still byte-exact. The sequential voter has no window at all:
-	// its peak stays zero.
+	// widen past PipelineDepth — and the committed output is still
+	// byte-exact.
 	const (
 		rounds = 32
-		size   = 256
-		depth  = 3
+		size   = BufferSize
 	)
 	prog := chunkedProgram(rounds, size, -1, 0)
 	mixed := func(ctx *Context) error {
@@ -349,7 +507,7 @@ func TestAdaptiveWindowWidensUnderLaggard(t *testing.T) {
 		}
 		return prog(ctx)
 	}
-	res, err := Run(mixed, nil, Options{Replicas: 3, HeapSize: testHeap, Seed: 37, BufferSize: size, PipelineDepth: depth})
+	res, err := Run(mixed, nil, Options{Replicas: 3, HeapSize: testHeap, Seed: 37})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,15 +521,8 @@ func TestAdaptiveWindowWidensUnderLaggard(t *testing.T) {
 	if !res.Agreed || res.Survivors != 3 {
 		t.Fatalf("result %+v", res)
 	}
-	if res.PipelineDepthPeak <= depth || res.PipelineDepthPeak > 2*depth {
-		t.Fatalf("peak window %d, want in (%d, %d]", res.PipelineDepthPeak, depth, 2*depth)
-	}
-	seq, err := Run(mixed, nil, Options{Replicas: 3, HeapSize: testHeap, Seed: 37, BufferSize: size, PipelineDepth: depth, Voter: VoterSequential})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.PipelineDepthPeak != 0 {
-		t.Fatalf("sequential voter reported a pipeline window peak %d", seq.PipelineDepthPeak)
+	if res.PipelineDepthPeak <= PipelineDepth || res.PipelineDepthPeak > 2*PipelineDepth {
+		t.Fatalf("peak window %d, want in (%d, %d]", res.PipelineDepthPeak, PipelineDepth, 2*PipelineDepth)
 	}
 }
 
@@ -379,7 +530,7 @@ func TestAdaptiveWindowWidensUnderLaggard(t *testing.T) {
 
 func TestRestartRestoresQuorum(t *testing.T) {
 	const rounds = 6
-	prog := chunkedProgram(rounds, DefaultBufferSize, 2, 2)
+	prog := chunkedProgram(rounds, BufferSize, 2, 2)
 	res, err := Run(prog, nil, Options{
 		Replicas: 3, Seed: 0x0e57a87, HeapSize: 8 << 20, MaxRestarts: 2,
 	})
@@ -388,7 +539,7 @@ func TestRestartRestoresQuorum(t *testing.T) {
 	}
 	var want bytes.Buffer
 	for r := 0; r < rounds; r++ {
-		want.Write(bytes.Repeat([]byte{byte(r + 1)}, DefaultBufferSize))
+		want.Write(bytes.Repeat([]byte{byte(r + 1)}, BufferSize))
 	}
 	if !bytes.Equal(res.Output, want.Bytes()) {
 		t.Fatalf("restarted run committed wrong output (%d bytes, want %d)", len(res.Output), want.Len())
@@ -425,7 +576,7 @@ func TestRestartBudgetExhaustedByPersistentDivergence(t *testing.T) {
 			if ctx.Replica >= 2 && r >= 1 {
 				fill = 0xBD ^ byte(ctx.Replica)
 			}
-			if _, err := ctx.Out.Write(bytes.Repeat([]byte{fill}, DefaultBufferSize)); err != nil {
+			if _, err := ctx.Out.Write(bytes.Repeat([]byte{fill}, BufferSize)); err != nil {
 				return err
 			}
 		}
@@ -454,26 +605,10 @@ func TestRestartBudgetExhaustedByPersistentDivergence(t *testing.T) {
 	}
 	var want bytes.Buffer
 	for r := 0; r < rounds; r++ {
-		want.Write(bytes.Repeat([]byte{byte(r + 1)}, DefaultBufferSize))
+		want.Write(bytes.Repeat([]byte{byte(r + 1)}, BufferSize))
 	}
 	if !bytes.Equal(res.Output, want.Bytes()) {
 		t.Error("committed output corrupted by failed restarts")
-	}
-}
-
-func TestRestartIgnoredBySequentialVoter(t *testing.T) {
-	prog := chunkedProgram(3, DefaultBufferSize, 1, 1)
-	res, err := Run(prog, nil, Options{
-		Replicas: 3, Seed: 0x5e9, HeapSize: 8 << 20, MaxRestarts: 2, Voter: VoterSequential,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Replicas) != 3 {
-		t.Fatalf("sequential voter spawned replacements: %d reports", len(res.Replicas))
-	}
-	if res.Survivors != 2 {
-		t.Errorf("survivors = %d, want 2", res.Survivors)
 	}
 }
 
@@ -497,7 +632,7 @@ func TestKilledReplicaEvidenceFeedsTriage(t *testing.T) {
 		if err := ctx.Alloc.Free(p); err != nil {
 			return err
 		}
-		out := bytes.Repeat([]byte{'o'}, DefaultBufferSize)
+		out := bytes.Repeat([]byte{'o'}, BufferSize)
 		if ctx.Replica == 2 {
 			out[17] = 'X' // ...and the divergent output that gets it killed
 		}

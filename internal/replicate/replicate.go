@@ -18,18 +18,14 @@
 //   - if no two replicas agree, an uninitialized read (or equivalent
 //     divergence) has been detected and execution terminates.
 //
-// Two voting engines implement those semantics (DESIGN.md §8). The
-// default pipelined engine tags every buffer with a 64-bit hash in the
-// replica's own goroutine and streams it through a buffered per-replica
-// channel, so surviving replicas keep executing their next buffers while
-// the current round is being voted; agreement is decided hash-first,
-// with byte comparison only between hash-equal buffers, so the committed
-// output is exactly what §5.2's byte-wise comparison would commit. The
-// sequential engine (Options.Voter = VoterSequential) barrier-stalls
-// every replica at each voting round, which is the paper's lock-step
-// pipe protocol and the baseline the pipelined engine is benchmarked
-// against. Both engines share one adjudication function, so they commit
-// byte-identical output for any replica count.
+// The voter is pipelined (DESIGN.md §8): every buffer is tagged with a
+// 64-bit hash in the replica's own goroutine and streamed through a
+// per-replica channel, so surviving replicas keep executing their next
+// buffers while the current round is being voted; agreement is decided
+// hash-first, with byte comparison only between hash-equal buffers, so
+// the committed output is exactly what §5.2's byte-wise comparison would
+// commit. The paper's lock-step protocol is kept as a sequential offline
+// vote in the tests, and the voter must match it.
 //
 // Replicas that crash are discarded and the live-replica count drops,
 // mirroring the signal handling of the real system. Functions that would
@@ -41,7 +37,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"diehard/internal/obs"
 
@@ -52,39 +47,25 @@ import (
 	"diehard/internal/rng"
 )
 
-// DefaultBufferSize is the voting granularity: the unit of transfer of a
+// BufferSize is the voting granularity: the unit of transfer of a
 // pipe, as in §5.2.
-const DefaultBufferSize = 4096
+const BufferSize = 4096
 
-// DefaultPipelineDepth is the base run-ahead allowance of the pipelined
-// engine: the starting point of each replica's adaptive window (see
-// Options.PipelineDepth).
-const DefaultPipelineDepth = 4
+// PipelineDepth is the base run-ahead allowance of the voter: each
+// replica's window starts here and adapts toward the measured voter lag
+// within [1, 2×PipelineDepth] (laggards shrink to 1, replicas the voter
+// keeps waiting behind a slower sibling widen to 2×). The window never
+// affects committed output, only how far execution runs ahead of
+// adjudication.
+const PipelineDepth = 4
 
 // ErrKilled is returned from output writes of a replica the voter has
-// killed for disagreeing. The replica's program unwinds on it. Under the
-// pipelined voter the error surfaces on the first write after the kill
-// is observed, which may be up to PipelineDepth buffers after the
-// disagreeing one; none of the intervening output is ever committed.
+// killed for disagreeing. The replica's program unwinds on it. The error
+// surfaces on the first write after the kill is observed, which may be
+// up to the replica's run-ahead window (at most 2×PipelineDepth) of
+// buffers after the disagreeing one; none of the intervening output is
+// ever committed.
 var ErrKilled = errors.New("replicate: replica killed by voter")
-
-// ErrNoAgreement reports a barrier at which no two replicas agreed — the
-// signature of an uninitialized read propagating to output.
-var ErrNoAgreement = errors.New("replicate: no two replicas agree; uninitialized read suspected")
-
-// VoterMode selects the voting engine.
-type VoterMode int
-
-const (
-	// VoterPipelined is the default hash-then-vote engine: replicas
-	// stream hashed buffers through buffered channels and keep executing
-	// while the voter adjudicates (DESIGN.md §8).
-	VoterPipelined VoterMode = iota
-	// VoterSequential is the paper's lock-step protocol: every replica
-	// stalls at each voting barrier until the round is committed. Kept
-	// as the semantic reference and benchmark baseline.
-	VoterSequential
-)
 
 // Context is a replica's view of the world, passed to the Program.
 type Context struct {
@@ -117,42 +98,25 @@ type Options struct {
 	// Replicas is the number of replicas; the voter cannot adjudicate
 	// two, so use 1 or at least 3 (§6). Defaults to 3.
 	Replicas int
-	// HeapSize, M: per-replica DieHard configuration (defaults as in
-	// internal/core).
+	// HeapSize is each replica's heap size (core's default when 0).
 	HeapSize int
-	M        float64
 	// Seed seeds the master stream from which replica seeds derive;
 	// 0 draws a true random seed.
 	Seed uint64
-	// BufferSize is the voting granularity; defaults to 4 KB.
-	BufferSize int
-	// Voter selects the voting engine; the zero value is the pipelined
-	// hash-then-vote engine. Committed output is byte-identical between
-	// engines for any replica count.
-	Voter VoterMode
-	// PipelineDepth is the base run-ahead allowance of the pipelined
-	// engine: each replica's window starts here and adapts toward the
-	// measured voter lag within [1, 2×PipelineDepth] (laggards shrink
-	// to 1, replicas the voter keeps waiting behind a slower sibling
-	// widen to 2×). Defaults to DefaultPipelineDepth. The window never
-	// affects committed output, only how far execution runs ahead of
-	// adjudication.
-	PipelineDepth int
-	// MaxRestarts lets the pipelined voter replenish the quorum: each
-	// time it kills a divergent replica, a fresh replica with a newly
-	// derived seed re-executes the program over the broadcast input, its
+	// MaxRestarts lets the voter replenish the quorum: each time it
+	// kills a divergent replica, a fresh replica with a newly derived
+	// seed re-executes the program over the broadcast input, its
 	// replayed output is checked against the committed prefix, and —
 	// when the replay matches — it joins the vote (§5's long-running
 	// service story). A replacement whose replay diverges is killed in
-	// turn; each attempt consumes one restart. 0 disables restarts; the
-	// sequential reference voter ignores them.
+	// turn; each attempt consumes one restart. 0 disables restarts; a
+	// negative value is refused.
 	MaxRestarts int
 	// Obs, when non-nil, receives live replicate.* counters while the
-	// pipelined voter runs: vote rounds, kills, restarts, and the peak
-	// adaptive run-ahead window. Purely observational — registration
-	// happens before the first round and the counters are updated from
-	// the voter goroutine only, so scraping mid-run is race-clean. The
-	// sequential reference voter publishes rounds only.
+	// voter runs: vote rounds, kills, restarts, and the peak adaptive
+	// run-ahead window. Purely observational — registration happens
+	// before the first round and the counters are updated from the voter
+	// goroutine only, so scraping mid-run is race-clean.
 	Obs *obs.Registry
 	// Detect swaps each replica's random fill for the canary detection
 	// engine (internal/detect): replicas still diverge on uninitialized
@@ -169,8 +133,8 @@ type ReplicaReport struct {
 	Err       error // program error; nil if it completed or was killed
 	Killed    bool
 	Completed bool
-	// Restarted marks a replacement replica spawned by the pipelined
-	// voter after a kill (Options.MaxRestarts).
+	// Restarted marks a replacement replica spawned by the voter after
+	// a kill (Options.MaxRestarts).
 	Restarted bool
 	// Evidence is the replica's heap-error evidence (Options.Detect
 	// only), collected after the program unwound — completed, crashed,
@@ -193,9 +157,8 @@ type Result struct {
 	// Rounds is the number of voting barriers.
 	Rounds int
 	// PipelineDepthPeak is the widest adaptive run-ahead window any
-	// replica earned during the run (pipelined voter only; zero under
-	// the sequential engine or when no chunk was ever voted). The
-	// window starts at Options.PipelineDepth and resizes toward the
+	// replica earned during the run (zero when no chunk was ever
+	// voted). The window starts at PipelineDepth and resizes toward the
 	// measured voter lag within [1, 2×PipelineDepth]; the peak reports
 	// how much run-ahead the workload actually used.
 	PipelineDepthPeak int
@@ -204,9 +167,10 @@ type Result struct {
 	Replicas []ReplicaReport
 }
 
-// replicaWriter is the staging writer a voting engine hands each
-// replica: an io.Writer that chunks output at the voting granularity,
-// plus the end-of-program handshake.
+// replicaWriter is the staging writer a replica writes its output
+// through: an io.Writer that chunks output at the voting granularity,
+// plus the end-of-program handshake. The voter hands each replica a
+// pipeWriter; the tests' offline reference substitutes a recorder.
 type replicaWriter interface {
 	io.Writer
 	finish(progErr error)
@@ -220,37 +184,19 @@ func Run(prog Program, input []byte, opts Options) (*Result, error) {
 	if opts.Replicas < 1 {
 		return nil, fmt.Errorf("replicate: invalid replica count %d", opts.Replicas)
 	}
-	if opts.BufferSize == 0 {
-		opts.BufferSize = DefaultBufferSize
+	if opts.MaxRestarts < 0 {
+		return nil, fmt.Errorf("replicate: invalid MaxRestarts %d", opts.MaxRestarts)
 	}
-	if opts.PipelineDepth <= 0 {
-		opts.PipelineDepth = DefaultPipelineDepth
-	}
-	k := opts.Replicas
 	master := rng.NewSeeded(opts.Seed)
 	if opts.Seed == 0 {
 		master = rng.New()
 	}
-	res := &Result{
-		Agreed:   true,
-		Replicas: make([]ReplicaReport, k),
-	}
-	seeds := make([]uint64, k)
-	for i := 0; i < k; i++ {
-		seeds[i] = master.Next64() | 1 // never zero: zero means "draw entropy"
-		res.Replicas[i].Seed = seeds[i]
-	}
-	switch opts.Voter {
-	case VoterSequential:
-		runSequential(prog, input, opts, seeds, res)
-	default:
-		// Replacement replicas draw from the same master stream the
-		// original seeds came from, so restarted runs stay reproducible
-		// from Options.Seed alone.
-		nextSeed := func() uint64 { return master.Next64() | 1 }
-		runPipelined(prog, input, opts, seeds, nextSeed, res)
-	}
-	res.Survivors = 0
+	// Every replica seed, replacements' included, comes from one master
+	// stream, so a run is reproducible from Options.Seed alone. A seed is
+	// never zero: zero means "draw entropy".
+	nextSeed := func() uint64 { return master.Next64() | 1 }
+	res := &Result{Agreed: true}
+	runPipelined(prog, input, opts, nextSeed, res)
 	for i := range res.Replicas {
 		if res.Replicas[i].Completed {
 			res.Survivors++
@@ -281,23 +227,6 @@ func (r *Result) TriageKilled(kind detect.Kind) *detect.TriageResult {
 	return detect.Triage(kind, reports)
 }
 
-// spawnReplicas starts one goroutine per replica, each with a private
-// randomized heap seeded from seeds[i] and its output staged through
-// writers[i]; detection evidence (Options.Detect) lands in reps[i]. The
-// returned WaitGroup is done when every replica has unwound (completed,
-// crashed, or killed).
-func spawnReplicas(prog Program, input []byte, opts Options, seeds []uint64, writers []replicaWriter, reps []*ReplicaReport) *sync.WaitGroup {
-	var wg sync.WaitGroup
-	for i := range writers {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			runReplica(i, prog, input, opts, seeds[i], writers[i], reps[i])
-		}(i)
-	}
-	return &wg
-}
-
 // runReplica executes one replica to completion: heap construction,
 // input copy, the program itself (panics demoted to crashes), and the
 // final partial-buffer handshake with the voter. After the program has
@@ -323,7 +252,6 @@ func runReplica(i int, prog Program, input []byte, opts Options, seed uint64, w 
 		if opts.Detect {
 			dh, err := detect.New(core.Options{
 				HeapSize: opts.HeapSize,
-				M:        opts.M,
 				Seed:     seed,
 			}, detect.Options{})
 			if err != nil {
@@ -335,7 +263,6 @@ func runReplica(i int, prog Program, input []byte, opts Options, seed uint64, w 
 		} else {
 			ch, err := core.New(core.Options{
 				HeapSize:   opts.HeapSize,
-				M:          opts.M,
 				Seed:       seed,
 				RandomFill: true,
 			})

@@ -121,18 +121,18 @@ func TestDivergentMinorityIsKilled(t *testing.T) {
 }
 
 func TestKilledReplicaWritesFail(t *testing.T) {
-	// A killed replica's writes return ErrKilled. Under the pipelined
-	// voter the kill may land up to PipelineDepth buffers after the
-	// disagreeing one, so the deviant keeps writing until it fails; the
-	// bound asserts the kill arrives within the documented window.
+	// A killed replica's writes return ErrKilled. The kill may land up
+	// to PipelineDepth buffers after the disagreeing one, so the deviant
+	// keeps writing until it fails; the bound asserts the kill arrives
+	// within the documented window.
 	sawKill := make(chan error, 1)
 	prog := func(ctx *Context) error {
-		payload := bytes.Repeat([]byte("a"), DefaultBufferSize)
+		payload := bytes.Repeat([]byte("a"), BufferSize)
 		if ctx.Replica == 0 {
-			payload = bytes.Repeat([]byte("b"), DefaultBufferSize)
+			payload = bytes.Repeat([]byte("b"), BufferSize)
 		}
 		if ctx.Replica == 0 {
-			for i := 0; i < DefaultPipelineDepth+2; i++ {
+			for i := 0; i < PipelineDepth+2; i++ {
 				if _, err := ctx.Out.Write(payload); err != nil {
 					sawKill <- err
 					return err
@@ -141,7 +141,7 @@ func TestKilledReplicaWritesFail(t *testing.T) {
 			sawKill <- nil
 			return nil
 		}
-		for i := 0; i < DefaultPipelineDepth+2; i++ {
+		for i := 0; i < PipelineDepth+2; i++ {
 			if _, err := ctx.Out.Write(payload); err != nil {
 				return err
 			}
@@ -354,6 +354,14 @@ func TestPanicInReplicaIsACrash(t *testing.T) {
 func TestInvalidReplicaCount(t *testing.T) {
 	if _, err := Run(echoProgram, nil, Options{Replicas: -1}); err == nil {
 		t.Fatal("negative replica count accepted")
+	}
+	// A negative restart budget is refused by name, neither read as 0
+	// nor left to size the voter's slices.
+	for _, n := range []int{-1, -4} {
+		_, err := Run(echoProgram, nil, Options{Replicas: 3, HeapSize: testHeap, Seed: 1, MaxRestarts: n})
+		if err == nil || !strings.Contains(err.Error(), "MaxRestarts") {
+			t.Fatalf("MaxRestarts %d: err = %v, want a refusal naming MaxRestarts", n, err)
+		}
 	}
 }
 

@@ -2,10 +2,10 @@ package replicate
 
 import "bytes"
 
-// This file is the voting core shared by both engines: the chunk message
-// format, the 64-bit chunk hash, and the §5.2 adjudication of one round.
-// Keeping adjudication in one function is what guarantees the pipelined
-// and sequential voters commit byte-identical output.
+// This file is the voting core: the chunk message format, the 64-bit
+// chunk hash, and the §5.2 adjudication of one round. The tests' offline
+// reference restates the adjudication rule on raw bytes, calling neither
+// chunkHash nor adjudicate, so it checks hash-then-vote as well.
 
 // chunk is one voting-round message from a replica to the voter: up to
 // BufferSize bytes of staged output, tagged with its 64-bit hash so the
@@ -69,7 +69,7 @@ type decision struct {
 // would separate), and buffers with different hashes are already known
 // unequal. The winner is the largest group; ties break to the group
 // containing the smallest replica id, so the commit is deterministic for
-// any replica count and either engine.
+// any replica count.
 func adjudicate(ids []int, msgs map[int]chunk, k int) decision {
 	type group struct {
 		repr chunk
@@ -124,7 +124,7 @@ func adjudicate(ids []int, msgs map[int]chunk, k int) decision {
 	return d
 }
 
-// replicaState tracks a replica through a voting engine's run.
+// replicaState tracks a replica through the voter's run.
 type replicaState int
 
 const (

@@ -14,8 +14,8 @@ import (
 // metricSchema is the pinned metric-name schema: for each publisher, the
 // sorted set of names it registers, each with its sorted label keys in
 // braces (label values, such as worker and shard indexes, are left
-// open, as are trace event kinds). Renaming, adding or dropping a
-// metric is a deliberate edit here.
+// open). Renaming, adding or dropping a metric is a deliberate edit
+// here; event kinds are pinned by eventKinds below.
 var metricSchema = map[string][]string{
 	// The mitigated fault soak of `cmd/serve -smoke -obs`: the sharded
 	// heap's core.* gauges, the shared space's vmem.*, serve's own and
@@ -58,6 +58,20 @@ var metricSchema = map[string][]string{
 		"detect.allocs", "detect.cadence", "detect.canary_audits",
 		"detect.evidence", "detect.evidence_dropped", "detect.heap_checks",
 	},
+}
+
+// schemaHealConfig is the healed supervisor run both schema tests
+// record.
+func schemaHealConfig() heal.Config {
+	return heal.Config{
+		Seed: 0x4EA1,
+		Schedule: heal.Schedule{
+			Sites: 48, ObjectSize: 48,
+			OverflowSite: 7, OverflowReach: 24, OverflowEvery: 3,
+			DanglingSite: 29, DanglingEvery: 4,
+		},
+		Cycles: 40, EpochCycles: 20, Heal: true,
+	}
 }
 
 // metricNames returns reg's schema: sorted unique name{label keys}.
@@ -106,16 +120,9 @@ func TestMetricNameSchema(t *testing.T) {
 			return err
 		},
 		"heal supervisor": func(reg *obs.Registry) error {
-			_, err := heal.Run(heal.Config{
-				Seed: 0x4EA1,
-				Schedule: heal.Schedule{
-					Sites: 48, ObjectSize: 48,
-					OverflowSite: 7, OverflowReach: 24, OverflowEvery: 3,
-					DanglingSite: 29, DanglingEvery: 4,
-				},
-				Cycles: 40, EpochCycles: 20, Heal: true,
-				Obs: reg,
-			})
+			cfg := schemaHealConfig()
+			cfg.Obs = reg
+			_, err := heal.Run(cfg)
 			return err
 		},
 		"replicated run": func(reg *obs.Registry) error {
@@ -154,5 +161,53 @@ func TestMetricNameSchema(t *testing.T) {
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {
 			t.Errorf("%s publishes\n\t%s\npinned\n\t%s", name, strings.Join(got, "\n\t"), strings.Join(want, "\n\t"))
 		}
+	}
+}
+
+// eventKinds is the pinned flight-recorder event-kind table: the name
+// of every obs.Kind, in Kind order. Renaming, adding or reordering a
+// kind is a deliberate edit here.
+var eventKinds = []string{
+	"none", "malloc", "free", "remote_free", "drain", "steal", "refill",
+	"flush", "barrier", "evidence", "countermeasure", "quarantine",
+	"session", "fault", "stale_free",
+}
+
+// healEventKinds are the kinds a traced schemaHealConfig run records:
+// its detection heap's barriers and evidence, and the supervisor's
+// countermeasures. The serve soak's kinds are left open, because which
+// events its rings still hold at the end depends on timing.
+var healEventKinds = []string{"barrier", "countermeasure", "evidence"}
+
+// TestEventKindSchema compares the obs event-kind table with eventKinds,
+// and the kinds a traced heal run records with healEventKinds.
+func TestEventKindSchema(t *testing.T) {
+	for i, want := range eventKinds {
+		if got := obs.Kind(i).String(); got != want {
+			t.Errorf("obs.Kind(%d) = %q, pinned %q", i, got, want)
+		}
+	}
+	if got := obs.Kind(len(eventKinds)).String(); got != "unknown" {
+		t.Errorf("obs.Kind(%d), past the pinned table, = %q, want \"unknown\"", len(eventKinds), got)
+	}
+
+	rec := obs.NewRecorder(4096)
+	cfg := schemaHealConfig()
+	cfg.Trace = rec
+	if _, err := heal.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	evs := rec.Snapshot()
+	set := map[string]bool{}
+	for _, ev := range evs {
+		set[ev.Kind] = true
+	}
+	got := make([]string, 0, len(set))
+	for k := range set {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	if strings.Join(got, " ") != strings.Join(healEventKinds, " ") {
+		t.Errorf("heal run records kinds %v in %d events, pinned %v", got, len(evs), healEventKinds)
 	}
 }
