@@ -25,7 +25,7 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 1s .
 
 # Perf gates (BenchmarkGate in internal/core): lock-free malloc pair
-# within 15% of the test-only locked reference engine, magazine within 10% of
+# within 5% of the test-only locked reference engine, magazine within 10% of
 # lock-free, remote-free ring churn within 5% of sync cross-frees, and
 # the obs-off magazine arm within 2% of the magazine arm, each gate on
 # the median ratio over 800 interleaved 2.5 ms slices.

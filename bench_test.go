@@ -252,33 +252,6 @@ func BenchmarkAblationMSweep(b *testing.B) {
 	}
 }
 
-// --- Ablation: adaptive region growth (§9 future work) ---
-
-func BenchmarkAblationAdaptive(b *testing.B) {
-	for _, adaptive := range []bool{false, true} {
-		name := "static"
-		if adaptive {
-			name = "adaptive"
-		}
-		b.Run(name, func(b *testing.B) {
-			var reserved float64
-			for i := 0; i < b.N; i++ {
-				h, err := core.New(core.Options{HeapSize: 96 << 20, Adaptive: adaptive, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for j := 0; j < 2000; j++ {
-					if _, err := h.Malloc(64); err != nil {
-						b.Fatal(err)
-					}
-				}
-				reserved = float64(h.Mem().Stats().PagesMapped) * 4096
-			}
-			b.ReportMetric(reserved/(1<<20), "reserved-MB")
-		})
-	}
-}
-
 // --- Ablation: checked libc interception (§4.4) on/off ---
 
 func BenchmarkAblationCheckedStrcpy(b *testing.B) {

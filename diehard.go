@@ -67,9 +67,6 @@ type HeapOptions struct {
 	// fill continues its class's probe stream, so a replicated heap is
 	// sequential: incompatible with Concurrent.
 	ReplicatedMode bool
-	// Adaptive grows size-class regions on demand (the paper's §9
-	// future-work extension).
-	Adaptive bool
 	// Concurrent prepares the heap for use by multiple goroutines at
 	// once: allocator statistics and memory-access accounting switch to
 	// atomic updates. Without it, the heap (and data access through
@@ -142,7 +139,6 @@ func NewHeap(opts HeapOptions) (*Heap, error) {
 		M:          opts.M,
 		Seed:       opts.Seed,
 		RandomFill: opts.ReplicatedMode,
-		Adaptive:   opts.Adaptive,
 		Concurrent: opts.Concurrent,
 		RemoteRing: opts.RemoteFreeRing,
 		GenTags:    opts.GenTags,

@@ -83,7 +83,7 @@ func TestConcurrentHeapStress(t *testing.T) {
 			}
 			var a heap.Allocator = h
 			if tc.locked {
-				a = lockedHeap{h}
+				a = newLockedHeap(h)
 			}
 			var wg sync.WaitGroup
 			errs := make([]error, workers)
@@ -120,40 +120,6 @@ func TestConcurrentHeapStress(t *testing.T) {
 				t.Errorf("%d large objects leaked", h.LargeObjects())
 			}
 		})
-	}
-}
-
-// TestConcurrentAdaptiveGrowth races mallocs in many classes of an
-// adaptive heap, forcing subregion growth (and page-index republication)
-// under contention.
-func TestConcurrentAdaptiveGrowth(t *testing.T) {
-	const workers = 6
-	const rounds = 300
-
-	h, err := New(Options{
-		HeapSize: 48 << 20, Seed: 7, Adaptive: true,
-		AdaptiveInitial: 8 << 10, Concurrent: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = stressWorker(h, h.Mem(), w, rounds)
-		}(w)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", w, err)
-		}
-	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -296,35 +262,6 @@ func TestShardedRejectsSequentialModes(t *testing.T) {
 	}
 	if _, err := New(Options{EnableTLB: true, Concurrent: true}); err == nil {
 		t.Error("TLB+Concurrent accepted by New")
-	}
-}
-
-// TestIndexPublicationOutOfOrder pins the regression where a page-index
-// publication for a lower address range truncated coverage already
-// published for a higher one — the interleaving concurrent adaptive
-// growth can produce when the class that mapped lower addresses
-// publishes second.
-func TestIndexPublicationOutOfOrder(t *testing.T) {
-	h, err := New(Options{HeapSize: 12 << 20, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := h.pageIdx.Load()
-	end := (idx.basePn + uint64(len(idx.ord))) * vmem.PageSize
-
-	// Two synthetic subregions beyond current coverage, lower-address
-	// one indexed after the higher-address one.
-	cl := &h.classes[0]
-	low := &subregion{base: end + 4*vmem.PageSize, slots: 512, cl: cl, shift: cl.shift}
-	high := &subregion{base: end + 16*vmem.PageSize, slots: 512, cl: cl, shift: cl.shift}
-	h.indexSubregion(high)
-	h.indexSubregion(low)
-
-	if _, sub, _ := h.find(high.base); sub != high {
-		t.Fatal("late lower-address publication truncated higher-address index entries")
-	}
-	if _, sub, _ := h.find(low.base); sub != low {
-		t.Fatal("lower-address publication not indexed")
 	}
 }
 

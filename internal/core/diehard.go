@@ -27,10 +27,11 @@
 // (advanced by compare-and-swap, so one goroutine preserves the exact
 // seeded sequence) and claims slots by CASing the allocation bitmap
 // word directly; occupancy is an atomic counter reserved with a bounded
-// CAS increment, so the 1/M threshold can never be overshot. The
-// per-class mutex survives only for adaptive region growth. Pointer
-// resolution for Free/SizeOf/ObjectBounds reads the page index
-// lock-free. Concurrent use requires Options.Concurrent, which switches
+// CAS increment, so the 1/M threshold can never be overshot. No size
+// class has a lock: each class's region is fixed at construction
+// (HeapSize/NumClasses, §4), and so is the page index that resolves
+// pointers for Free/SizeOf/ObjectBounds, which is read without one.
+// Concurrent use requires Options.Concurrent, which switches
 // the aggregate Stats and the space's access accounting to atomic
 // updates; heaps built without it keep unsynchronized counters and must
 // be confined to one goroutine at a time, as the sequential experiment
@@ -88,13 +89,6 @@ type Options struct {
 	// probes that placed it, which only the sequential commit can order,
 	// so RandomFill cannot be combined with Concurrent.
 	RandomFill bool
-	// Adaptive enables the paper's future-work extension (§9): regions
-	// start small and double on demand up to the per-class cap, trading
-	// early error-masking probability for reserved address space.
-	Adaptive bool
-	// AdaptiveInitial is the initial per-class region size in bytes when
-	// Adaptive is set. Defaults to 256 KB.
-	AdaptiveInitial int
 	// EnableTLB turns on TLB simulation in the underlying address space,
 	// used by the Figure 5 cost model. TLB accounting models a single
 	// hardware context; it is incompatible with Concurrent.
@@ -134,7 +128,7 @@ type Options struct {
 	// allocation with the object's address, the requested size, and the
 	// size of the backing slot (the size-class object size, or the
 	// page-rounded usable size for large objects). It runs on the
-	// allocating goroutine, outside the class locks, before the pointer
+	// allocating goroutine, outside any lock, before the pointer
 	// is returned — so a detection engine (internal/detect) can audit
 	// and re-arm canaries before the program can touch the object. The
 	// heap does not synchronize hook invocations, so New refuses any
@@ -185,27 +179,25 @@ func (o *Options) withDefaults() Options {
 	if v.M == 0 {
 		v.M = DefaultM
 	}
-	if v.AdaptiveInitial == 0 {
-		v.AdaptiveInitial = 256 << 10
-	}
 	if v.QuarantineCap <= 0 {
 		v.QuarantineCap = DefaultQuarantineCap
 	}
 	return v
 }
 
-// subregion is one mapped stretch of a size class. Non-adaptive heaps
-// have exactly one subregion per class; adaptive heaps append doubled
-// subregions as demand grows. The class back-pointer and the shift
-// duplicate (log2 of the class's object size) let a pointer-to-
-// subregion resolved through the page index compute its slot without a
-// second indirection. A concurrent heap claims and releases bits by CAS
-// and reads them with atomic loads (DESIGN.md §10); a sequential
-// (non-Concurrent) heap is confined to one goroutine, where the plain
-// accessors are exact without any fence. On amd64 an atomic load is an
-// ordinary MOV, so the read paths use atomic loads on both — the cost
-// shows up only in stores, which Go compiles to XCHG. base, slots, and
-// shift are immutable after construction.
+// subregion is a size class's mapped region and its slot metadata. It
+// stays a struct of its own, one pointer away from the sizeClass, so
+// the read-mostly slot metadata does not share cache lines with the
+// class's CAS words. The class back-pointer and the shift duplicate
+// (log2 of the class's object size) let a pointer resolved through the
+// page index compute its slot without a second indirection. A
+// concurrent heap claims and releases bits by CAS and reads them with
+// atomic loads (DESIGN.md §10); a sequential (non-Concurrent) heap is
+// confined to one goroutine, where the plain accessors are exact
+// without any fence. On amd64 an atomic load is an ordinary MOV, so the
+// read paths use atomic loads on both — the cost shows up only in
+// stores, which Go compiles to XCHG. base, slots, and shift are
+// immutable after construction.
 type subregion struct {
 	base  uint64
 	slots int
@@ -221,9 +213,6 @@ type subregion struct {
 	h     *Heap // owning heap: the shard a magazine-buffered free settles on
 	shift uint
 }
-
-func (s *subregion) get(i int) bool { return s.bits[i>>6]&(1<<(i&63)) != 0 }
-func (s *subregion) set(i int)      { s.bits[i>>6] |= 1 << (i & 63) }
 
 func (s *subregion) getAtomic(i int) bool {
 	return atomic.LoadUint64(&s.bits[i>>6])&(1<<(i&63)) != 0
@@ -271,52 +260,25 @@ func (s *subregion) release(i int, concurrent bool) bool {
 	return old&bit != 0
 }
 
-// classRegions is a size class's immutable subregion list plus its slot
-// total, published as one unit behind an atomic pointer so the lock-free
-// probe loop always sees a slot count consistent with the subregions it
-// indexes into. Adaptive growth publishes a copy; non-adaptive classes
-// publish exactly once, at construction.
-type classRegions struct {
-	subs       []*subregion
-	totalSlots int
-}
-
-// locate maps a class-wide slot index to its subregion and local index.
-// Non-adaptive heaps always hit the single-subregion fast path.
-func (r *classRegions) locate(idx int) (*subregion, int) {
-	if idx < r.subs[0].slots {
-		return r.subs[0], idx
-	}
-	idx -= r.subs[0].slots
-	for i := 1; i < len(r.subs); i++ {
-		if idx < r.subs[i].slots {
-			return r.subs[i], idx
-		}
-		idx -= r.subs[i].slots
-	}
-	panic("diehard: slot index out of range") // unreachable when invariants hold
-}
-
 // sizeClass holds the segregated metadata for one power-of-two region.
-// The mutex is touched only by adaptive growth: probing draws from
-// randState (the packed rng.Step stream), slots are claimed by bitmap
-// CAS, and occupancy is reserved with a bounded CAS increment on inUse
-// so the 1/M threshold holds at every instant, not just at quiescence —
-// with the CAS machinery engaged only when Options.Concurrent declares
-// real multi-goroutine use; sequential heaps run the same protocol
-// fence-free (plain fields + sync/atomic function calls, so each heap
-// pays only for the ordering it needs).
+// It has no lock: probing draws from randState (the packed rng.Step
+// stream), slots are claimed by bitmap CAS, and occupancy is reserved
+// with a bounded CAS increment on inUse so the 1/M threshold holds at
+// every instant, not just at quiescence — with the CAS machinery
+// engaged only when Options.Concurrent declares real multi-goroutine
+// use; sequential heaps run the same protocol fence-free (plain fields
+// + sync/atomic function calls, so each heap pays only for the
+// ordering it needs). sub and maxInUse are set when the heap is built
+// and never change.
 type sizeClass struct {
-	mu        sync.Mutex // adaptive growth
-	randState uint64     // packed MWC probe/fill stream (rng.Step)
+	randState uint64 // packed MWC probe/fill stream (rng.Step)
 
 	size     int
-	shift    uint                         // log2(size), for divisions on the hot path
-	mask     uint64                       // size - 1, for alignment checks on the hot path
-	regions  atomic.Pointer[classRegions] // subregions + slot total, copy-on-write
-	inUse    int64                        // live slots; never exceeds maxInUse
-	maxInUse atomic.Int64                 // threshold: floor(totalSlots / M)
-	capSlots int                          // adaptive growth stops here
+	shift    uint       // log2(size), for divisions on the hot path
+	mask     uint64     // size - 1, for alignment checks on the hot path
+	sub      *subregion // the class's region
+	inUse    int64      // live slots; never exceeds maxInUse
+	maxInUse int64      // threshold: floor(sub.slots / M)
 	mallocs  uint64
 }
 
@@ -335,51 +297,31 @@ type largeObject struct {
 // 0 is the nil entry, for pages that belong to no small-object subregion
 // (holes, guards, large objects). The per-page table holds no pointers,
 // so it costs 2 bytes a page and nothing to the garbage collector's mark
-// phase. A heap builds it once, after mapping all its classes; the table
-// is immutable once published and adaptive growth publishes a copy, so
-// Free, SizeOf, ObjectBounds, and InHeap read it lock-free. A heap has at
-// most a few dozen subregions per class (growth doubles a class up to
-// its cap), far below the 2^16 ordinals.
+// phase. newHeap builds it once, after mapping all its classes, and it
+// never changes, so Free, SizeOf, ObjectBounds, and InHeap read it
+// without a lock.
 type pageIndex struct {
 	basePn uint64
 	ord    []uint16
 	subs   []*subregion // subs[0] is nil
 }
 
-// extendIndex returns a copy of idx (nil for a heap's first index) that
-// also maps every page of the given subregions. Subregion bases are
-// handed out in increasing address order, so the table only ever grows at
-// the high end; pages mapped in between for other purposes (guards, large
-// objects, a sibling shard's regions) keep ordinal 0.
-func extendIndex(idx *pageIndex, add ...*subregion) *pageIndex {
-	if idx == nil {
-		idx = &pageIndex{basePn: add[0].base / vmem.PageSize, subs: []*subregion{nil}}
+// buildIndex returns the page index of a heap's subregions. Subregion
+// bases are handed out in increasing address order, so the first one
+// starts the table; pages mapped in between for other purposes (guards)
+// keep ordinal 0.
+func buildIndex(subs []*subregion) *pageIndex {
+	idx := &pageIndex{
+		basePn: subs[0].base / vmem.PageSize,
+		subs:   append([]*subregion{nil}, subs...),
 	}
-	// The new table must cover both the new subregions and everything
-	// already published: under concurrent adaptive growth, the class
-	// that mapped the lower addresses may publish after the one that
-	// mapped the higher ones, so the new subregions alone can be short
-	// of the current coverage.
-	need := uint64(len(idx.ord))
-	for _, sub := range add {
-		need = max(need, sub.endPn()-idx.basePn)
-	}
-	next := &pageIndex{
-		basePn: idx.basePn,
-		ord:    make([]uint16, need),
-		// Full slice expression: append must copy, never write into the
-		// published array.
-		subs: idx.subs[:len(idx.subs):len(idx.subs)],
-	}
-	copy(next.ord, idx.ord)
-	for _, sub := range add {
-		o := uint16(len(next.subs))
-		next.subs = append(next.subs, sub)
-		for pn := sub.base/vmem.PageSize - next.basePn; pn < sub.endPn()-next.basePn; pn++ {
-			next.ord[pn] = o
+	idx.ord = make([]uint16, subs[len(subs)-1].endPn()-idx.basePn)
+	for o, sub := range subs {
+		for pn := sub.base/vmem.PageSize - idx.basePn; pn < sub.endPn()-idx.basePn; pn++ {
+			idx.ord[pn] = uint16(o + 1)
 		}
 	}
-	return next
+	return idx
 }
 
 // endPn is one past the last page holding any of the subregion's slots.
@@ -405,8 +347,7 @@ type Heap struct {
 	largeRand rng.MWC // fill stream for large objects; under largeMu
 	largeGen  uint64  // GenTags issue counter for large objects; under largeMu
 
-	idxMu   sync.Mutex // serializes pageIdx publication on adaptive growth
-	pageIdx atomic.Pointer[pageIndex]
+	pageIdx *pageIndex
 
 	magRegistry // magazines over this heap (NewMagazine)
 
@@ -525,112 +466,43 @@ func newHeap(opts Options, space *vmem.Space) (*Heap, error) {
 	}
 
 	var subs [NumClasses]*subregion
-	for c := 0; c < NumClasses; c++ {
-		size := MinObjectSize << c
-		capSlots := perClass / size
+	for c := range h.classes {
 		cl := &h.classes[c]
-		cl.size = size
-		cl.shift = uint(bits.TrailingZeros(uint(size)))
-		cl.mask = uint64(size - 1)
-		cl.capSlots = capSlots
+		cl.size = MinObjectSize << c
+		cl.shift = uint(bits.TrailingZeros(uint(cl.size)))
+		cl.mask = uint64(cl.size - 1)
 		// Every class draws from its own stream, deterministically
 		// derived from the master seed, so the probe sequence of one
 		// class is independent of activity in the others — the property
 		// that keeps placement deterministic per class allocation
 		// sequence.
 		cl.randState = master.Split().Seed()
-		initial := capSlots
-		if o.Adaptive {
-			initial = o.AdaptiveInitial / size
-			if initial < 1 {
-				initial = 1
-			}
-			if initial > capSlots {
-				initial = capSlots
-			}
-		}
-		sub, err := h.mapSubregion(c, initial)
+		// Each class gets one fixed region behind guard pages (§4). A
+		// class whose objects outsize a small heap's region has no slots
+		// but still maps a page, so its base is a real address.
+		slots := perClass / cl.size
+		base, err := h.space.MapGuarded(max(slots*cl.size, vmem.PageSize))
 		if err != nil {
 			return nil, err
 		}
+		h.addStat(&h.stats.WorkUnits, heap.WorkMmap)
+		sub := &subregion{
+			base:  base,
+			slots: slots,
+			bits:  make([]uint64, (slots+63)/64),
+			cl:    cl,
+			h:     h,
+			shift: cl.shift,
+		}
+		if o.GenTags {
+			sub.gens = make([]uint32, slots)
+		}
+		cl.sub, cl.maxInUse = sub, int64(float64(slots)/o.M)
 		subs[c] = sub
 	}
-	// One index for all twelve classes, then the region lists: nothing
-	// can reach the heap before it is returned, so no order is needed.
-	h.pageIdx.Store(extendIndex(nil, subs[:]...))
-	for _, sub := range subs {
-		h.publishSubregion(sub)
-	}
+	h.pageIdx = buildIndex(subs[:])
 	h.largeRand = *master.Split()
 	return h, nil
-}
-
-// mapSubregion maps a new stretch of slots for class c, behind guard
-// pages, and returns it unpublished.
-func (h *Heap) mapSubregion(c, slots int) (*subregion, error) {
-	cl := &h.classes[c]
-	bytes := slots * cl.size
-	if bytes < vmem.PageSize {
-		bytes = vmem.PageSize
-		slots = bytes / cl.size
-	}
-	base, err := h.space.MapGuarded(bytes)
-	if err != nil {
-		return nil, err
-	}
-	h.addStat(&h.stats.WorkUnits, heap.WorkMmap)
-	sub := &subregion{
-		base:  base,
-		slots: slots,
-		bits:  make([]uint64, (slots+63)/64),
-		cl:    cl,
-		h:     h,
-		shift: cl.shift,
-	}
-	if h.opts.GenTags {
-		sub.gens = make([]uint32, slots)
-	}
-	return sub, nil
-}
-
-// growSubregion maps a new stretch of slots for class c on adaptive
-// growth and publishes it. The caller holds the class mutex. Publication
-// order matters for the unlocked readers: the page
-// index is extended first (so any pointer handed out of the new
-// subregion resolves), then the region list (so probes can land there),
-// and the threshold is raised last (so no occupancy is reserved for
-// slots that are not yet probe-visible).
-func (h *Heap) growSubregion(c, slots int) error {
-	sub, err := h.mapSubregion(c, slots)
-	if err != nil {
-		return err
-	}
-	h.indexSubregion(sub)
-	h.publishSubregion(sub)
-	return nil
-}
-
-// publishSubregion appends sub to its class's region list and raises the
-// class's 1/M threshold to match.
-func (h *Heap) publishSubregion(sub *subregion) {
-	cl := sub.cl
-	next := &classRegions{totalSlots: sub.slots}
-	if cur := cl.regions.Load(); cur != nil {
-		next.subs = append(next.subs, cur.subs...)
-		next.totalSlots += cur.totalSlots
-	}
-	next.subs = append(next.subs, sub)
-	cl.regions.Store(next)
-	cl.maxInUse.Store(int64(float64(next.totalSlots) / h.opts.M))
-}
-
-// indexSubregion publishes a copy of the page index that also maps sub's
-// pages, serialized by idxMu so concurrent growth in different classes
-// cannot lose updates.
-func (h *Heap) indexSubregion(sub *subregion) {
-	h.idxMu.Lock()
-	h.pageIdx.Store(extendIndex(h.pageIdx.Load(), sub))
-	h.idxMu.Unlock()
 }
 
 // ClassFor returns the size-class index for a request: ceil(log2(size))-3
@@ -656,9 +528,9 @@ func (h *Heap) Malloc(size int) (heap.Ptr, error) {
 
 // malloc is the one malloc path: it returns the fat pointer carrying the
 // tag the claim issued, 0 on an untagged heap. A small object is a
-// one-slot claim (DESIGN.md §10): no mutex is touched unless the class
-// must grow, and exactly one goroutine wins each slot, so the
-// observation hooks fire exactly once per allocation.
+// one-slot claim (DESIGN.md §10): no mutex is touched, and exactly one
+// goroutine wins each slot, so the observation hooks fire exactly once
+// per allocation.
 func (h *Heap) malloc(size int) (heap.FatPtr, error) {
 	if size < 0 {
 		h.addStat(&h.stats.FailedMallocs, 1)
@@ -673,16 +545,16 @@ func (h *Heap) malloc(size int) (heap.FatPtr, error) {
 	c := ClassFor(size)
 	cl := &h.classes[c]
 	var one [1]int32
-	idxs, regs, err := h.claim(c, 1, one[:0])
+	idxs, err := h.claim(c, 1, one[:0])
 	for err == nil && len(idxs) == 0 {
 		// A wild free emptied the claim before its commit: claim again,
 		// as the magazine's pop loop refills again.
-		idxs, regs, err = h.claim(c, 1, one[:0])
+		idxs, err = h.claim(c, 1, one[:0])
 	}
 	if err != nil {
 		return heap.FatPtr{}, err
 	}
-	sub, local := regs.locate(int(idxs[0]))
+	sub, local := cl.sub, int(idxs[0])
 	ptr := sub.base + uint64(local)<<cl.shift
 	// The generation bump needs no CAS: the slot's word is only ever
 	// advanced even→odd by its claimant (us), and frees reject even
@@ -721,43 +593,41 @@ func (h *Heap) malloc(size int) (heap.FatPtr, error) {
 // contiguous prefix of the class stream. At one goroutine the commit
 // never loses, which is what keeps placement seed-deterministic.
 //
-// claim returns the class-wide indexes of the committed claims,
-// appended to idxs[:0] in draw order, and the region list that
-// resolves them; the caller bumps their generations. A replay shrinks
-// the claim by the units undoClaims reports gone, so it can commit
-// fewer slots than it reserved, or none: on an untagged Concurrent
-// heap a claimed bit is set from its CAS until the commit, and an
-// aligned wild free in that window clears it and hands its unit back
-// (the pre-claim straddle of DESIGN.md §11).
-func (h *Heap) claim(c, want int, idxs []int32) ([]int32, *classRegions, error) {
+// claim returns the slot indexes into the class's subregion of the
+// committed claims, appended to idxs[:0] in draw order; the caller
+// bumps their generations. A replay shrinks the claim by the units
+// undoClaims reports gone, so it can commit fewer slots than it
+// reserved, or none: on an untagged Concurrent heap a claimed bit is
+// set from its CAS until the commit, and an aligned wild free in that
+// window clears it and hands its unit back (the pre-claim straddle of
+// DESIGN.md §11).
+func (h *Heap) claim(c, want int, idxs []int32) ([]int32, error) {
 	cl := &h.classes[c]
 	got, err := h.reserveBatch(c, want)
 	if err != nil {
 		h.addStat(&h.stats.FailedMallocs, 1)
-		return idxs, nil, err
+		return idxs, err
 	}
 	// Probe for free slots. The region is at most 1/M full, so the
 	// expected number of probes per slot is 1/(1 - 1/M): two for M = 2
 	// (§4.2). The cap guards against metadata-accounting bugs, not
 	// against bad luck; it is astronomically unlikely to trigger when
-	// invariants hold. The region list is reloaded every replay so a
-	// claim spanning adaptive growth sees the fresh slots. probes
-	// accumulates across replays: an abandoned attempt's probes were
-	// real bitmap examinations, so they are charged like every other.
-	var regs *classRegions
+	// invariants hold. probes accumulates across replays: an abandoned
+	// attempt's probes were real bitmap examinations, so they are
+	// charged like every other.
+	sub := cl.sub
+	n := uint32(sub.slots)
+	probeCap := 64*sub.slots + 64
 	probes, replays := 0, 0
 	for {
-		regs = cl.regions.Load()
-		n := uint32(regs.totalSlots)
-		probeCap := 64*regs.totalSlots + 64
 		st0 := atomic.LoadUint64(&cl.randState)
 		st := st0
 		idxs = idxs[:0]
-		if len(regs.subs) == 1 && !h.atomicStats {
-			// Every non-adaptive sequential heap: one subregion, no
-			// fences — the bitmap words are addressed directly and the
-			// whole claim loop runs register-to-register.
-			bitsW := regs.subs[0].bits
+		if !h.atomicStats {
+			// A sequential heap runs without fences: the bitmap words
+			// are addressed directly and the whole claim loop runs
+			// register-to-register.
+			bitsW := sub.bits
 			for len(idxs) < got && probes < probeCap {
 				probes++
 				// Lemire multiply-shift with rejection, the reduction of
@@ -789,25 +659,17 @@ func (h *Heap) claim(c, want int, idxs []int32) ([]int32, *classRegions, error) 
 						st, v = rng.Step(st)
 					}
 				}
-				idx := int(m >> 32)
-				sub, local := regs.locate(idx)
-				if h.atomicStats {
-					if !sub.casSet(local) {
-						continue
-					}
-				} else if sub.get(local) {
-					continue
-				} else {
-					sub.set(local)
+				local := int(m >> 32)
+				if sub.casSet(local) {
+					idxs = append(idxs, int32(local))
 				}
-				idxs = append(idxs, int32(idx))
 			}
 		}
 		if len(idxs) < got {
 			// Probe cap reached: undo and release everything this claim
 			// still holds.
-			h.unreserve(cl, got-h.undoClaims(regs, idxs))
-			return idxs[:0], nil, &heap.CorruptionError{Detail: "diehard: no free slot found below fill threshold"}
+			h.unreserve(cl, got-h.undoClaims(sub, idxs))
+			return idxs[:0], &heap.CorruptionError{Detail: "diehard: no free slot found below fill threshold"}
 		}
 		if !h.atomicStats {
 			cl.randState = st
@@ -824,7 +686,7 @@ func (h *Heap) claim(c, want int, idxs []int32) ([]int32, *classRegions, error) 
 		// balance the reservation. A class losing repeatedly is
 		// contended; the backoff jitter comes from the consumed local
 		// draw state, never a fresh draw.
-		got -= h.undoClaims(regs, idxs)
+		got -= h.undoClaims(sub, idxs)
 		replays++
 		backoffSpin(replays, uint32(st)^uint32(st0>>32))
 	}
@@ -834,20 +696,19 @@ func (h *Heap) claim(c, want int, idxs []int32) ([]int32, *classRegions, error) 
 	}
 	h.addStat(&h.stats.WorkUnits,
 		uint64(got)*(heap.WorkSizeClass+heap.WorkBitmap)+uint64(probes)*heap.WorkProbe)
-	return idxs, regs, nil
+	return idxs, nil
 }
 
-// undoClaims releases the bitmap bits of an abandoned claim attempt,
-// resolving each class-wide index against the region list the claims
-// were made under, and returns how many of their occupancy units the
-// claim no longer holds. The claims are untagged yet (callers tag only
+// undoClaims releases the bitmap bits of an abandoned claim attempt's
+// slots in sub and returns how many of their occupancy units the claim
+// no longer holds. The claims are untagged yet (callers tag only
 // committed claims), so on a tagged heap no free can have touched them;
 // on an untagged heap a wild free may have cleared one, and that free
 // already gave its unit back.
-func (h *Heap) undoClaims(regs *classRegions, idxs []int32) int {
+func (h *Heap) undoClaims(sub *subregion, idxs []int32) int {
 	lost := 0
 	for _, idx := range idxs {
-		if sub, local := regs.locate(int(idx)); !sub.release(local, h.atomicStats) {
+		if !sub.release(int(idx), h.atomicStats) {
 			lost++
 		}
 	}
@@ -891,18 +752,17 @@ func backoffSpin(attempt int, jitter uint32) {
 // reserveBatch reserves up to want units of class occupancy (at least
 // one) with one bounded CAS increment: the threshold test and the whole
 // increment are one atomic step, so inUse can never overshoot maxInUse
-// even mid-race. At the threshold it takes whatever partial batch
-// remains, falls into the growth engine (the one surviving use of the
-// class mutex) and retries, or, on a non-adaptive heap, reports out of
-// memory (Figure 2, line 6). Sequential (non-Concurrent) heaps run the
-// same bounded increment without the RMW, which their one-goroutine
-// contract makes exact.
+// even mid-race. Near the threshold it takes whatever partial batch
+// remains; at it, it drains the remote-free ring and retries if that
+// freed anything, or else reports out of memory (Figure 2, line 6).
+// Sequential (non-Concurrent) heaps run the same bounded increment
+// without the RMW, which their one-goroutine contract makes exact.
 func (h *Heap) reserveBatch(c, want int) (int, error) {
 	cl := &h.classes[c]
 	replays := 0
 	for {
 		cur := atomic.LoadInt64(&cl.inUse)
-		if avail := cl.maxInUse.Load() - cur; avail > 0 {
+		if avail := cl.maxInUse - cur; avail > 0 {
 			take := int64(want)
 			if take > avail {
 				take = avail
@@ -921,17 +781,12 @@ func (h *Heap) reserveBatch(c, want int) (int, error) {
 			backoffSpin(replays, uint32(cur))
 			continue
 		}
-		// At threshold: absorb queued remote frees before growing or
-		// failing, exactly as reserve does (DESIGN.md §12).
+		// At threshold: absorb queued remote frees before failing
+		// (DESIGN.md §12).
 		if h.remote != nil && h.drainRemote(c) > 0 {
 			continue
 		}
-		if !h.opts.Adaptive {
-			return 0, heap.ErrOutOfMemory
-		}
-		if err := h.growClass(c); err != nil {
-			return 0, err
-		}
+		return 0, heap.ErrOutOfMemory
 	}
 }
 
@@ -943,28 +798,6 @@ func (h *Heap) unreserve(cl *sizeClass, n int) {
 	} else {
 		cl.inUse -= int64(n)
 	}
-}
-
-// growClass doubles class c under its mutex (adaptive heaps only). The
-// threshold is re-checked under the lock: if a racing grower or a free
-// already made room, the grow is skipped and the caller's reservation
-// loop retries.
-func (h *Heap) growClass(c int) error {
-	cl := &h.classes[c]
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if atomic.LoadInt64(&cl.inUse) < cl.maxInUse.Load() {
-		return nil
-	}
-	regs := cl.regions.Load()
-	if regs.totalSlots >= cl.capSlots {
-		return heap.ErrOutOfMemory
-	}
-	grow := regs.totalSlots
-	if regs.totalSlots+grow > cl.capSlots {
-		grow = cl.capSlots - regs.totalSlots
-	}
-	return h.growSubregion(c, grow)
 }
 
 // fillClassRandom fills an allocated object from the class stream,
@@ -1287,7 +1120,7 @@ func (h *Heap) QuarantineLen() int {
 // O(1) through the page index, which is read lock-free. The slot index
 // is the floor of the offset; the caller checks alignment.
 func (h *Heap) find(p heap.Ptr) (*sizeClass, *subregion, int) {
-	idx := h.pageIdx.Load()
+	idx := h.pageIdx
 	pn := p/vmem.PageSize - idx.basePn
 	if pn >= uint64(len(idx.ord)) { // also catches p below the heap (wraps)
 		return nil, nil, 0
@@ -1364,39 +1197,22 @@ func (h *Heap) SlotAt(addr heap.Ptr) (base heap.Ptr, size int, live, ok bool) {
 
 // FreeSlots calls fn with the base address of every currently free slot
 // of class c, in ascending address order, until fn returns false. The
-// class bitmaps are snapshotted under the class lock and walked outside
-// it, so fn may access heap memory freely; the snapshot is a consistent
-// point-in-time view. The detection engine's full-heap canary sweep is
-// built on this walk.
+// class bitmap is snapshotted before the walk, so fn may access heap
+// memory freely; the snapshot is a point-in-time view. The detection
+// engine's full-heap canary sweep is built on this walk.
 func (h *Heap) FreeSlots(c int, fn func(p heap.Ptr) bool) {
-	cl := &h.classes[c]
-	cl.mu.Lock()
-	type snap struct {
-		base  uint64
-		slots int
-		bits  []uint64
+	sub := h.classes[c].sub
+	// Words are copied with atomic loads, so a sweep racing CAS
+	// claimants is consistent per word (the callers that need an exact
+	// view — the detection engine — are sequential anyway).
+	words := make([]uint64, len(sub.bits))
+	for w := range sub.bits {
+		words[w] = atomic.LoadUint64(&sub.bits[w])
 	}
-	// The mutex freezes the region list; bitmap words are copied with
-	// atomic loads, so a sweep racing CAS claimants is consistent per
-	// word (the callers that need an exact view — the detection engine —
-	// are sequential anyway).
-	regs := cl.regions.Load()
-	snaps := make([]snap, len(regs.subs))
-	for i, sub := range regs.subs {
-		words := make([]uint64, len(sub.bits))
-		for w := range sub.bits {
-			words[w] = atomic.LoadUint64(&sub.bits[w])
-		}
-		snaps[i] = snap{base: sub.base, slots: sub.slots, bits: words}
-	}
-	shift := cl.shift
-	cl.mu.Unlock()
-	for _, s := range snaps {
-		for i := 0; i < s.slots; i++ {
-			if s.bits[i>>6]&(1<<(i&63)) == 0 {
-				if !fn(s.base + uint64(i)<<shift) {
-					return
-				}
+	for i := 0; i < sub.slots; i++ {
+		if words[i>>6]&(1<<(i&63)) == 0 {
+			if !fn(sub.base + uint64(i)<<sub.shift) {
+				return
 			}
 		}
 	}
@@ -1458,7 +1274,7 @@ func (h *Heap) M() float64 { return h.opts.M }
 // exposed for the analytical validation experiments.
 func (h *Heap) ClassSlots(c int) (total, maxInUse int) {
 	cl := &h.classes[c]
-	return cl.regions.Load().totalSlots, int(cl.maxInUse.Load())
+	return cl.sub.slots, int(cl.maxInUse)
 }
 
 // ClassInUse returns the number of live objects in class c: an atomic
@@ -1475,10 +1291,10 @@ func (h *Heap) ClassMallocs(c int) uint64 {
 	return atomic.LoadUint64(&h.classes[c].mallocs)
 }
 
-// ClassBase returns the base address of the first subregion of class c,
-// exposed for tests that aim overflow writes at precise heap locations.
+// ClassBase returns the base address of class c's region, exposed for
+// tests that aim overflow writes at precise heap locations.
 func (h *Heap) ClassBase(c int) heap.Ptr {
-	return h.classes[c].regions.Load().subs[0].base
+	return h.classes[c].sub.base
 }
 
 // LargeObjects returns the number of live large objects.
@@ -1490,12 +1306,12 @@ func (h *Heap) LargeObjects() int {
 
 // CheckInvariants verifies the segregated metadata against itself: per-
 // class live counts match bitmap population, thresholds are respected,
-// and subregion accounting is consistent. Property tests call this after
-// randomized (including concurrent) workloads; each class is checked
-// under its own lock. The bitmap-population == inUse comparison is exact
-// only at quiescence — every CAS winner pairs its bit with a counter
-// reservation, but the two updates are not one atomic step — which is
-// precisely when the stress tests call it. Every
+// and no bit is set past a class's last slot. Property tests call this
+// after randomized (including concurrent) workloads. The
+// bitmap-population == inUse comparison is exact only at quiescence —
+// every CAS winner pairs its bit with a counter reservation, but the
+// two updates are not one atomic step — which is precisely when the
+// stress tests call it. Every
 // registered magazine is drained first (the drain barrier of DESIGN.md
 // §11), then the remote-free ring (§12) — queued remote frees hold
 // their bit and occupancy unit until drained, so they never break the
@@ -1529,10 +1345,7 @@ func (h *Heap) checkInvariants(slack uint64) error {
 	inUse := 0
 	for c := range h.classes {
 		cl := &h.classes[c]
-		cl.mu.Lock()
-		err := cl.checkLocked(c)
-		cl.mu.Unlock()
-		if err != nil {
+		if err := cl.check(c); err != nil {
 			return err
 		}
 		inUse += int(atomic.LoadInt64(&cl.inUse))
@@ -1619,59 +1432,48 @@ func (h *Heap) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
 	}
 }
 
-func (cl *sizeClass) checkLocked(c int) error {
+func (cl *sizeClass) check(c int) error {
+	sub := cl.sub
 	pop := 0
-	slots := 0
-	regs := cl.regions.Load()
-	for _, sub := range regs.subs {
-		slots += sub.slots
+	for w := range sub.bits {
+		pop += bits.OnesCount64(atomic.LoadUint64(&sub.bits[w]))
+	}
+	// Tagged heaps: a clear bit means the slot's generation word is
+	// even (free parity) — clears only follow a won odd→even
+	// transition, and claims bump back to odd before any free can
+	// race. (The converse does not hold: a bit-set slot may carry an
+	// even word while quarantined after a won transition, or the odd
+	// retirement sentinel.) Exact at quiescence, like the popcount.
+	if sub.gens != nil {
 		for w := range sub.bits {
-			pop += bits.OnesCount64(atomic.LoadUint64(&sub.bits[w]))
-		}
-		// Tagged heaps: a clear bit means the slot's generation word is
-		// even (free parity) — clears only follow a won odd→even
-		// transition, and claims bump back to odd before any free can
-		// race. (The converse does not hold: a bit-set slot may carry an
-		// even word while quarantined after a won transition, or the odd
-		// retirement sentinel.) Exact at quiescence, like the popcount.
-		if sub.gens != nil {
-			for w := range sub.bits {
-				word := atomic.LoadUint64(&sub.bits[w])
-				lim := sub.slots - w*64
-				if lim > 64 {
-					lim = 64
-				}
-				for b := 0; b < lim; b++ {
-					if word&(1<<uint(b)) != 0 {
-						continue
-					}
-					if g := atomic.LoadUint32(&sub.gens[w*64+b]); g&1 != 0 {
-						return fmt.Errorf("class %d: free slot %d has odd generation %#x", c, w*64+b, g)
-					}
-				}
+			word := atomic.LoadUint64(&sub.bits[w])
+			lim := sub.slots - w*64
+			if lim > 64 {
+				lim = 64
 			}
-		}
-		// Bits beyond the slot count must be zero.
-		if tail := sub.slots & 63; tail != 0 {
-			last := atomic.LoadUint64(&sub.bits[len(sub.bits)-1])
-			if last>>uint(tail) != 0 {
-				return fmt.Errorf("class %d: bitmap bits set beyond slot count", c)
+			for b := 0; b < lim; b++ {
+				if word&(1<<uint(b)) != 0 {
+					continue
+				}
+				if g := atomic.LoadUint32(&sub.gens[w*64+b]); g&1 != 0 {
+					return fmt.Errorf("class %d: free slot %d has odd generation %#x", c, w*64+b, g)
+				}
 			}
 		}
 	}
-	if slots != regs.totalSlots {
-		return fmt.Errorf("class %d: totalSlots %d != sum of subregions %d", c, regs.totalSlots, slots)
+	// Bits beyond the slot count must be zero.
+	if tail := sub.slots & 63; tail != 0 {
+		last := atomic.LoadUint64(&sub.bits[len(sub.bits)-1])
+		if last>>uint(tail) != 0 {
+			return fmt.Errorf("class %d: bitmap bits set beyond slot count", c)
+		}
 	}
 	inUse := int(atomic.LoadInt64(&cl.inUse))
-	maxInUse := int(cl.maxInUse.Load())
 	if pop != inUse {
 		return fmt.Errorf("class %d: inUse %d != bitmap population %d", c, inUse, pop)
 	}
-	if inUse > maxInUse {
-		return fmt.Errorf("class %d: inUse %d exceeds threshold %d", c, inUse, maxInUse)
-	}
-	if regs.totalSlots > cl.capSlots {
-		return fmt.Errorf("class %d: totalSlots %d exceeds cap %d", c, regs.totalSlots, cl.capSlots)
+	if inUse > int(cl.maxInUse) {
+		return fmt.Errorf("class %d: inUse %d exceeds threshold %d", c, inUse, cl.maxInUse)
 	}
 	return nil
 }

@@ -449,56 +449,6 @@ func TestInHeap(t *testing.T) {
 	}
 }
 
-func TestAdaptiveGrowth(t *testing.T) {
-	h := testHeap(t, Options{
-		HeapSize:        12 << 20,
-		Adaptive:        true,
-		AdaptiveInitial: 64 << 10,
-	})
-	total0, _ := h.ClassSlots(0)
-	if total0 != (64<<10)/8 {
-		t.Fatalf("initial adaptive slots = %d", total0)
-	}
-	// Allocate past the initial threshold; the heap must grow rather
-	// than fail.
-	n := total0 // more than initial maxInUse = total0/2
-	for i := 0; i < n; i++ {
-		if _, err := h.Malloc(8); err != nil {
-			t.Fatalf("adaptive heap failed at %d: %v", i, err)
-		}
-	}
-	grown, _ := h.ClassSlots(0)
-	if grown <= total0 {
-		t.Fatalf("adaptive heap did not grow: %d -> %d", total0, grown)
-	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAdaptiveStopsAtCap(t *testing.T) {
-	// Heap of 12 pages: cap is one page (512 slots) per class; start at
-	// one page too, so growth is impossible and OOM appears at 256.
-	h := testHeap(t, Options{
-		HeapSize:        12 * vmem.PageSize,
-		Adaptive:        true,
-		AdaptiveInitial: vmem.PageSize,
-	})
-	allocated := 0
-	for {
-		if _, err := h.Malloc(8); err != nil {
-			break
-		}
-		allocated++
-		if allocated > 10000 {
-			t.Fatal("adaptive heap grew past its cap")
-		}
-	}
-	if allocated != 256 {
-		t.Fatalf("capped adaptive heap allocated %d, want 256", allocated)
-	}
-}
-
 func TestExpectedProbes(t *testing.T) {
 	// §4.2: with the heap 1/M full, expected probes = 1/(1 - 1/M) = 2
 	// for M = 2. Hold the class at its threshold and measure the probe
@@ -867,16 +817,10 @@ func TestLargeObjectChurn(t *testing.T) {
 	}
 }
 
-func TestPageIndexResolvesAcrossAdaptiveGrowth(t *testing.T) {
-	// The O(1) page index must keep resolving pointers from early
-	// subregions after adaptive growth maps later ones, with large
-	// objects interleaved in the address space between them.
-	h, err := New(Options{
-		HeapSize:        24 << 20,
-		Adaptive:        true,
-		AdaptiveInitial: vmem.PageSize,
-		Seed:            7,
-	})
+func TestPageIndexResolvesPastLargeObjects(t *testing.T) {
+	// The O(1) page index must resolve small and interior pointers, and
+	// nothing else, with large objects mapped after the classes.
+	h, err := New(Options{HeapSize: 24 << 20, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -898,7 +842,7 @@ func TestPageIndexResolvesAcrossAdaptiveGrowth(t *testing.T) {
 	}
 	for _, p := range ptrs {
 		if sz, ok := h.SizeOf(p); !ok || sz != 64 {
-			t.Fatalf("SizeOf(%#x) = %d,%v after growth", p, sz, ok)
+			t.Fatalf("SizeOf(%#x) = %d,%v", p, sz, ok)
 		}
 		// Interior pointers resolve to the containing object.
 		start, size, ok := h.ObjectBounds(p + 13)
@@ -933,7 +877,7 @@ func TestPageIndexResolvesAcrossAdaptiveGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	if h.Stats().IgnoredFrees != ignored+1 {
-		t.Fatal("double free after growth not detected via page index")
+		t.Fatal("double free not detected via page index")
 	}
 }
 

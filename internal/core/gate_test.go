@@ -147,7 +147,7 @@ func thresholdPairs(opts Options, fr front) (func(n int) error, error) {
 	_, live := h.ClassSlots(ClassFor(64))
 	switch fr {
 	case viaLocked:
-		a = lockedHeap{h}
+		a = newLockedHeap(h)
 	case viaMagazine:
 		m, err := h.NewMagazine()
 		if err != nil {
@@ -295,8 +295,8 @@ func BenchmarkGate(b *testing.B) {
 		pairs      int    // malloc/free pairs per round
 		arms       func(b *testing.B) (base, cand churn)
 	}{
-		{"lockfree_vs_locked", "locked", "lockfree", 1.15,
-			"lock-free malloc fast path is %.1f%% slower than the locked reference (bound: 15%%)", 1,
+		{"lockfree_vs_locked", "locked", "lockfree", 1.05,
+			"lock-free malloc fast path is %.1f%% slower than the locked reference (bound: 5%%)", 1,
 			func(b *testing.B) (churn, churn) {
 				return thresholdChurn(b, plain, viaLocked), thresholdChurn(b, plain, viaHeap)
 			}},

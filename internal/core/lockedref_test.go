@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"diehard/internal/heap"
 	"diehard/internal/obs"
 	"diehard/internal/rng"
@@ -17,11 +19,21 @@ type allocator interface {
 // first goroutine-safe design, kept as the reference the lock-free
 // engine is differenced and benchmarked against (DESIGN.md §10): every
 // probe, bitmap update and object fill runs under the size class's
-// lock. With the same seed and one goroutine the two engines place every
-// object at the same address and fill it with the same bytes. It serves
-// untagged heaps; null, refused sizes and large objects take Heap's own
-// paths, which no engine owns.
-type lockedHeap struct{ *Heap }
+// lock, which the reference keeps in its own array because the product
+// has none. With the same seed and one goroutine the two engines place
+// every object at the same address and fill it with the same bytes. It
+// serves untagged heaps; null, refused sizes and large objects take
+// Heap's own paths, which no engine owns.
+type lockedHeap struct {
+	*Heap
+	mu *[NumClasses]sync.Mutex
+}
+
+// newLockedHeap returns the locked engine over h, with one fresh lock
+// per size class.
+func newLockedHeap(h *Heap) lockedHeap {
+	return lockedHeap{h, new([NumClasses]sync.Mutex)}
+}
 
 // Malloc allocates a small object through the locked engine.
 func (l lockedHeap) Malloc(size int) (heap.Ptr, error) {
@@ -57,91 +69,51 @@ func (l lockedHeap) Free(p heap.Ptr) error {
 }
 
 // mallocLocked is the locked engine's small-object malloc: the
-// threshold test, growth, probe loop, claim and RandomFill all under the
-// class mutex, consuming the same per-class draw stream as the lock-free
+// threshold test, probe loop, claim and RandomFill all under the class
+// mutex, consuming the same per-class draw stream as the lock-free
 // engine.
-func (h *Heap) mallocLocked(c, size int) (heap.Ptr, error) {
-	cl := &h.classes[c]
-	cl.mu.Lock()
-	regs := cl.regions.Load()
-	if cl.inUse >= cl.maxInUse.Load() {
-		if h.opts.Adaptive && regs.totalSlots < cl.capSlots {
-			grow := regs.totalSlots
-			if regs.totalSlots+grow > cl.capSlots {
-				grow = cl.capSlots - regs.totalSlots
-			}
-			if err := h.growSubregion(c, grow); err != nil {
-				cl.mu.Unlock()
-				h.addStat(&h.stats.FailedMallocs, 1)
-				return heap.Null, err
-			}
-			regs = cl.regions.Load()
-		} else {
-			// At threshold: no more memory (Figure 2, line 6).
-			cl.mu.Unlock()
-			h.addStat(&h.stats.FailedMallocs, 1)
-			return heap.Null, heap.ErrOutOfMemory
-		}
+func (l lockedHeap) mallocLocked(c, size int) (heap.Ptr, error) {
+	h, cl, mu := l.Heap, &l.classes[c], &l.mu[c]
+	mu.Lock()
+	if cl.inUse >= cl.maxInUse {
+		// At threshold: no more memory (Figure 2, line 6).
+		mu.Unlock()
+		h.addStat(&h.stats.FailedMallocs, 1)
+		return heap.Null, heap.ErrOutOfMemory
 	}
 	// Probe for a free slot, consuming exactly the draw stream the
 	// lock-free engine does, with the class mutex held and the stream
-	// state register-resident. The single-subregion case (every
-	// non-adaptive heap) runs a specialized loop; probes are accounted
-	// in bulk afterwards.
-	probeCap := 64*regs.totalSlots + 64
-	n := uint32(regs.totalSlots)
-	sub := regs.subs[0]
+	// state register-resident. The reduction is the same Lemire
+	// multiply-shift-with-rejection as rng.Uint32n, so the draw stream is
+	// identical; probes are accounted in bulk afterwards.
+	sub := cl.sub
+	probeCap := 64*sub.slots + 64
+	n := uint32(sub.slots)
 	var local int
 	probes := 0
 	st := cl.randState
 	rejectBelow := -n % n
-	if len(regs.subs) == 1 {
-		// Single-subregion fast loop: generator state in a local so the
-		// probe iterations run register-to-register; the reduction is
-		// the same Lemire multiply-shift-with-rejection as rng.Uint32n,
-		// so the draw stream is identical.
-		for {
-			if probes == probeCap {
-				cl.randState = st
-				cl.mu.Unlock()
-				return heap.Null, &heap.CorruptionError{Detail: "diehard: no free slot found below fill threshold"}
-			}
-			probes++
-			var v uint32
-			st, v = rng.Step(st)
-			m := uint64(v) * uint64(n)
-			for uint32(m) < rejectBelow {
-				st, v = rng.Step(st)
-				m = uint64(v) * uint64(n)
-			}
-			local = int(m >> 32)
-			if sub.bits[local>>6]&(1<<(local&63)) == 0 {
-				break
-			}
+	for {
+		if probes == probeCap {
+			cl.randState = st
+			mu.Unlock()
+			return heap.Null, &heap.CorruptionError{Detail: "diehard: no free slot found below fill threshold"}
 		}
-	} else {
-		for {
-			if probes == probeCap {
-				cl.randState = st
-				cl.mu.Unlock()
-				return heap.Null, &heap.CorruptionError{Detail: "diehard: no free slot found below fill threshold"}
-			}
-			probes++
-			var v uint32
+		probes++
+		var v uint32
+		st, v = rng.Step(st)
+		m := uint64(v) * uint64(n)
+		for uint32(m) < rejectBelow {
 			st, v = rng.Step(st)
-			m := uint64(v) * uint64(n)
-			for uint32(m) < rejectBelow {
-				st, v = rng.Step(st)
-				m = uint64(v) * uint64(n)
-			}
-			sub, local = regs.locate(int(m >> 32))
-			if sub.bits[local>>6]&(1<<(local&63)) == 0 {
-				break
-			}
+			m = uint64(v) * uint64(n)
+		}
+		local = int(m >> 32)
+		if sub.bits[local>>6]&(1<<(local&63)) == 0 {
+			break
 		}
 	}
 	cl.randState = st
-	sub.set(local)
+	sub.bits[local>>6] |= 1 << (local & 63)
 	cl.inUse++
 	cl.mallocs++
 	ptr := sub.base + uint64(local)<<cl.shift
@@ -152,7 +124,7 @@ func (h *Heap) mallocLocked(c, size int) (heap.Ptr, error) {
 		// allocation order (Figure 2, DieHardMalloc lines 18-20).
 		fillErr = h.fillClassRandom(cl, ptr, cl.size)
 	}
-	cl.mu.Unlock()
+	mu.Unlock()
 	if fillErr != nil {
 		return heap.Null, fillErr
 	}
@@ -171,12 +143,13 @@ func (h *Heap) mallocLocked(c, size int) (heap.Ptr, error) {
 
 // freeLocked is the locked engine's release, whose bitmap and
 // occupancy the class mutex guards.
-func (h *Heap) freeLocked(cl *sizeClass, sub *subregion, local int) bool {
-	cl.mu.Lock()
+func (l lockedHeap) freeLocked(cl *sizeClass, sub *subregion, local int) bool {
+	mu := &l.mu[ClassFor(cl.size)]
+	mu.Lock()
 	won := sub.release(local, false)
 	if won {
-		h.unreserve(cl, 1)
+		l.unreserve(cl, 1)
 	}
-	cl.mu.Unlock()
+	mu.Unlock()
 	return won
 }

@@ -22,9 +22,8 @@ import (
 // probe loop must survive contention with its segregated metadata
 // exactly consistent, place and fill objects byte-identically to the
 // locked reference engine (lockedHeap) when one goroutine allocates,
-// keep the probe-count
-// distribution the randomized-placement analysis predicts, and never
-// touch a class mutex on the fast path.
+// and keep the probe-count distribution the randomized-placement
+// analysis predicts.
 
 // popcountVsInUse asserts, per class, that the allocation bitmap's
 // population equals the atomic occupancy counter — the explicit pairing
@@ -34,10 +33,8 @@ func popcountVsInUse(t *testing.T, h *Heap) {
 	for c := range h.classes {
 		cl := &h.classes[c]
 		pop := 0
-		for _, sub := range cl.regions.Load().subs {
-			for w := range sub.bits {
-				pop += bits.OnesCount64(atomic.LoadUint64(&sub.bits[w]))
-			}
+		for w := range cl.sub.bits {
+			pop += bits.OnesCount64(atomic.LoadUint64(&cl.sub.bits[w]))
 		}
 		if inUse := int(atomic.LoadInt64(&cl.inUse)); pop != inUse {
 			t.Errorf("class %d: bitmap popcount %d != atomic inUse %d", c, pop, inUse)
@@ -265,101 +262,96 @@ func TestLockFreeClaimWildFreeRace(t *testing.T) {
 // every object at exactly the address the locked reference engine does,
 // and hand it out holding the same bytes — both consume the same
 // per-class draw stream, for probes and, on RandomFill heaps, for the
-// object fill — across mixed sizes, frees, large objects, and adaptive
-// growth. The two heaps must end with equal stats and snapshots.
+// object fill — across mixed sizes, frees and large objects. The two
+// heaps must end with equal stats and snapshots.
 //
 // The reference shares fillClassRandom with the lock-free engine, so the
-// RandomFill runs also hash the bytes each malloc hands out against
-// fillHashes, recorded while RandomFill heaps still ran on the locked
+// RandomFill run also hashes the bytes each malloc hands out against
+// fillHash, recorded while RandomFill heaps still ran on the locked
 // engine alone: a change to the fill itself moves both heaps at once.
 func TestLockFreeMatchesLockedLayout(t *testing.T) {
-	fillHashes := map[bool]uint64{false: 0x4ee349ddffcdc0b3, true: 0x8e6c4e96e9865746} // by adaptive
+	const fillHash = 0x4ee349ddffcdc0b3
 	sizes := []int{8, 24, 64, 300, 2048, MaxObjectSize + 100}
 	got, want := make([]byte, MaxObjectSize+100), make([]byte, MaxObjectSize+100)
 	for _, fill := range []bool{false, true} {
-		for _, adaptive := range []bool{false, true} {
-			opts := Options{
-				HeapSize: 16 << 20, Seed: 0xD1FF, RandomFill: fill,
-				Adaptive: adaptive, AdaptiveInitial: 16 << 10,
-			}
-			lf, err := New(opts)
+		opts := Options{HeapSize: 16 << 20, Seed: 0xD1FF, RandomFill: fill}
+		lf, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		locked := newLockedHeap(ref)
+		sum := fnv.New64a()
+		r := rng.NewSeeded(99)
+		live := make([]heap.Ptr, 0, 512)
+		for i := 0; i < 3000; i++ {
+			size := sizes[r.Intn(len(sizes))]
+			p, err := lf.Malloc(size)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := New(opts)
+			q, err := locked.Malloc(size)
 			if err != nil {
 				t.Fatal(err)
 			}
-			locked := lockedHeap{ref}
-			sum := fnv.New64a()
-			r := rng.NewSeeded(99)
-			live := make([]heap.Ptr, 0, 512)
-			for i := 0; i < 3000; i++ {
-				size := sizes[r.Intn(len(sizes))]
-				p, err := lf.Malloc(size)
-				if err != nil {
+			if p != q {
+				t.Fatalf("fill=%v alloc %d: lock-free placed %#x, locked reference placed %#x",
+					fill, i, p, q)
+			}
+			n, _ := lf.SizeOf(p)
+			if err := lf.Mem().ReadBytes(p, got[:n]); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Mem().ReadBytes(q, want[:n]); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got[:n], want[:n]) {
+				t.Fatalf("fill=%v alloc %d at %#x: contents differ from the locked reference",
+					fill, i, p)
+			}
+			sum.Write(got[:n])
+			for _, m := range []*vmem.Space{lf.Mem(), ref.Mem()} {
+				if err := m.Store64(p, uint64(i)); err != nil {
 					t.Fatal(err)
-				}
-				q, err := locked.Malloc(size)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if p != q {
-					t.Fatalf("fill=%v adaptive=%v alloc %d: lock-free placed %#x, locked reference placed %#x",
-						fill, adaptive, i, p, q)
-				}
-				n, _ := lf.SizeOf(p)
-				if err := lf.Mem().ReadBytes(p, got[:n]); err != nil {
-					t.Fatal(err)
-				}
-				if err := ref.Mem().ReadBytes(q, want[:n]); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got[:n], want[:n]) {
-					t.Fatalf("fill=%v adaptive=%v alloc %d at %#x: contents differ from the locked reference",
-						fill, adaptive, i, p)
-				}
-				sum.Write(got[:n])
-				for _, m := range []*vmem.Space{lf.Mem(), ref.Mem()} {
-					if err := m.Store64(p, uint64(i)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				live = append(live, p)
-				if len(live) > 400 {
-					victim := r.Intn(len(live))
-					if err := lf.Free(live[victim]); err != nil {
-						t.Fatal(err)
-					}
-					if err := locked.Free(live[victim]); err != nil {
-						t.Fatal(err)
-					}
-					live[victim] = live[len(live)-1]
-					live = live[:len(live)-1]
-				}
-				if i%13 == 0 {
-					// A misaligned free: both engines must ignore it.
-					if err := lf.Free(p + 1); err != nil {
-						t.Fatal(err)
-					}
-					if err := locked.Free(p + 1); err != nil {
-						t.Fatal(err)
-					}
 				}
 			}
-			if fill && sum.Sum64() != fillHashes[adaptive] {
-				t.Errorf("adaptive=%v: fill bytes hash to %#x, recorded %#x", adaptive, sum.Sum64(), fillHashes[adaptive])
-			}
-			if a, b := lf.StatsSnapshot(), ref.StatsSnapshot(); a != b {
-				t.Errorf("fill=%v adaptive=%v: stats differ\nlock-free %+v\nlocked    %+v", fill, adaptive, a, b)
-			}
-			if div := DiffSnapshots(snapshot(t, lf), snapshot(t, ref)); len(div) != 0 {
-				t.Errorf("fill=%v adaptive=%v: snapshots diverge: %v", fill, adaptive, div)
-			}
-			for _, h := range []*Heap{lf, ref} {
-				if err := h.CheckInvariants(); err != nil {
+			live = append(live, p)
+			if len(live) > 400 {
+				victim := r.Intn(len(live))
+				if err := lf.Free(live[victim]); err != nil {
 					t.Fatal(err)
 				}
+				if err := locked.Free(live[victim]); err != nil {
+					t.Fatal(err)
+				}
+				live[victim] = live[len(live)-1]
+				live = live[:len(live)-1]
+			}
+			if i%13 == 0 {
+				// A misaligned free: both engines must ignore it.
+				if err := lf.Free(p + 1); err != nil {
+					t.Fatal(err)
+				}
+				if err := locked.Free(p + 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if fill && sum.Sum64() != fillHash {
+			t.Errorf("fill bytes hash to %#x, recorded %#x", sum.Sum64(), uint64(fillHash))
+		}
+		if a, b := lf.StatsSnapshot(), ref.StatsSnapshot(); a != b {
+			t.Errorf("fill=%v: stats differ\nlock-free %+v\nlocked    %+v", fill, a, b)
+		}
+		if div := DiffSnapshots(snapshot(t, lf), snapshot(t, ref)); len(div) != 0 {
+			t.Errorf("fill=%v: snapshots diverge: %v", fill, div)
+		}
+		for _, h := range []*Heap{lf, ref} {
+			if err := h.CheckInvariants(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
@@ -401,7 +393,7 @@ func TestLockFreeSnapshotMatchesLocked(t *testing.T) {
 	}
 	opts := Options{HeapSize: 12 << 20, Seed: 0xFEED}
 	lf, ref := testHeap(t, opts), testHeap(t, opts)
-	if div := DiffSnapshots(run(lf, lf), run(lockedHeap{ref}, ref)); len(div) != 0 {
+	if div := DiffSnapshots(run(lf, lf), run(newLockedHeap(ref), ref)); len(div) != 0 {
 		t.Fatalf("lock-free and locked snapshots diverge: %v", div)
 	}
 }
@@ -452,36 +444,6 @@ func TestLockFreeProbeDistribution(t *testing.T) {
 			t.Errorf("M=%v: mean probes %.3f, geometric expectation %.3f (fullness %.3f)",
 				m, mean, want, fullness)
 		}
-	}
-}
-
-// TestLockFreeMallocAvoidsClassMutex is the no-mutex-on-the-fast-path
-// acceptance check: with a class's mutex deliberately held, malloc and
-// free of that class must still complete on a non-adaptive lock-free
-// heap (only adaptive growth may block on the lock).
-func TestLockFreeMallocAvoidsClassMutex(t *testing.T) {
-	h, err := New(Options{HeapSize: 12 << 20, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := &h.classes[ClassFor(64)]
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	done := make(chan error, 1)
-	go func() {
-		p, err := h.Malloc(64)
-		if err == nil {
-			err = h.Free(p)
-		}
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("malloc/free blocked on the class mutex: fast path is not lock-free")
 	}
 }
 
@@ -640,59 +602,44 @@ func TestShardedRoutingHysteresis(t *testing.T) {
 // class fullness: when the sticky shard's routed *class* reaches its
 // 1/M threshold, the very next routed malloc must abandon the window
 // and land elsewhere — before, only an observed out-of-memory dropped
-// the window, which an adaptive shard never reports while it can still
-// grow (it grew itself while emptier siblings sat idle) and which a
-// non-adaptive shard only reports by burning a failed malloc.
+// the window, which a shard only reports by burning a failed malloc.
 func TestShardedRoutingDropsThresholdClass(t *testing.T) {
 	const shards = 2
 	c := ClassFor(64)
-	for _, tc := range []struct {
-		name     string
-		adaptive bool
-	}{
-		{"adaptive-no-self-grow", true},
-		{"nonadaptive-no-failed-malloc", false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sh, err := NewSharded(shards, Options{HeapSize: shards * 6 << 20, Seed: 9, Adaptive: tc.adaptive})
-			if err != nil {
-				t.Fatal(err)
+	t.Run("nonadaptive-no-failed-malloc", func(t *testing.T) {
+		sh, err := NewSharded(shards, Options{HeapSize: shards * 6 << 20, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Establish a sticky window on shard 0 (emptiest, ties low).
+		if _, err := sh.Malloc(64); err != nil {
+			t.Fatal(err)
+		}
+		if use := sh.Shard(0).ClassInUse(c); use != 1 {
+			t.Fatalf("window opener landed off shard 0 (occupancy %d)", use)
+		}
+		// Fill shard 0's class to exactly its threshold behind the
+		// router's back, mid-window.
+		_, maxInUse := sh.Shard(0).ClassSlots(c)
+		for sh.Shard(0).ClassInUse(c) < maxInUse {
+			if _, err := sh.Shard(0).Malloc(64); err != nil {
+				t.Fatalf("filling shard 0: %v", err)
 			}
-			// Establish a sticky window on shard 0 (emptiest, ties low).
-			if _, err := sh.Malloc(64); err != nil {
-				t.Fatal(err)
-			}
-			if use := sh.Shard(0).ClassInUse(c); use != 1 {
-				t.Fatalf("window opener landed off shard 0 (occupancy %d)", use)
-			}
-			// Fill shard 0's class to exactly its threshold behind the
-			// router's back, mid-window.
-			_, maxInUse := sh.Shard(0).ClassSlots(c)
-			for sh.Shard(0).ClassInUse(c) < maxInUse {
-				if _, err := sh.Shard(0).Malloc(64); err != nil {
-					t.Fatalf("filling shard 0: %v", err)
-				}
-			}
-			slotsBefore, _ := sh.Shard(0).ClassSlots(c)
-			// The window has routeWindow-1 requests left, but the routed
-			// class is now full: the next routed malloc must reroute.
-			p, err := sh.Malloc(64)
-			if err != nil {
-				t.Fatalf("routed malloc at sticky-shard threshold: %v", err)
-			}
-			if sh.Shard(0).InHeap(p) {
-				t.Fatal("routed malloc landed on the full sticky shard")
-			}
-			if slotsAfter, _ := sh.Shard(0).ClassSlots(c); slotsAfter != slotsBefore {
-				t.Errorf("sticky shard grew itself (%d -> %d slots) instead of reroute",
-					slotsBefore, slotsAfter)
-			}
-			if failed := sh.Stats().FailedMallocs; failed != 0 {
-				t.Errorf("reroute burned %d failed mallocs; want 0", failed)
-			}
-			if err := sh.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+		}
+		// The window has routeWindow-1 requests left, but the routed
+		// class is now full: the next routed malloc must reroute.
+		p, err := sh.Malloc(64)
+		if err != nil {
+			t.Fatalf("routed malloc at sticky-shard threshold: %v", err)
+		}
+		if sh.Shard(0).InHeap(p) {
+			t.Fatal("routed malloc landed on the full sticky shard")
+		}
+		if failed := sh.Stats().FailedMallocs; failed != 0 {
+			t.Errorf("reroute burned %d failed mallocs; want 0", failed)
+		}
+		if err := sh.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -593,16 +593,17 @@ func (h *Heap) finishBatchedFrees(c int, t flushTally) {
 // exactly those of want back-to-back unbatched mallocs.
 func (h *Heap) magazineRefill(c, want int, cm *classMagazine) (int, error) {
 	h.tryDrainRemote()
-	idxs, regs, err := h.claim(c, want, cm.scratch)
+	idxs, err := h.claim(c, want, cm.scratch)
 	if err != nil {
 		return 0, err
 	}
 	// Both buffers are the magazine's own (idxs holds no pointers), so
 	// a steady-state refill allocates nothing.
 	cm.scratch = idxs
+	sub := h.classes[c].sub
 	slots, tags := cm.slots[:0], cm.tags[:0]
 	for _, idx := range idxs {
-		sub, local := regs.locate(int(idx))
+		local := int(idx)
 		slots = append(slots, sub.base+uint64(local)<<sub.shift)
 		if sub.gens != nil {
 			// Deferring the bump past the commit is safe: until it, the

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"diehard/internal/heap"
+	"diehard/internal/obs"
 	"diehard/internal/vmem"
 )
 
@@ -19,7 +20,7 @@ const (
 	optRemoteRing
 	optGenTags
 	optQuarantine // every third free through Quarantine
-	optAdaptive
+	optTrace      // a flight-recorder ring the run must leave events in
 	optTLB
 	optHooks // OnAlloc and OnFree
 	optAll   = 1<<iota - 1
@@ -30,7 +31,7 @@ func (c combo) has(o combo) bool { return c&o != 0 }
 func (c combo) String() string {
 	var on []string
 	for i, name := range []string{"RandomFill", "Concurrent", "RemoteRing", "GenTags",
-		"Quarantine", "Adaptive", "EnableTLB", "hooks"} {
+		"Quarantine", "Trace", "EnableTLB", "hooks"} {
 		if c.has(1 << i) {
 			on = append(on, name)
 		}
@@ -55,17 +56,20 @@ func (c combo) shardedRefused() bool {
 	return c.has(optRandomFill) || c.has(optTLB) || c.has(optHooks)
 }
 
+// options returns c's heap options; a traced combination gets a fresh
+// ring.
 func (c combo) options() Options {
 	o := Options{
-		HeapSize:        4 << 20,
-		Seed:            uint64(c) + 1,
-		RandomFill:      c.has(optRandomFill),
-		Concurrent:      c.has(optConcurrent),
-		RemoteRing:      c.has(optRemoteRing),
-		GenTags:         c.has(optGenTags),
-		Adaptive:        c.has(optAdaptive),
-		AdaptiveInitial: 4 << 10,
-		EnableTLB:       c.has(optTLB),
+		HeapSize:   4 << 20,
+		Seed:       uint64(c) + 1,
+		RandomFill: c.has(optRandomFill),
+		Concurrent: c.has(optConcurrent),
+		RemoteRing: c.has(optRemoteRing),
+		GenTags:    c.has(optGenTags),
+		EnableTLB:  c.has(optTLB),
+	}
+	if c.has(optTrace) {
+		o.Trace = obs.NewRecorder(1024).Ring(0)
 	}
 	if c.has(optHooks) {
 		o.OnAlloc = func(heap.Ptr, int, int) {}
@@ -134,6 +138,15 @@ func optionsRun(a allocator, q quarantiner, mem *vmem.Space) (first heap.Ptr, er
 	return first, nil
 }
 
+// checkTraced holds a traced run to leaving at least one event in its
+// ring; an untraced run has none to check.
+func checkTraced(o Options) error {
+	if o.Trace != nil && o.Trace.Len() == 0 {
+		return errors.New("the traced run left no event in its ring")
+	}
+	return nil
+}
+
 // checkClose closes a front end twice and holds Close to its contract:
 // a Load64 of p, an object the run allocated, faults with the closed
 // reason after the first Close and still after the second, which does
@@ -180,10 +193,11 @@ func (c combo) quarantine(q quarantiner) quarantiner {
 // through core.New, NewMagazine and NewSharded(2, …). Each either
 // constructs and survives a short sequential run ending in
 // CheckInvariants and Close, or returns an error, exactly as the
-// refusal rules above say.
+// refusal rules above say. A traced run must leave events in its ring.
 func TestOptionsTable(t *testing.T) {
 	for c := combo(0); c <= optAll; c++ {
-		h, err := New(c.options())
+		o := c.options()
+		h, err := New(o)
 		checkConstruction(t, c, "New", c.newRefused(), err, func() error {
 			p, err := optionsRun(h, c.quarantine(h), h.Mem())
 			if err != nil {
@@ -192,10 +206,14 @@ func TestOptionsTable(t *testing.T) {
 			if err := h.CheckInvariants(); err != nil {
 				return err
 			}
+			if err := checkTraced(o); err != nil {
+				return err
+			}
 			return checkClose(h.Close, h.Mem(), p)
 		})
 		if !c.newRefused() {
-			h, err := New(c.options())
+			o := c.options()
+			h, err := New(o)
 			if err != nil {
 				t.Fatalf("%v: %v", c, err)
 			}
@@ -209,16 +227,23 @@ func TestOptionsTable(t *testing.T) {
 				if err := h.CheckInvariants(); err != nil {
 					return err
 				}
+				if err := checkTraced(o); err != nil {
+					return err
+				}
 				return checkClose(h.Close, h.Mem(), p)
 			})
 		}
-		sh, err := NewSharded(2, c.options())
+		so := c.options()
+		sh, err := NewSharded(2, so)
 		checkConstruction(t, c, "NewSharded", c.shardedRefused(), err, func() error {
 			p, err := optionsRun(sh, c.quarantine(sh), sh.Mem())
 			if err != nil {
 				return err
 			}
 			if err := sh.CheckInvariants(); err != nil {
+				return err
+			}
+			if err := checkTraced(so); err != nil {
 				return err
 			}
 			// A shard did not build the shared space, so closing it

@@ -19,7 +19,7 @@ import (
 // is usable through Mem() like any other pointer, while the randomized
 // metadata — bitmaps, counters, probe streams — stays private per
 // shard. Throughput scales because concurrent mallocs land on different
-// shards (and, within a shard, on different size-class locks).
+// shards.
 //
 // DieHard's per-heap guarantees are preserved shard-wise: each shard is
 // its own M-expanded heap, so Theorem 1/2 masking probabilities hold for
@@ -159,13 +159,10 @@ func (sh *ShardedHeap) malloc(size int) (heap.FatPtr, error) {
 	if st := sh.route[c].Load(); uint32(st) > 0 {
 		s := sh.shards[st>>32]
 		cl := &s.classes[c]
-		if atomic.LoadInt64(&cl.inUse) >= cl.maxInUse.Load() {
+		if atomic.LoadInt64(&cl.inUse) >= cl.maxInUse {
 			// The routed *class* hit its 1/M threshold mid-window: drop
-			// the sticky shard now, before wasting a malloc on it. Riding
-			// the window used to reroute only after an observed
-			// out-of-memory — which an adaptive shard never reports while
-			// it can still grow, so a full-but-growable shard kept
-			// absorbing the whole window while emptier siblings sat idle.
+			// the sticky shard now, before wasting a malloc on it, instead
+			// of rerouting only after an observed out-of-memory.
 			sh.route[c].Store(0)
 		} else {
 			sh.route[c].Store(st - 1)

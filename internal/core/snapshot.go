@@ -28,43 +28,33 @@ type ObjectRecord struct {
 }
 
 // Snapshot records every live small object (class, slot, contents
-// hash). Large objects are included with Class = -1 and Slot = 0. Each
-// class is scanned under its own lock; for a meaningful snapshot the
-// heap should be quiescent.
+// hash). Large objects are included with Class = -1 and Slot = 0. For
+// a meaningful snapshot the heap should be quiescent.
 func (h *Heap) Snapshot() ([]ObjectRecord, error) {
 	var records []ObjectRecord
 	buf := make([]byte, MaxObjectSize)
 	for c := range h.classes {
 		cl := &h.classes[c]
-		cl.mu.Lock()
-		slotBase := 0
-		regs := cl.regions.Load()
-		for s := range regs.subs {
-			sub := regs.subs[s]
-			for i := 0; i < sub.slots; i++ {
-				// Atomic bit read: the class mutex does not exclude
-				// CAS claimants, so the scan must load words atomically
-				// (the quiescence the doc asks for is what makes the
-				// result meaningful).
-				if !sub.getAtomic(i) {
-					continue
-				}
-				ptr := sub.base + uint64(i*cl.size)
-				if err := h.space.ReadBytes(ptr, buf[:cl.size]); err != nil {
-					cl.mu.Unlock()
-					return nil, err
-				}
-				records = append(records, ObjectRecord{
-					Class: c,
-					Slot:  slotBase + i,
-					Ptr:   ptr,
-					Size:  cl.size,
-					Hash:  hashBytes(buf[:cl.size]),
-				})
+		sub := cl.sub
+		for i := 0; i < sub.slots; i++ {
+			// Atomic bit read, so a scan racing CAS claimants stays
+			// clean under -race (the quiescence the doc asks for is
+			// what makes the result meaningful).
+			if !sub.getAtomic(i) {
+				continue
 			}
-			slotBase += sub.slots
+			ptr := sub.base + uint64(i*cl.size)
+			if err := h.space.ReadBytes(ptr, buf[:cl.size]); err != nil {
+				return nil, err
+			}
+			records = append(records, ObjectRecord{
+				Class: c,
+				Slot:  i,
+				Ptr:   ptr,
+				Size:  cl.size,
+				Hash:  hashBytes(buf[:cl.size]),
+			})
 		}
-		cl.mu.Unlock()
 	}
 	h.largeMu.Lock()
 	defer h.largeMu.Unlock()

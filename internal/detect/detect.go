@@ -71,6 +71,10 @@ import (
 // bytes".
 const CanaryBytes = 8
 
+// maxEvidence caps a detector's evidence log; further findings are
+// counted in Report.Dropped.
+const maxEvidence = 1024
+
 // Kind classifies the memory error an Evidence record witnesses.
 type Kind string
 
@@ -159,9 +163,6 @@ type Options struct {
 	// with a fixed cadence the barrier schedule is exactly the modulo
 	// schedule of PR 4, so recorded campaign hashes are unaffected.
 	HeapCheckMin int
-	// MaxEvidence caps the evidence log (default 1024); further findings
-	// are counted in Report.Dropped.
-	MaxEvidence int
 	// Trace, when non-nil, is the detector's flight-recorder ring
 	// (internal/obs): every recorded Evidence emits one stamped
 	// EvEvidence event carrying the culprit allocation site, and every
@@ -237,9 +238,6 @@ func New(copts core.Options, dopts Options) (*Heap, error) {
 	}
 	if copts.RandomFill {
 		return nil, fmt.Errorf("detect: RandomFill and canary fill are mutually exclusive")
-	}
-	if dopts.MaxEvidence == 0 {
-		dopts.MaxEvidence = 1024
 	}
 	if dopts.HeapCheckMin < 0 || (dopts.HeapCheckMin > 0 && dopts.HeapCheckMin > dopts.HeapCheckEvery) {
 		// The second clause also rejects a floor without a ceiling
@@ -376,7 +374,7 @@ func (d *Detector) record(ev Evidence) {
 	if d.opts.Trace != nil {
 		d.opts.Trace.Emit(obs.EvEvidence, uint64(ev.AllocSite))
 	}
-	if len(d.evidence) >= d.opts.MaxEvidence {
+	if len(d.evidence) >= maxEvidence {
 		d.dropped++
 		return
 	}
@@ -708,7 +706,7 @@ type Report struct {
 	// reports from different seeds (that is the whole point of triage).
 	Seed uint64
 	// Allocs and Checks count allocations observed and barrier audits
-	// run; Dropped counts evidence lost to the MaxEvidence cap.
+	// run; Dropped counts evidence lost to the maxEvidence cap.
 	Allocs  int
 	Checks  int
 	Dropped int
@@ -728,7 +726,7 @@ func (d *Detector) Report() *Report {
 }
 
 // TakeEvidence drains the evidence log: the accumulated records (and the
-// overflow count the MaxEvidence cap dropped) are returned and the log
+// overflow count the maxEvidence cap dropped) are returned and the log
 // resets. This is the supervisor's export path (internal/heal): evidence
 // streams out window by window into an Accumulator instead of growing —
 // and saturating — one per-detector log across a long-running service.

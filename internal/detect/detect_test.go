@@ -702,11 +702,12 @@ func TestRejectsConcurrentAndRandomFill(t *testing.T) {
 }
 
 func TestEvidenceCap(t *testing.T) {
-	h, err := New(core.Options{HeapSize: 12 << 20, Seed: 2}, Options{MaxEvidence: 3})
+	const slack = 8 // overflows past the cap
+	h, err := New(core.Options{HeapSize: 12 << 20, Seed: 2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < maxEvidence+slack; i++ {
 		p, err := h.Malloc(56)
 		if err != nil {
 			t.Fatal(err)
@@ -719,8 +720,8 @@ func TestEvidenceCap(t *testing.T) {
 		}
 	}
 	r := h.Detector().Report()
-	if len(r.Evidence) != 3 || r.Dropped != 5 {
-		t.Fatalf("cap: %d records, %d dropped; want 3 and 5", len(r.Evidence), r.Dropped)
+	if len(r.Evidence) != maxEvidence || r.Dropped != slack {
+		t.Fatalf("cap: %d records, %d dropped; want %d and %d", len(r.Evidence), r.Dropped, maxEvidence, slack)
 	}
 }
 

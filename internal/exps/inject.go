@@ -89,7 +89,9 @@ func RunFaultInjection(appName, allocKind string, kind InjectionKind, trials, sc
 
 	// Reference (clean) run and, for dangling injection, the allocation
 	// trace. Allocation time is a property of the program, not the
-	// allocator, so one trace serves every trial.
+	// allocator, so one trace serves every trial. Every allocator
+	// NewAllocator builds owns its space, so closing the space closes
+	// the heap once the run is done with it.
 	refAlloc, err := newAlloc(0xC1EA)
 	if err != nil {
 		return nil, err
@@ -97,7 +99,9 @@ func RunFaultInjection(appName, allocKind string, kind InjectionKind, trials, sc
 	tracer := fault.NewTracer(refAlloc)
 	var refOut bytes.Buffer
 	rt := &apps.Runtime{Alloc: tracer, Mem: refAlloc.Mem(), Input: input, Out: &refOut, WorkLimit: injectionWorkLimit}
-	if err := app.Run(rt); err != nil {
+	err = app.Run(rt)
+	refAlloc.Mem().Close()
+	if err != nil {
 		return nil, fmt.Errorf("clean reference run failed: %w", err)
 	}
 	reference := refOut.String()
@@ -113,6 +117,7 @@ func RunFaultInjection(appName, allocKind string, kind InjectionKind, trials, sc
 		if err != nil {
 			return trialResult{}, err
 		}
+		defer base.Mem().Close()
 		var alloc heap.Allocator
 		injected := func() int { return 0 }
 		switch kind {
@@ -186,6 +191,7 @@ func RunSquidExperiment(allocKinds []string, trials, requests, heapSize, workers
 		if err != nil {
 			return false, err
 		}
+		defer alloc.Mem().Close()
 		var out bytes.Buffer
 		rt := &apps.Runtime{Alloc: alloc, Mem: alloc.Mem(), Input: input, Out: &out, WorkLimit: injectionWorkLimit}
 		return squid.Run(rt, squid.Options{}) == nil, nil

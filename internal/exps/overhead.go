@@ -102,6 +102,9 @@ func RunOverhead(platform Platform, scale, heapSize int, seed uint64, workers in
 		if err != nil {
 			return cellResult{}, err
 		}
+		// The allocator owns its space: closing it after the cycle
+		// count and the TLB read below closes the heap.
+		defer alloc.Mem().Close()
 		var out bytes.Buffer
 		rt := &apps.Runtime{Alloc: alloc, Mem: alloc.Mem(), Input: inputs[i/len(kinds)], Out: &out}
 		start := time.Now()

@@ -105,11 +105,6 @@ type Config struct {
 	// baseline (evidence still accumulates, verdicts are still reported,
 	// nothing is applied).
 	Heal bool
-	// HeapCheckEvery / HeapCheckMin set the detector's barrier cadence
-	// (defaults 4*Sites and max(1, Sites/2): adaptive, tightening after
-	// evidence).
-	HeapCheckEvery int
-	HeapCheckMin   int
 	// Obs, when non-nil, receives the supervisor's slice of the unified
 	// metrics tree: heal.* gauges over the run's tally, a heal.cycle_ns
 	// latency histogram, and the detect.* gauges of the live epoch
@@ -164,16 +159,14 @@ func (c *Config) withDefaults() (Config, error) {
 	if s.OverflowSite >= 0 && s.OverflowSite == s.DanglingSite {
 		return v, fmt.Errorf("heal: overflow and dangling sites must differ")
 	}
-	if v.HeapCheckEvery == 0 {
-		v.HeapCheckEvery = 4 * s.Sites
-	}
-	if v.HeapCheckMin == 0 {
-		v.HeapCheckMin = s.Sites / 2
-		if v.HeapCheckMin < 1 {
-			v.HeapCheckMin = 1
-		}
-	}
 	return v, nil
+}
+
+// heapCheckCadence is the detector's barrier cadence for a schedule: a
+// heap check every 4·Sites allocations, tightening to max(1, Sites/2)
+// after evidence.
+func heapCheckCadence(s Schedule) (every, floor int) {
+	return 4 * s.Sites, max(1, s.Sites/2)
 }
 
 // Event is one entry in the supervisor's timeline.
@@ -267,13 +260,14 @@ func newSupervisor(cfg Config) (*supervisor, error) {
 	if err != nil {
 		return nil, err
 	}
+	every, _ := heapCheckCadence(cfg.Schedule)
 	s := &supervisor{
 		cfg: cfg,
 		mit: NewMitigations(),
 		acc: &detect.Accumulator{},
 		res: &Result{
 			Seed: cfg.Seed, OnsetCycle: -1, MitigatedCycle: -1,
-			MinCadence: cfg.HeapCheckEvery,
+			MinCadence: every,
 		},
 		ptrs: make([]heap.Ptr, cfg.Schedule.Sites),
 	}
@@ -344,9 +338,10 @@ func (s *supervisor) startEpoch() error {
 		Seed:          exps.DeriveSeed(s.cfg.Seed, s.epoch),
 		QuarantineCap: quarantineCap,
 	}
+	every, floor := heapCheckCadence(s.cfg.Schedule)
 	h, err := detect.New(copts, detect.Options{
-		HeapCheckEvery: s.cfg.HeapCheckEvery,
-		HeapCheckMin:   s.cfg.HeapCheckMin,
+		HeapCheckEvery: every,
+		HeapCheckMin:   floor,
 		Trace:          s.ring,
 	})
 	if err != nil {

@@ -73,9 +73,8 @@ func TestHealConvergesToGroundTruth(t *testing.T) {
 	}
 	// Convergence bound: both verdicts within N = confidenceBar * max
 	// injection period cycles of onset, with slack for barrier latency.
-	cfg := testConfig(true)
-	cfgd, _ := cfg.withDefaults()
-	n := confidenceBar*4*sch.DanglingEvery + cfgd.HeapCheckEvery/sch.Sites
+	every, _ := heapCheckCadence(sch)
+	n := confidenceBar*4*sch.DanglingEvery + every/sch.Sites
 	var lastApply int
 	for _, ev := range res.Timeline {
 		if ev.Kind == "pad" || ev.Kind == "quarantine" {
@@ -261,19 +260,20 @@ func TestHealEpochRestartRebinds(t *testing.T) {
 }
 
 // TestHealAdaptiveCadence verifies the folded-in PR-4 follow-up: the
-// barrier cadence tightens below HeapCheckEvery once evidence appears.
+// barrier cadence tightens below its every-4·Sites start once evidence
+// appears.
 func TestHealAdaptiveCadence(t *testing.T) {
-	res, err := Run(testConfig(true))
+	cfg := testConfig(true)
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(true)
-	cfgd, _ := cfg.withDefaults()
-	if res.MinCadence >= cfgd.HeapCheckEvery {
-		t.Errorf("cadence never tightened: min %d, HeapCheckEvery %d", res.MinCadence, cfgd.HeapCheckEvery)
+	every, floor := heapCheckCadence(cfg.Schedule)
+	if res.MinCadence >= every {
+		t.Errorf("cadence never tightened: min %d, start %d", res.MinCadence, every)
 	}
-	if res.MinCadence < cfgd.HeapCheckMin {
-		t.Errorf("cadence %d fell below the floor %d", res.MinCadence, cfgd.HeapCheckMin)
+	if res.MinCadence < floor {
+		t.Errorf("cadence %d fell below the floor %d", res.MinCadence, floor)
 	}
 }
 
